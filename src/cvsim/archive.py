@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .broker import matches
+from .broker import _match_levels, split_filter, split_topic
 
 
 class InvalidRangeError(ValueError):
@@ -78,12 +78,17 @@ class Archive:
         """
         if t0 > t1:
             raise InvalidRangeError(f"t0={t0} > t1={t1}")
-        hits = [r for r in self._records if t0 <= r.t <= t1 and matches(pattern, r.topic)]
+        flevels = split_filter(pattern)
+        hits = [
+            r for r in self._records
+            if t0 <= r.t <= t1 and _match_levels(flevels, split_topic(r.topic))
+        ]
         hits.sort(key=lambda r: (r.t, r.seq))
         return hits
 
     def count(self, pattern: str = "#") -> int:
-        return sum(1 for r in self._records if matches(pattern, r.topic))
+        flevels = split_filter(pattern)
+        return sum(1 for r in self._records if _match_levels(flevels, split_topic(r.topic)))
 
     def prune(self, now: int) -> int:
         """Drop records older than the retention horizon; returns how many."""

@@ -5,6 +5,13 @@ exactly one level and a trailing '#' to match any remaining levels (including
 none). Delivery semantics: exactly-once per matching subscriber (deduplicated
 across overlapping filters), per-publisher FIFO, no retained messages. Channel
 loss belongs to the radio layer, never here.
+
+Each filter is split and validated once, at subscribe time, and stored in a
+trie keyed by topic level. A node holds its exact next levels, its '+' next
+level, the subscriptions that end there and those whose trailing '#' sits
+there. A publish splits its topic once and walks the trie level by level, so
+its cost grows with the topic's depth and the number of matching
+subscriptions, not with the number of subscriptions held.
 """
 
 from __future__ import annotations
@@ -55,10 +62,8 @@ def split_filter(pattern: str) -> list[str]:
     return levels
 
 
-def matches(pattern: str, topic: str) -> bool:
-    """Level-wise filter match: '+' eats one level, trailing '#' eats the rest."""
-    flevels = split_filter(pattern)
-    tlevels = split_topic(topic)
+def _match_levels(flevels: list[str], tlevels: list[str]) -> bool:
+    """Match already-validated filter levels against topic levels."""
     for i, flevel in enumerate(flevels):
         if flevel == MULTI:
             # Trailing '#' eats zero or more levels: "a/#" accepts "a".
@@ -68,6 +73,11 @@ def matches(pattern: str, topic: str) -> bool:
         if flevel != SINGLE and flevel != tlevels[i]:
             return False
     return len(flevels) == len(tlevels)
+
+
+def matches(pattern: str, topic: str) -> bool:
+    """Level-wise filter match: '+' eats one level, trailing '#' eats the rest."""
+    return _match_levels(split_filter(pattern), split_topic(topic))
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,21 @@ class _Subscription:
     client: str
     pattern: str
     callback: Callable[[BrokerMessage], None]
-    active: bool = True
+
+
+class _Node:
+    """One filter level in the subscription trie."""
+
+    __slots__ = ("children", "plus", "subs", "multi")
+
+    def __init__(self) -> None:
+        self.children: dict[str, _Node] = {}  # exact next levels
+        self.plus: _Node | None = None  # the '+' next level
+        self.subs: dict[int, _Subscription] = {}  # filters that end here
+        self.multi: dict[int, _Subscription] = {}  # filters whose trailing '#' sits here
+
+    def empty(self) -> bool:
+        return not (self.children or self.plus or self.subs or self.multi)
 
 
 @dataclass
@@ -99,6 +123,7 @@ class Broker:
     _subs: dict[int, _Subscription] = field(default_factory=dict)
     _by_key: dict[tuple[str, str], int] = field(default_factory=dict)
     _next_id: int = 1
+    _root: _Node = field(default_factory=_Node)
     taps: list[Callable[[BrokerMessage], None]] = field(default_factory=list)
 
     def add_tap(self, tap: Callable[[BrokerMessage], None]) -> None:
@@ -108,41 +133,87 @@ class Broker:
         self, client: str, pattern: str, callback: Callable[[BrokerMessage], None]
     ) -> int:
         """Register a filter; idempotent per (client, pattern)."""
-        split_filter(pattern)
+        levels = split_filter(pattern)
         key = (client, pattern)
         existing = self._by_key.get(key)
-        if existing is not None and self._subs[existing].active:
+        if existing is not None:
             return existing
         sub_id = self._next_id
         self._next_id += 1
-        self._subs[sub_id] = _Subscription(sub_id, client, pattern, callback)
+        sub = _Subscription(sub_id, client, pattern, callback)
+        self._subs[sub_id] = sub
         self._by_key[key] = sub_id
+        node = self._root
+        for level in levels:
+            if level == MULTI:
+                node.multi[sub_id] = sub
+                return sub_id
+            if level == SINGLE:
+                if node.plus is None:
+                    node.plus = _Node()
+                node = node.plus
+            else:
+                node = node.children.setdefault(level, _Node())
+        node.subs[sub_id] = sub
         return sub_id
 
     def unsubscribe(self, sub_id: int) -> None:
-        sub = self._subs.get(sub_id)
-        if sub is None or not sub.active:
+        sub = self._subs.pop(sub_id, None)
+        if sub is None:
             raise KeyError(f"unknown subscription id {sub_id}")
-        sub.active = False
-        self._by_key.pop((sub.client, sub.pattern), None)
+        del self._by_key[(sub.client, sub.pattern)]
+        path = [self._root]
+        levels = sub.pattern.split("/")
+        for level in levels:
+            if level == MULTI:
+                del path[-1].multi[sub_id]
+                break
+            node = path[-1]
+            path.append(node.plus if level == SINGLE else node.children[level])
+        else:
+            del path[-1].subs[sub_id]
+        # Drop the nodes left empty, deepest first; the root always stays.
+        for depth in range(len(path) - 1, 0, -1):
+            if not path[depth].empty():
+                break
+            parent, level = path[depth - 1], levels[depth - 1]
+            if level == SINGLE:
+                parent.plus = None
+            else:
+                del parent.children[level]
 
     def publish(self, msg: BrokerMessage) -> int:
         """Deliver to every subscriber with at least one matching filter.
 
         Returns the number of subscribers reached. A subscriber with several
-        overlapping filters still sees the message exactly once.
+        overlapping filters still sees the message exactly once, through the
+        callback of its lowest-numbered matching subscription; subscribers
+        are called in ascending order of that subscription's id.
         """
-        split_topic(msg.topic)
+        levels = split_topic(msg.topic)
         for tap in self.taps:
             tap(msg)
-        delivered_clients: set[str] = set()
-        # Insertion order of the subscription dict makes fan-out deterministic.
+        found: dict[int, _Subscription] = {}
+        nodes = [self._root]
+        for level in levels:
+            deeper = []
+            for node in nodes:
+                found.update(node.multi)
+                child = node.children.get(level)
+                if child is not None:
+                    deeper.append(child)
+                if node.plus is not None:
+                    deeper.append(node.plus)
+            nodes = deeper
+        for node in nodes:
+            found.update(node.subs)
+            found.update(node.multi)  # '#' also matches zero levels
+        reached: set[str] = set()
         targets: list[_Subscription] = []
-        for sub in self._subs.values():
-            if not sub.active or sub.client in delivered_clients:
-                continue
-            if matches(sub.pattern, msg.topic):
-                delivered_clients.add(sub.client)
+        for sub_id in sorted(found):
+            sub = found[sub_id]
+            if sub.client not in reached:
+                reached.add(sub.client)
                 targets.append(sub)
         for sub in targets:
             sub.callback(msg)

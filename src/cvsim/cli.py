@@ -7,6 +7,7 @@ configuration or trace input (diagnostics carry file and line).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -50,8 +51,8 @@ def _run(args: argparse.Namespace) -> int:
         if args.seed is not None:
             kwargs["seed"] = args.seed
         if args.t_end is not None:
-            if args.t_end <= 0:
-                raise ConfigError("--t-end must be positive", source="<cli>")
+            if not (math.isfinite(args.t_end) and args.t_end > 0):
+                raise ConfigError(f"--t-end must be positive and finite, got {args.t_end}", source="<cli>")
             kwargs["t_end_ms"] = int(round(args.t_end * 1000))
         config = replace(config, **kwargs)
     sim = Simulation(config, trace=args.event_trace is not None)

@@ -11,6 +11,7 @@ immediately; nothing past this module sees them.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass, field
 from difflib import get_close_matches
 from pathlib import Path
@@ -211,7 +212,12 @@ def _parse_constants(section: _Section | None) -> SimConstants:
         return SimConstants()
     kwargs = {}
     if section.has("bsm_interval_s"):
-        kwargs["bsm_interval_s"] = section.get("bsm_interval_s", float)
+        interval_s = section.get("bsm_interval_s", float)
+        # The engine ticks in whole milliseconds; a shorter interval rounds to 0.
+        if not (math.isfinite(interval_s) and round(interval_s * 1000) >= 1):
+            raise section.error(f"bsm_interval_s must be finite and round to at least 1 ms, got {interval_s}",
+                                "bsm_interval_s")
+        kwargs["bsm_interval_s"] = interval_s
     if section.has("queue_speed_threshold_mph"):
         kwargs["queue_speed_threshold_mps"] = mph_to_mps(section.get("queue_speed_threshold_mph", float))
     if section.has("queue_gap_threshold_ft"):
@@ -391,8 +397,8 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     description = root.get("description", str, default="")
     seed = root.get("seed", int, default=0)
     t_end_s = root.get("t_end_s", float, required=True)
-    if t_end_s <= 0:
-        raise root.error("t_end_s must be positive", "t_end_s")
+    if not (math.isfinite(t_end_s) and t_end_s > 0):
+        raise root.error(f"t_end_s must be positive and finite, got {t_end_s}", "t_end_s")
     region = root.get("region", str, default="corridor")
     speed_tier = root.get("speed_tier_mph", int, default=20)
     if speed_tier not in DSRC_WARNING_LATENCY_BY_TIER:

@@ -73,11 +73,19 @@ def test_malformed_filter_rejected_at_subscribe_time():
         ("a/+", "a", False),
         ("a/b/#", "a/b/c/d/e", True),
         ("a/b/#", "a", False),
+        ("#", "a", True),
+        ("a/#", "a", True),
+        ("a/+/#", "a/b", True),
+        ("+/+", "a", False),
     ],
 )
 def test_matches_examples(pattern, topic, expected):
     assert matches(pattern, topic) is expected
     assert reference_matches(pattern, topic) is expected
+    broker = Broker()
+    got = []
+    broker.subscribe("c1", pattern, got.append)
+    assert broker.publish(msg(topic)) == len(got) == int(expected)
 
 
 def _random_topic(rng, levels=(1, 4), alphabet=("a", "b", "c")):
@@ -216,3 +224,95 @@ def test_delivery_soundness_and_dedup(subs, topics):
         }
         got = {i for c, i in seen if c == client}
         assert got == expected
+
+
+# -- trie index vs. a linear scan ------------------------------------------------
+
+class ScanBroker:
+    """Reference broker: a list of live subscriptions scanned with ``matches``."""
+
+    def __init__(self):
+        self.subs = []  # (sub_id, client, pattern, callback), ascending sub_id
+        self.next_id = 1
+
+    def subscribe(self, client, pattern, callback):
+        split_filter(pattern)
+        for sub_id, c, p, _ in self.subs:
+            if (c, p) == (client, pattern):
+                return sub_id
+        sub_id = self.next_id
+        self.next_id += 1
+        self.subs.append((sub_id, client, pattern, callback))
+        return sub_id
+
+    def unsubscribe(self, sub_id):
+        for i, sub in enumerate(self.subs):
+            if sub[0] == sub_id:
+                del self.subs[i]
+                return
+        raise KeyError(sub_id)
+
+    def publish(self, m):
+        split_topic(m.topic)
+        reached, targets = set(), []
+        for _, client, pattern, callback in self.subs:
+            if client not in reached and matches(pattern, m.topic):
+                reached.add(client)
+                targets.append(callback)
+        for callback in targets:
+            callback(m)
+        return len(targets)
+
+
+OVERLAPPING = ["#", "+", "a", "a/#", "a/+", "+/+", "+/#", "a/b", "a/b/#", "+/b", "a/+/c", "b/#"]
+op_strategy = st.one_of(
+    st.tuples(
+        st.just("sub"),
+        st.sampled_from(["c1", "c2", "c3"]),
+        st.one_of(st.sampled_from(OVERLAPPING), filter_strategy),
+    ),
+    st.tuples(st.just("unsub"), st.integers(min_value=0, max_value=15)),
+    st.tuples(st.just("pub"), topic_strategy),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(op_strategy, max_size=40))
+def test_trie_broker_equals_linear_scan(ops):
+    """Same clients, same callbacks, same order and same count as a linear scan."""
+    brokers = (Broker(), ScanBroker())
+    logs = ([], [])
+    issued = []  # every sub_id handed out, live or not
+    for step, op in enumerate(ops):
+        if op[0] == "sub":
+            _, client, pattern = op
+            # The tag names the subscribe call, so a wrong callback shows in the log.
+            ids = [
+                b.subscribe(client, pattern, lambda m, log=log, tag=step: log.append((tag, m.payload["i"])))
+                for b, log in zip(brokers, logs)
+            ]
+            assert ids[0] == ids[1]
+            issued.append(ids[0])
+        elif op[0] == "unsub" and issued:
+            sub_id = issued[op[1] % len(issued)]
+            outcomes = []
+            for b in brokers:
+                try:
+                    b.unsubscribe(sub_id)
+                    outcomes.append("ok")
+                except KeyError:
+                    outcomes.append("KeyError")
+            assert outcomes[0] == outcomes[1]
+        elif op[0] == "pub":
+            counts = [b.publish(msg(op[1], payload={"i": step})) for b in brokers]
+            assert counts[0] == counts[1]
+            assert logs[0] == logs[1]
+
+
+def test_unsubscribe_prunes_the_trie():
+    broker = Broker()
+    ids = [broker.subscribe("c1", p, lambda m: None) for p in ("a/+/c", "a/#", "#", "+", "a/b")]
+    for sub_id in ids:
+        broker.unsubscribe(sub_id)
+    assert broker._root.empty()
+    assert broker._subs == {} and broker._by_key == {}

@@ -82,6 +82,34 @@ def test_invalid_config_exit_2(tmp_path, capsys):
     assert "t_end_s" in capsys.readouterr().err
 
 
+POLYLINE = "corridor:\n  polyline:\n    - [40.0, -75.0]\n    - [40.01, -75.0]\n"
+
+
+@pytest.mark.parametrize(
+    "body,line,key",
+    [
+        ("t_end_s: .inf\n", 2, "t_end_s"),
+        ("t_end_s: .nan\n", 2, "t_end_s"),
+        ("t_end_s: 1.0\nconstants:\n  bsm_interval_s: 0.0001\n", 4, "bsm_interval_s"),
+    ],
+)
+def test_boundary_values_exit_2_at_parse_time(tmp_path, capsys, body, line, key):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("name: x\n" + body + POLYLINE)
+    rc = main(["--scenario", str(bad), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"bad.yaml:{line}" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("t_end", ["inf", "nan"])
+def test_non_finite_t_end_flag_exit_2(tmp_path, capsys, t_end):
+    rc = main(["--scenario", "collision_avoidance_20mph", "--t-end", t_end, "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "--t-end" in capsys.readouterr().err
+
+
 def test_unknown_bundled_name_exit_2(tmp_path, capsys):
     rc = main(["--scenario", "definitely_not_a_scenario", "--out-dir", str(tmp_path)])
     assert rc == 2

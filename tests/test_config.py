@@ -155,3 +155,17 @@ def test_load_scenario_unknown_name():
     with pytest.raises(ConfigError) as err:
         load_scenario("no_such_scenario")
     assert "bundled" in str(err.value)
+
+
+@pytest.mark.parametrize("value", [".inf", ".nan"])
+def test_non_finite_t_end_rejected_with_line(value):
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(MINIMAL.replace("t_end_s: 5.0", f"t_end_s: {value}"), source="case.yaml")
+    assert "case.yaml:2" in str(err.value) and "t_end_s" in str(err.value)
+
+
+def test_sub_millisecond_bsm_interval_rejected_with_line():
+    text = MINIMAL + "constants:\n  bsm_interval_s: 0.0001\n"
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(text, source="case.yaml")
+    assert "case.yaml:12" in str(err.value) and "bsm_interval_s" in str(err.value)

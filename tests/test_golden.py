@@ -1,0 +1,61 @@
+"""Byte-identity gate: every bundled scenario's behavioural artifacts match
+their recorded SHA-256 digests, and a rerun in another process under another
+hash seed writes the same bytes.
+
+``report.txt`` and ``report.csv`` carry no digest: they may gain rows. The
+digests in ``data/golden_digests.json`` are those the benchmark records in
+``perfbench/digests.json`` for the bundled scenarios.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from cvsim.config import bundled_scenario_names
+from cvsim.report import write_artifacts
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_digests.json").read_text())
+HASH_SEED_SCENARIO = "queue_mixed_penetration"
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def assert_golden(name, out_dir):
+    for artifact, digest in GOLDEN[name].items():
+        assert sha256(out_dir / artifact) == digest, f"{name}: {artifact} digest changed"
+
+
+def test_every_bundled_scenario_has_digests():
+    assert sorted(GOLDEN) == sorted(bundled_scenario_names())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_artifacts_match_golden_digests(name, scenario_runs, tmp_path):
+    write_artifacts(scenario_runs(name), tmp_path)
+    assert_golden(name, tmp_path)
+
+
+def test_byte_identical_across_processes_and_hash_seeds(tmp_path):
+    dirs = []
+    for hash_seed in ("1", "2"):
+        out_dir = tmp_path / f"hashseed-{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(ROOT / "src")}
+        subprocess.run(
+            [sys.executable, "-m", "cvsim.cli", "--scenario", HASH_SEED_SCENARIO, "--out-dir", str(out_dir)],
+            env=env, cwd=ROOT, check=True, timeout=120, stdout=subprocess.DEVNULL,
+        )
+        dirs.append(out_dir)
+    first, second = dirs
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for artifact in names:
+        assert (first / artifact).read_bytes() == (second / artifact).read_bytes(), artifact
+    assert_golden(HASH_SEED_SCENARIO, first)
