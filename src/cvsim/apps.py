@@ -16,10 +16,6 @@ from .core import Bsm, GeoPoint, SimConstants, distance, min_safety_distance
 from .radio import LinkKind
 
 
-class WarningReason(enum.Enum):
-    HARD_BRAKE = "hard_brake"
-
-
 class Verdict(enum.Enum):
     SAFE = "safe"
     UNSAFE = "unsafe"
@@ -30,7 +26,6 @@ class WarningMessage:
     source_vehicle: str
     t_emit: int
     pos: GeoPoint
-    reason: WarningReason = WarningReason.HARD_BRAKE
 
     def to_doc(self) -> dict:
         return {
@@ -38,7 +33,7 @@ class WarningMessage:
             "t_emit": self.t_emit,
             "lat": self.pos.lat,
             "lon": self.pos.lon,
-            "reason": self.reason.value,
+            "reason": "hard_brake",
         }
 
 
@@ -80,16 +75,15 @@ def decide_avoidance(
 
 
 class WarningDedup:
-    """First packet per (source, reason) decides; later copies are ignored."""
+    """First packet per source vehicle decides; later copies are ignored."""
 
     def __init__(self) -> None:
-        self._seen: set[tuple[str, WarningReason]] = set()
+        self._seen: set[str] = set()
 
     def first(self, warning: WarningMessage) -> bool:
-        key = (warning.source_vehicle, warning.reason)
-        if key in self._seen:
+        if warning.source_vehicle in self._seen:
             return False
-        self._seen.add(key)
+        self._seen.add(warning.source_vehicle)
         return True
 
 

@@ -7,11 +7,11 @@ configuration or trace input (diagnostics carry file and line).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, bundled_scenario_names, load_scenario
+from .config import ConfigError, bundled_scenario_names, load_scenario, seconds_to_ms
 from .engine import SimulationAborted
 from .replay import TraceError, parse_trace, replay_trace, write_replay_csv
 from .report import write_artifacts
@@ -44,17 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args: argparse.Namespace) -> int:
     config = load_scenario(args.scenario)
-    if args.seed is not None or args.t_end is not None:
-        from dataclasses import replace
-
-        kwargs = {}
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        if args.t_end is not None:
-            if not (math.isfinite(args.t_end) and args.t_end > 0):
-                raise ConfigError(f"--t-end must be positive and finite, got {args.t_end}", source="<cli>")
-            kwargs["t_end_ms"] = int(round(args.t_end * 1000))
-        config = replace(config, **kwargs)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
+    if args.t_end is not None:
+        config = replace(config, t_end_ms=seconds_to_ms(args.t_end, "--t-end", True, "<cli>", None))
     sim = Simulation(config, trace=args.event_trace is not None)
     result = sim.run()
     out_dir = Path(args.out_dir)

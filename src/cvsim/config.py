@@ -34,6 +34,19 @@ class ConfigError(ValueError):
         super().__init__(f"{anchor}: {message}")
 
 
+def seconds_to_ms(seconds: float, name: str, positive: bool, source: str, line: int | None) -> int:
+    """A duration in seconds as the engine's whole milliseconds.
+
+    Rejects non-finite and negative values and, when ``positive``, any value
+    that rounds to 0 ms.
+    """
+    ms = seconds * 1000
+    if not math.isfinite(ms) or ms < 0 or (positive and round(ms) < 1):
+        need = "round to at least 1 ms" if positive else "non-negative"
+        raise ConfigError(f"{name} must be finite and {need}, got {seconds}", source, line)
+    return round(ms)
+
+
 # --------------------------------------------------------------------------
 # YAML loading with a per-path line map
 # --------------------------------------------------------------------------
@@ -115,6 +128,11 @@ class _Section:
         if not isinstance(value, kind):
             raise self.error(f"{key!r} must be {kind.__name__}, got {type(value).__name__}", key)
         return value
+
+    def get_ms(self, key: str, positive: bool, default: float | None) -> int:
+        """A duration given in seconds under ``key``, as whole milliseconds; required if no default."""
+        seconds = self.get(key, float, default, required=default is None)
+        return seconds_to_ms(seconds, key, positive, self.source, self.line(key))
 
     def sub(self, key: str, required: bool = False) -> "_Section | None":
         self._consumed.add(key)
@@ -212,12 +230,7 @@ def _parse_constants(section: _Section | None) -> SimConstants:
         return SimConstants()
     kwargs = {}
     if section.has("bsm_interval_s"):
-        interval_s = section.get("bsm_interval_s", float)
-        # The engine ticks in whole milliseconds; a shorter interval rounds to 0.
-        if not (math.isfinite(interval_s) and round(interval_s * 1000) >= 1):
-            raise section.error(f"bsm_interval_s must be finite and round to at least 1 ms, got {interval_s}",
-                                "bsm_interval_s")
-        kwargs["bsm_interval_s"] = interval_s
+        kwargs["bsm_interval_s"] = section.get_ms("bsm_interval_s", positive=True, default=None) / 1000
     if section.has("queue_speed_threshold_mph"):
         kwargs["queue_speed_threshold_mps"] = mph_to_mps(section.get("queue_speed_threshold_mph", float))
     if section.has("queue_gap_threshold_ft"):
@@ -307,15 +320,18 @@ def _parse_links(
     )
     for kind, params in overrides.items():
         base = models[kind]
-        models[kind] = LinkModel(
-            kind=kind,
-            range_m=params.get("range_m", base.range_m),
-            latency_mean_ms=params.get("latency_mean_ms", base.latency_mean_ms),
-            latency_jitter_ms=params.get("latency_jitter_ms", base.latency_jitter_ms),
-            warning_latency_mean_ms=params.get("warning_latency_ms", base.warning_latency_mean_ms),
-            p_near=params.get("p_near", base.p_near),
-            ramp_start_frac=params.get("ramp_start_frac", base.ramp_start_frac),
-        )
+        try:
+            models[kind] = LinkModel(
+                kind=kind,
+                range_m=params.get("range_m", base.range_m),
+                latency_mean_ms=params.get("latency_mean_ms", base.latency_mean_ms),
+                latency_jitter_ms=params.get("latency_jitter_ms", base.latency_jitter_ms),
+                warning_latency_mean_ms=params.get("warning_latency_ms", base.warning_latency_mean_ms),
+                p_near=params.get("p_near", base.p_near),
+                ramp_start_frac=params.get("ramp_start_frac", base.ramp_start_frac),
+            )
+        except ValueError as exc:
+            raise section.error(str(exc), kind.value)
     return models
 
 
@@ -332,20 +348,20 @@ def _parse_spawn_fields(s: _Section) -> VehicleSpawn:
     if s.has("speed_mph") and s.has("speed_mps"):
         raise s.error("give speed_mph or speed_mps, not both", "speed_mps")
     if s.has("speed_mph"):
-        speed = mph_to_mps(s.get("speed_mph", float))
+        speed_key = "speed_mph"
+        speed = mph_to_mps(s.get(speed_key, float))
     elif s.has("speed_mps"):
-        speed = s.get("speed_mps", float)
+        speed_key = "speed_mps"
+        speed = s.get(speed_key, float)
     else:
         raise s.error(f"vehicle {vid!r} needs speed_mph or speed_mps")
-    if speed < 0:
-        raise s.error("speed must be non-negative")
-    spawn_t_s = s.get("spawn_t_s", float, default=0.0)
-    if spawn_t_s < 0:
-        raise s.error("spawn_t_s must be non-negative", "spawn_t_s")
+    if not (math.isfinite(speed) and speed >= 0):
+        raise s.error(f"{speed_key} must be finite and non-negative, got {s.data[speed_key]}", speed_key)
+    spawn_t_ms = s.get_ms("spawn_t_s", positive=False, default=0.0)
     connected = s.get("connected", bool, default=True)
     return VehicleSpawn(
         vehicle_id=vid,
-        spawn_t_ms=int(round(spawn_t_s * 1000)),
+        spawn_t_ms=spawn_t_ms,
         s_m=s_pos,
         speed_mps=speed,
         connected=connected,
@@ -356,23 +372,17 @@ def _parse_script(section_list: list[tuple[object, tuple]], root: _Section) -> l
     directives = []
     for item, path in section_list:
         s = root.item_section(item, path)
-        at_s = s.get("at_s", float, required=True)
-        if at_s < 0:
-            raise s.error("at_s must be non-negative", "at_s")
+        at_ms = s.get_ms("at_s", positive=False, default=None)
         action = s.get("action", str, required=True)
-        at_ms = int(round(at_s * 1000))
         if action == "hard_brake":
             directives.append(Directive(at_ms=at_ms, action=action, vehicle=s.get("vehicle", str, required=True)))
         elif action == "signal_red":
-            duration = s.get("duration_s", float, required=True)
-            if duration <= 0:
-                raise s.error("duration_s must be positive", "duration_s")
             directives.append(
                 Directive(
                     at_ms=at_ms,
                     action=action,
                     signal=s.get("signal", str, required=True),
-                    duration_ms=int(round(duration * 1000)),
+                    duration_ms=s.get_ms("duration_s", positive=True, default=None),
                 )
             )
         elif action == "spawn":
@@ -396,9 +406,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     name = root.get("name", str, required=True)
     description = root.get("description", str, default="")
     seed = root.get("seed", int, default=0)
-    t_end_s = root.get("t_end_s", float, required=True)
-    if not (math.isfinite(t_end_s) and t_end_s > 0):
-        raise root.error(f"t_end_s must be positive and finite, got {t_end_s}", "t_end_s")
+    t_end_ms = root.get_ms("t_end_s", positive=True, default=None)
     region = root.get("region", str, default="corridor")
     speed_tier = root.get("speed_tier_mph", int, default=20)
     if speed_tier not in DSRC_WARNING_LATENCY_BY_TIER:
@@ -428,7 +436,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
                 beacon_interval_ms=hsec.get("beacon_interval_ms", int, default=100),
                 miss_threshold=hsec.get("miss_threshold", int, default=3),
                 short_range=short,
-                association_delay_ms=int(round(hsec.get("association_delay_s", float, default=0.0) * 1000)),
+                association_delay_ms=hsec.get_ms("association_delay_s", positive=False, default=0.0),
             )
         except ValueError as exc:
             raise hsec.error(str(exc))
@@ -468,12 +476,10 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         raise (dsec or root).error("detection enabled but the corridor has no RSUs")
 
     asec = root.sub("archive")
-    retention_s = 60.0
+    retention_ms = 60_000
     if asec is not None:
-        retention_s = asec.get("fixed_edge_retention_s", float, default=60.0)
+        retention_ms = asec.get_ms("fixed_edge_retention_s", positive=True, default=60.0)
         asec.reject_unknown()
-        if retention_s <= 0:
-            raise asec.error("fixed_edge_retention_s must be positive", "fixed_edge_retention_s")
 
     vehicles = []
     seen_ids: set[str] = set()
@@ -502,7 +508,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         name=name,
         description=description,
         seed=seed,
-        t_end_ms=int(round(t_end_s * 1000)),
+        t_end_ms=t_end_ms,
         region=region,
         speed_tier_mph=speed_tier,
         constants=constants,
@@ -512,7 +518,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         handoff=handoff_cfg,
         mobility=mobility_cfg,
         detection=DetectionConfig(enabled=det_enabled, zone=zone, truth_min_vehicles=truth_min),
-        fixed_edge_retention_ms=int(round(retention_s * 1000)),
+        fixed_edge_retention_ms=retention_ms,
         vehicles=vehicles,
         script=script,
     )

@@ -49,9 +49,6 @@ class Event:
     fn: EventFn
     seq: int = field(default=-1, compare=False)
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.fire_at, self.seq)
-
 
 @dataclass(frozen=True)
 class SimSummary:

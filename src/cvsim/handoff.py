@@ -56,7 +56,6 @@ class HandoffState:
     vehicle: str
     active: LinkKind = LinkKind.LTE
     last_beacon_at: int = -1
-    beacons_missed: int = 0
     ready_at: int = 0  # association gate; sends blocked while now < ready_at
 
     def short_range_active(self, config: BeaconConfig) -> bool:
@@ -75,7 +74,6 @@ def on_beacon(state: HandoffState, config: BeaconConfig, t: int) -> HandoffEvent
         state.active = config.short_range
         state.ready_at = t + config.association_delay_ms
     state.last_beacon_at = t
-    state.beacons_missed = 0
     return event
 
 
@@ -83,18 +81,12 @@ def on_tick(state: HandoffState, config: BeaconConfig, t: int) -> HandoffEvent |
     """Periodic liveness check; hands back to cellular after enough silence."""
     if not state.short_range_active(config):
         return None
-    silent = t - state.last_beacon_at
-    state.beacons_missed = max(0, silent // config.beacon_interval_ms)
-    if silent >= config.timeout_ms:
+    if t - state.last_beacon_at >= config.timeout_ms:
         event = HandoffEvent(t=t, vehicle=state.vehicle, from_link=state.active, to_link=LinkKind.LTE)
         state.active = LinkKind.LTE
         state.ready_at = t
         return event
     return None
-
-
-def active_link(state: HandoffState) -> LinkKind:
-    return state.active
 
 
 def can_transmit(state: HandoffState, t: int) -> bool:

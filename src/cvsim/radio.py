@@ -22,7 +22,6 @@ class LinkKind(enum.Enum):
     DSRC = "dsrc"
     LTE = "lte"
     WIFI = "wifi"
-    FIBER = "fiber"
 
 
 class LatencyProfile(enum.Enum):
@@ -79,16 +78,6 @@ class Delivered:
     latency_ms: int
 
 
-class Lost:
-    """Singleton-ish marker; loss is a normal outcome, not an error."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "Lost"
-
-
-LOST = Lost()
-
-
 def in_range(distance_m: float, model: LinkModel, obstruction: float = 0.0) -> bool:
     """True when the receiver sits inside the link's effective range."""
     r_eff = model.effective_range(obstruction)
@@ -117,16 +106,17 @@ def sample_delivery(
     rng: random.Random,
     obstruction: float = 0.0,
     profile: LatencyProfile = LatencyProfile.DATA,
-) -> Delivered | Lost:
-    """Draw one delivery outcome.
+) -> Delivered | None:
+    """Draw one delivery outcome; ``None`` means the packet was lost.
 
-    The loss draw happens even when the probability is zero so that enabling
-    loss later never shifts another model's stream.
+    Loss is a normal outcome, not an error. The loss draw happens even when
+    the probability is zero so that enabling loss later never shifts another
+    model's stream.
     """
     p_loss = loss_probability(distance_m, model, obstruction)
     draw = rng.random()
     if draw < p_loss:
-        return LOST
+        return None
     mean = model.mean_for(profile)
     jitter = model.latency_jitter_ms
     latency = rng.randint(mean - jitter, mean + jitter) if jitter > 0 else mean
@@ -160,7 +150,7 @@ def rssi_dbm(distance_m: float, params: PathLossParams = PathLossParams()) -> fl
 # Latency defaults mirror the deployed-system measurements the scenarios
 # reproduce: a 4 ms short-range hop for telemetry, speed-tier warning
 # latencies for DSRC (88/102/125 ms) versus cellular (2590/2810/3000 ms),
-# a 6 ms Wi-Fi backhaul hop, and a nominal 1 ms fiber hop.
+# and a 6 ms Wi-Fi backhaul hop.
 DSRC_WARNING_LATENCY_BY_TIER = {20: 88, 35: 102, 50: 125}
 LTE_WARNING_LATENCY_BY_TIER = {20: 2590, 35: 2810, 50: 3000}
 
@@ -189,5 +179,4 @@ def default_link_models(
             warning_latency_mean_ms=LTE_WARNING_LATENCY_BY_TIER[speed_tier_mph],
         ),
         LinkKind.WIFI: LinkModel(kind=LinkKind.WIFI, range_m=wifi_range_m, latency_mean_ms=6),
-        LinkKind.FIBER: LinkModel(kind=LinkKind.FIBER, range_m=None, latency_mean_ms=1),
     }

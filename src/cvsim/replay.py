@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .apps import QueueDecision, detect_queue
-from .core import Bsm, GeoPoint, SimConstants, m_to_ft, mps_to_mph
+from .apps import QueueDecision, accuracy, detect_queue
+from .core import Bsm, GeoPoint, SimConstants
 from .mobility import DEG_TO_M, Corridor
-from .report import eval_bucket, fnum, write_csv
+from .report import eval_bucket, write_queue_csv
 
 REPLAY_RSU_ID = "replay"
 
@@ -48,9 +48,6 @@ class ReplayResult:
     decisions: list[QueueDecision]
     truth: list[bool | None]
     accuracy: float | None
-
-    def pairs(self) -> list[tuple[QueueDecision, bool | None]]:
-        return list(zip(self.decisions, self.truth))
 
 
 def parse_trace(path: str | Path) -> list[TraceRecord]:
@@ -138,21 +135,9 @@ def replay_trace(
         truths.append(flags[-1] if flags else None)
     # Score whichever seconds carry truth annotations (all of them, normally).
     known = [(d.queued, g) for d, g in zip(decisions, truths) if g is not None]
-    acc = (sum(1 for q, g in known if q == g) / len(known)) if known else None
+    acc = accuracy([q for q, _ in known], [g for _, g in known]) if known else None
     return ReplayResult(decisions=decisions, truth=truths, accuracy=acc)
 
 
 def write_replay_csv(result: ReplayResult, path: Path) -> None:
-    rows = []
-    for decision, truth in result.pairs():
-        rows.append(
-            [
-                str(decision.t),
-                decision.rsu,
-                fnum(None if decision.avg_speed_mps is None else mps_to_mph(decision.avg_speed_mps)),
-                fnum(None if decision.avg_gap_m is None else m_to_ft(decision.avg_gap_m)),
-                fnum(decision.queued),
-                fnum(truth),
-            ]
-        )
-    write_csv(path, ["t_ms", "rsu", "avg_speed_mph", "avg_gap_ft", "queued", "truth"], rows)
+    write_queue_csv(zip(result.decisions, result.truth), path)

@@ -1,10 +1,11 @@
 """Metric aggregation and artifact rendering.
 
-Every number shown in the text report is derived from the run logs and also
-written to ``report.csv`` as a ``section,metric,value`` row; the text table is
-purely a rendering. All files are UTF-8 with LF endings and contain nothing
-run-dependent beyond the simulation itself (no wall-clock timestamps), so a
-scenario re-run with the same seed writes byte-identical artifacts.
+``compute_figures`` derives each reported figure once per run; ``report.csv``
+(``report_rows``) and ``report.txt`` (``render_text_report``) both render that
+one computation, the text from the unrounded values. All files are UTF-8 with
+LF endings and contain nothing run-dependent beyond the simulation itself (no
+wall-clock timestamps), so a scenario re-run with the same seed writes
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
+from .apps import QueueDecision, accuracy
 from .core import m_to_ft, mps_to_mph, round_half_away
 from .radio import LinkKind
 from .sim import RunResult, SYSTEM_NODE_ID
@@ -75,6 +78,51 @@ def exchange_delays(result: RunResult) -> dict[str, float | None]:
     return out
 
 
+@dataclass(frozen=True)
+class QueueTally:
+    rsu: str
+    evaluations: int
+    queued_seconds: int
+    truth_seconds: int
+    accuracy: float
+
+
+@dataclass(frozen=True)
+class ArchiveTally:
+    node_id: str
+    records: int
+    appended_total: int
+    bsm_raw: int
+    queue_status: int
+
+
+@dataclass(frozen=True)
+class ReportFigures:
+    """The run's aggregate figures, computed once and rendered by both reports."""
+
+    links: list[LinkStats]
+    delays: dict[str, float | None]
+    queues: list[QueueTally]
+    archives: list[ArchiveTally]
+
+
+def compute_figures(result: RunResult) -> ReportFigures:
+    by_rsu: dict[str, tuple[list[bool], list[bool]]] = {}
+    for e in result.queue_evals:
+        decided, truth = by_rsu.setdefault(e.rsu, ([], []))
+        decided.append(e.decision.queued)
+        truth.append(e.truth)
+    queues = [
+        QueueTally(rsu, len(decided), sum(decided), sum(truth), accuracy(decided, truth))
+        for rsu, (decided, truth) in sorted(by_rsu.items())
+    ]
+    archives = [
+        ArchiveTally(node_id, len(a), a.appended_total, a.count("bsm/raw/#"), a.count("queue/status/#"))
+        for node_id, a in sorted(result.archives.items())
+    ]
+    return ReportFigures(link_stats(result), exchange_delays(result), queues, archives)
+
+
 def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -99,21 +147,24 @@ def write_decisions_csv(result: RunResult, path: Path) -> None:
     write_csv(path, ["t_ms", "vehicle", "gap_ft", "dmin_ft", "verdict", "link", "latency_ms"], rows)
 
 
-def write_queue_decisions_csv(result: RunResult, path: Path) -> None:
-    rows = []
-    for e in result.queue_evals:
-        d = e.decision
-        rows.append(
-            [
-                str(d.t),
-                d.rsu,
-                fnum(None if d.avg_speed_mps is None else mps_to_mph(d.avg_speed_mps)),
-                fnum(None if d.avg_gap_m is None else m_to_ft(d.avg_gap_m)),
-                fnum(d.queued),
-                fnum(e.truth),
-            ]
-        )
+def write_queue_csv(pairs: Iterable[tuple[QueueDecision, bool | None]], path: Path) -> None:
+    """One row per (decision, ground truth) pair; an unknown truth is an empty cell."""
+    rows = [
+        [
+            str(d.t),
+            d.rsu,
+            fnum(None if d.avg_speed_mps is None else mps_to_mph(d.avg_speed_mps)),
+            fnum(None if d.avg_gap_m is None else m_to_ft(d.avg_gap_m)),
+            fnum(d.queued),
+            fnum(truth),
+        ]
+        for d, truth in pairs
+    ]
     write_csv(path, ["t_ms", "rsu", "avg_speed_mph", "avg_gap_ft", "queued", "truth"], rows)
+
+
+def write_queue_decisions_csv(result: RunResult, path: Path) -> None:
+    write_queue_csv(((e.decision, e.truth) for e in result.queue_evals), path)
 
 
 def write_handoffs_csv(result: RunResult, path: Path) -> None:
@@ -159,7 +210,7 @@ def write_bsm_trace(result: RunResult, path: Path) -> int:
     return n
 
 
-def report_rows(result: RunResult) -> list[tuple[str, str, str]]:
+def report_rows(result: RunResult, figures: ReportFigures) -> list[tuple[str, str, str]]:
     """Everything the text report shows, as (section, metric, value)."""
     cfg = result.config
     rows: list[tuple[str, str, str]] = [
@@ -169,7 +220,7 @@ def report_rows(result: RunResult) -> list[tuple[str, str, str]]:
         ("run", "events_processed", str(result.summary.events_processed)),
         ("run", "speed_tier_mph", str(cfg.speed_tier_mph)),
     ]
-    for s in link_stats(result):
+    for s in figures.links:
         sec = f"link.{s.link.value}"
         rows.append((sec, "sent", str(s.sent)))
         rows.append((sec, "delivered", str(s.delivered)))
@@ -177,11 +228,10 @@ def report_rows(result: RunResult) -> list[tuple[str, str, str]]:
         rows.append((sec, "loss_pct", fnum(round(s.loss_pct, 4))))
         rows.append((sec, "avg_latency_ms", fnum(s.avg_latency_ms)))
         rows.append((sec, "max_latency_ms", fnum(s.max_latency_ms)))
-    delays = exchange_delays(result)
     for key, _, link, kind, _ in EXCHANGE_ROWS:
         rows.append((f"exchange.{key}", "link", link.value))
         rows.append((f"exchange.{key}", "data", kind))
-        rows.append((f"exchange.{key}", "avg_delay_ms", fnum(delays[key])))
+        rows.append((f"exchange.{key}", "avg_delay_ms", fnum(figures.delays[key])))
     for d in result.avoidance_decisions:
         sec = f"avoidance.{d.vehicle}.{d.link_used.value}"
         rows.append((sec, "t_ms", str(d.t_recv)))
@@ -195,25 +245,22 @@ def report_rows(result: RunResult) -> list[tuple[str, str, str]]:
         rows.append((f"handoff.{i}", "t_ms", str(e.t)))
         rows.append((f"handoff.{i}", "vehicle", e.vehicle))
         rows.append((f"handoff.{i}", "transition", f"{e.from_link.value}->{e.to_link.value}"))
-    rsu_ids = sorted({e.rsu for e in result.queue_evals})
-    for rsu in rsu_ids:
-        evals = [e for e in result.queue_evals if e.rsu == rsu]
-        sec = f"queue.{rsu}"
-        rows.append((sec, "evaluations", str(len(evals))))
-        rows.append((sec, "queued_seconds", str(sum(1 for e in evals if e.decision.queued))))
-        rows.append((sec, "truth_seconds", str(sum(1 for e in evals if e.truth))))
-        rows.append((sec, "accuracy", fnum(result.queue_accuracy(rsu))))
-    for node_id in sorted(result.archives):
-        archive = result.archives[node_id]
-        sec = f"archive.{node_id}"
-        rows.append((sec, "records", str(len(archive))))
-        rows.append((sec, "appended_total", str(archive.appended_total)))
-        rows.append((sec, "bsm_raw", str(archive.count("bsm/raw/#"))))
-        rows.append((sec, "queue_status", str(archive.count("queue/status/#"))))
+    for q in figures.queues:
+        sec = f"queue.{q.rsu}"
+        rows.append((sec, "evaluations", str(q.evaluations)))
+        rows.append((sec, "queued_seconds", str(q.queued_seconds)))
+        rows.append((sec, "truth_seconds", str(q.truth_seconds)))
+        rows.append((sec, "accuracy", fnum(q.accuracy)))
+    for a in figures.archives:
+        sec = f"archive.{a.node_id}"
+        rows.append((sec, "records", str(a.records)))
+        rows.append((sec, "appended_total", str(a.appended_total)))
+        rows.append((sec, "bsm_raw", str(a.bsm_raw)))
+        rows.append((sec, "queue_status", str(a.queue_status)))
     return rows
 
 
-def render_text_report(result: RunResult) -> str:
+def render_text_report(result: RunResult, figures: ReportFigures) -> str:
     cfg = result.config
     lines = [
         f"scenario: {cfg.name}",
@@ -223,17 +270,17 @@ def render_text_report(result: RunResult) -> str:
         "== link statistics ==",
         f"{'link':8} {'sent':>8} {'delivered':>10} {'lost':>6} {'loss%':>8} {'avg ms':>9} {'max ms':>7}",
     ]
-    for s in link_stats(result):
+    for s in figures.links:
         avg = "-" if s.avg_latency_ms is None else f"{s.avg_latency_ms:.2f}"
         mx = "-" if s.max_latency_ms is None else str(s.max_latency_ms)
         lines.append(
             f"{s.link.value:8} {s.sent:>8} {s.delivered:>10} {s.lost:>6} "
             f"{s.loss_pct:>8.2f} {avg:>9} {mx:>7}"
         )
-    delays = exchange_delays(result)
     lines += ["", "== data exchange delay =="]
     for key, label, link, _, data in EXCHANGE_ROWS:
-        avg = "-" if delays[key] is None else f"{delays[key]:.2f} ms"
+        delay = figures.delays[key]
+        avg = "-" if delay is None else f"{delay:.2f} ms"
         lines.append(f"{label}: {data} over {link.value}: {avg}")
     if result.avoidance_decisions:
         lines += [
@@ -252,24 +299,18 @@ def render_text_report(result: RunResult) -> str:
     lines += ["", f"== handoffs ({len(result.handoff_events)} events) =="]
     for e in result.handoff_events:
         lines.append(f"t={e.t} ms  {e.vehicle}: {e.from_link.value} -> {e.to_link.value}")
-    rsu_ids = sorted({e.rsu for e in result.queue_evals})
-    if rsu_ids:
+    if figures.queues:
         lines += ["", "== queue detection =="]
-        for rsu in rsu_ids:
-            evals = [e for e in result.queue_evals if e.rsu == rsu]
-            queued = sum(1 for e in evals if e.decision.queued)
-            truth = sum(1 for e in evals if e.truth)
-            acc = result.queue_accuracy(rsu)
+        for q in figures.queues:
             lines.append(
-                f"{rsu}: {len(evals)} evaluations, queued {queued}, truth {truth}, "
-                f"accuracy {acc:.6f}"
+                f"{q.rsu}: {q.evaluations} evaluations, queued {q.queued_seconds}, "
+                f"truth {q.truth_seconds}, accuracy {q.accuracy:.6f}"
             )
     lines += ["", "== archives =="]
-    for node_id in sorted(result.archives):
-        archive = result.archives[node_id]
+    for a in figures.archives:
         lines.append(
-            f"{node_id}: {len(archive)} records retained ({archive.appended_total} appended, "
-            f"{archive.count('bsm/raw/#')} bsm, {archive.count('queue/status/#')} queue-status)"
+            f"{a.node_id}: {a.records} records retained ({a.appended_total} appended, "
+            f"{a.bsm_raw} bsm, {a.queue_status} queue-status)"
         )
     return "\n".join(lines) + "\n"
 
@@ -278,13 +319,14 @@ def write_artifacts(result: RunResult, out_dir: Path, fmt: str = "both") -> dict
     """Write the full artifact set; returns name -> path."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
+    figures = compute_figures(result)
     if fmt in ("text", "both"):
         path = out_dir / "report.txt"
-        path.write_text(render_text_report(result), encoding="utf-8")
+        path.write_text(render_text_report(result, figures), encoding="utf-8")
         written["report.txt"] = path
     if fmt in ("csv", "both"):
         path = out_dir / "report.csv"
-        rows = [[s, m, v] for s, m, v in report_rows(result)]
+        rows = [[s, m, v] for s, m, v in report_rows(result, figures)]
         write_csv(path, ["section", "metric", "value"], rows)
         written["report.csv"] = path
     pairs = [

@@ -31,6 +31,7 @@ from .apps import (
     QueueDecision,
     WarningDedup,
     WarningMessage,
+    accuracy,
     decide_avoidance,
     detect_queue,
 )
@@ -40,7 +41,7 @@ from .config import Directive, ScenarioConfig, VehicleSpawn
 from .core import Bsm, GeoPoint, distance
 from .engine import Engine, SimSummary
 from .mobility import TrafficWorld, VehicleState
-from .radio import Delivered, LatencyProfile, LinkKind, LinkModel, in_range, loss_probability, rssi_dbm, sample_delivery
+from .radio import LatencyProfile, LinkKind, LinkModel, in_range, loss_probability, rssi_dbm, sample_delivery
 
 BEACON_PHASE_MS = 10
 BSM_PHASE_MS = 50
@@ -89,12 +90,10 @@ class RunResult:
     coverage: list[CoverageRow]
     trace_lines: list[str]
 
-    def queue_accuracy(self, rsu: str | None = None) -> float | None:
-        evals = [e for e in self.queue_evals if rsu is None or e.rsu == rsu]
-        if not evals:
+    def queue_accuracy(self) -> float | None:
+        if not self.queue_evals:
             return None
-        hits = sum(1 for e in evals if e.decision.queued == e.truth)
-        return hits / len(evals)
+        return accuracy([e.decision.queued for e in self.queue_evals], [e.truth for e in self.queue_evals])
 
 
 @dataclass
@@ -233,14 +232,11 @@ class Simulation:
         """Range-gate, draw loss/latency, and schedule the delivery event."""
         model = model or self.links[link]
         now = self.engine.now
-        if not in_range(distance_m, model, obstruction):
-            self.packets.append(
-                PacketRecord(t_send=now, t_recv=None, tx=tx, rx=rx, link=link, kind=kind, delivered=False)
-            )
-            return
-        rng = self.engine.stream(f"radio.{link.value}.delivery")
-        outcome = sample_delivery(distance_m, model, rng, obstruction, profile)
-        if not isinstance(outcome, Delivered):
+        outcome = None
+        if in_range(distance_m, model, obstruction):
+            rng = self.engine.stream(f"radio.{link.value}.delivery")
+            outcome = sample_delivery(distance_m, model, rng, obstruction, profile)
+        if outcome is None:  # out of range, or lost on the channel
             self.packets.append(
                 PacketRecord(t_send=now, t_recv=None, tx=tx, rx=rx, link=link, kind=kind, delivered=False)
             )
@@ -320,7 +316,7 @@ class Simulation:
             bsm = Bsm(t=now, vehicle_id=vid, pos=self.world.position_geo(vid), speed=state.speed)
             if not ho.can_transmit(agent.handoff, now):
                 continue  # association gap: hard handoff left no usable link
-            link = ho.active_link(agent.handoff)
+            link = agent.handoff.active
             if link is LinkKind.LTE:
                 self._send(
                     kind="bsm",

@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,7 +105,7 @@ def test_boundary_values_exit_2_at_parse_time(tmp_path, capsys, body, line, key)
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("t_end", ["inf", "nan"])
+@pytest.mark.parametrize("t_end", ["inf", "nan", "1e-9"])
 def test_non_finite_t_end_flag_exit_2(tmp_path, capsys, t_end):
     rc = main(["--scenario", "collision_avoidance_20mph", "--t-end", t_end, "--out-dir", str(tmp_path / "out")])
     assert rc == 2
@@ -175,10 +177,11 @@ def test_missing_mode_arguments_error():
 
 
 def test_console_entrypoint_runs():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "cvsim.cli", "--scenario", "collision_avoidance_20mph",
          "--out-dir", "/tmp/cvsim_cli_test"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "events" in proc.stdout

@@ -1,4 +1,8 @@
+import importlib.resources
+
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from cvsim.config import ConfigError, bundled_scenario_names, load_scenario, parse_scenario
 from cvsim.core import ft_to_m, mph_to_mps
@@ -169,3 +173,100 @@ def test_sub_millisecond_bsm_interval_rejected_with_line():
     with pytest.raises(ConfigError) as err:
         parse_scenario(text, source="case.yaml")
     assert "case.yaml:12" in str(err.value) and "bsm_interval_s" in str(err.value)
+
+
+# Every duration and speed key set to a valid value, one per line.
+BOUNDARY_BASE = """\
+name: tiny
+t_end_s: 5.0
+corridor:
+  polyline:
+    - [40.0, -75.0]
+    - [40.005, -75.0]
+  signals:
+    - {id: sig1, s_m: 100.0}
+handoff:
+  association_delay_s: 0.0
+links:
+  dsrc:
+    p_near: 0.0
+archive:
+  fixed_edge_retention_s: 60.0
+vehicles:
+  - id: cv1
+    s_m: 10.0
+    speed_mph: 20.0
+    spawn_t_s: 0.0
+script:
+  - at_s: 1.0
+    action: signal_red
+    signal: sig1
+    duration_s: 2.0
+"""
+
+
+def test_boundary_base_parses():
+    parse_scenario(BOUNDARY_BASE)
+
+
+@pytest.mark.parametrize(
+    "old,new,line,key",
+    [
+        ("t_end_s: 5.0", "t_end_s: 0.0001", 2, "t_end_s"),
+        ("association_delay_s: 0.0", "association_delay_s: .inf", 10, "association_delay_s"),
+        ("p_near: 0.0", "p_near: .nan", 12, "p_near"),
+        ("fixed_edge_retention_s: 60.0", "fixed_edge_retention_s: 0.0001", 15, "fixed_edge_retention_s"),
+        ("speed_mph: 20.0", "speed_mph: .nan", 19, "speed_mph"),
+        ("speed_mph: 20.0", "speed_mph: .inf", 19, "speed_mph"),
+        ("speed_mph: 20.0", "speed_mps: .nan", 19, "speed_mps"),
+        ("speed_mph: 20.0", "speed_mps: .inf", 19, "speed_mps"),
+        ("spawn_t_s: 0.0", "spawn_t_s: .inf", 20, "spawn_t_s"),
+        ("spawn_t_s: 0.0", "spawn_t_s: .nan", 20, "spawn_t_s"),
+        ("spawn_t_s: 0.0", "spawn_t_s: -0.0001", 20, "spawn_t_s"),
+        ("at_s: 1.0", "at_s: .nan", 22, "at_s"),
+        ("duration_s: 2.0", "duration_s: .inf", 25, "duration_s"),
+        ("duration_s: 2.0", "duration_s: 0.0001", 25, "duration_s"),
+    ],
+)
+def test_out_of_range_values_rejected_with_line(old, new, line, key):
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(BOUNDARY_BASE.replace(old, new), source="case.yaml")
+    assert f"case.yaml:{line}" in str(err.value) and key in str(err.value)
+
+
+# -- hypothesis property: the parser's boundary -------------------------------
+
+# YAML spellings that PyYAML resolves to floats/ints: nan, inf, -inf, -1, 0, 1e-9, 1e12.
+BOUNDARY_VALUES = (".nan", ".inf", "-.inf", "-1", "0", "1.0e-9", "1.0e+12")
+
+
+def numeric_scalar_spans(text):
+    """(start, end) offsets of every int or float scalar in a YAML document."""
+    spans, stack = [], [yaml.compose(text)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, yaml.MappingNode):
+            stack += [value for _, value in node.value]
+        elif isinstance(node, yaml.SequenceNode):
+            stack += node.value
+        elif node.tag in ("tag:yaml.org,2002:int", "tag:yaml.org,2002:float"):
+            spans.append((node.start_mark.index, node.end_mark.index))
+    return sorted(spans)
+
+
+BUNDLED_TEXTS = {
+    name: (importlib.resources.files("cvsim") / "scenarios" / f"{name}.yaml").read_text(encoding="utf-8")
+    for name in bundled_scenario_names()
+}
+NUMERIC_SPANS = {name: numeric_scalar_spans(text) for name, text in BUNDLED_TEXTS.items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(BUNDLED_TEXTS)), value=st.sampled_from(BOUNDARY_VALUES), data=st.data())
+def test_mutated_bundled_scenario_parses_or_raises_config_error(name, value, data):
+    text = BUNDLED_TEXTS[name]
+    start, end = data.draw(st.sampled_from(NUMERIC_SPANS[name]))
+    try:
+        parse_scenario(text[:start] + value + text[end:], source=f"{name}.yaml")
+    except ConfigError:
+        pass

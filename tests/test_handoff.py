@@ -4,7 +4,6 @@ from cvsim.core import InvalidParameterError
 from cvsim.handoff import (
     BeaconConfig,
     HandoffState,
-    active_link,
     can_transmit,
     on_beacon,
     on_tick,
@@ -16,12 +15,12 @@ CFG = BeaconConfig()  # 100 ms interval, 3 misses, DSRC
 
 def test_first_beacon_performs_hard_handoff():
     state = HandoffState(vehicle="v1")
-    assert active_link(state) is LinkKind.LTE
+    assert state.active is LinkKind.LTE
     event = on_beacon(state, CFG, t=1000)
     assert event is not None
     assert (event.from_link, event.to_link) == (LinkKind.LTE, LinkKind.DSRC)
-    assert active_link(state) is LinkKind.DSRC
-    assert state.beacons_missed == 0 and state.last_beacon_at == 1000
+    assert state.active is LinkKind.DSRC
+    assert state.last_beacon_at == 1000
 
 
 def test_repeat_beacon_is_idempotent():
@@ -29,7 +28,7 @@ def test_repeat_beacon_is_idempotent():
     on_beacon(state, CFG, 1000)
     assert on_beacon(state, CFG, 1100) is None
     assert on_beacon(state, CFG, 1100) is None  # same-tick duplicate
-    assert active_link(state) is LinkKind.DSRC
+    assert state.active is LinkKind.DSRC
 
 
 def test_timeout_exits_exactly_at_miss_threshold_times_interval():
@@ -41,26 +40,24 @@ def test_timeout_exits_exactly_at_miss_threshold_times_interval():
     event = on_tick(state, CFG, 1300)  # last_beacon + miss_threshold*interval
     assert event is not None
     assert (event.from_link, event.to_link) == (LinkKind.DSRC, LinkKind.LTE)
-    assert active_link(state) is LinkKind.LTE
+    assert state.active is LinkKind.LTE
 
 
 def test_two_misses_then_beacon_stays_short_range():
     state = HandoffState(vehicle="v1")
     on_beacon(state, CFG, 1000)
-    on_tick(state, CFG, 1100)
-    on_tick(state, CFG, 1200)
-    assert state.beacons_missed == 2
+    assert on_tick(state, CFG, 1100) is None
+    assert on_tick(state, CFG, 1200) is None
     assert on_beacon(state, CFG, 1250) is None
-    assert state.beacons_missed == 0
     assert on_tick(state, CFG, 1300) is None
-    assert active_link(state) is LinkKind.DSRC
+    assert state.active is LinkKind.DSRC
 
 
 def test_lte_active_without_beacons_stays_forever():
     state = HandoffState(vehicle="v1")
     for t in range(0, 10_000, 100):
         assert on_tick(state, CFG, t) is None
-    assert active_link(state) is LinkKind.LTE
+    assert state.active is LinkKind.LTE
 
 
 def test_association_delay_gates_transmission():
@@ -68,7 +65,7 @@ def test_association_delay_gates_transmission():
     state = HandoffState(vehicle="v1")
     assert can_transmit(state, 0)
     on_beacon(state, cfg, 2000)
-    assert active_link(state) is LinkKind.WIFI
+    assert state.active is LinkKind.WIFI
     assert not can_transmit(state, 2000)
     assert not can_transmit(state, 26_999)
     assert can_transmit(state, 27_000)
@@ -79,7 +76,7 @@ def test_exit_clears_association_gate():
     state = HandoffState(vehicle="v1")
     on_beacon(state, cfg, 0)
     on_tick(state, cfg, cfg.timeout_ms)
-    assert active_link(state) is LinkKind.LTE
+    assert state.active is LinkKind.LTE
     assert can_transmit(state, cfg.timeout_ms)
 
 
