@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import importlib.resources
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from difflib import get_close_matches
 from pathlib import Path
 
 import yaml
 
 from .core import GeoPoint, SimConstants, ft_to_m, mph_to_mps
-from .mobility import Corridor, RsuSpec, SignalSpec
-from .radio import DSRC_WARNING_LATENCY_BY_TIER, LinkKind, LinkModel, default_link_models
+from .mobility import QUEUE_MIN_VEHICLES, Corridor, MobilityConfig, RsuSpec, SignalSpec
+from .radio import LinkKind, LinkModel, default_link_models
 from .handoff import BeaconConfig
 
 
@@ -134,6 +134,26 @@ class _Section:
         seconds = self.get(key, float, default, required=default is None)
         return seconds_to_ms(seconds, key, positive, self.source, self.line(key))
 
+    def present(self, keys: dict[str, type]) -> dict:
+        """The values of ``keys`` that are set, typed; an absent key keeps its dataclass default."""
+        values = {key: self.get(key, kind) for key, kind in keys.items()}
+        return {key: value for key, value in values.items() if value is not None}
+
+    def present_ms(self, key: str, name: str, positive: bool) -> dict:
+        """``{name: milliseconds}`` for the duration in seconds under ``key``, or ``{}`` if unset."""
+        seconds = self.get(key, float)
+        if seconds is None:
+            return {}
+        return {name: seconds_to_ms(seconds, key, positive, self.source, self.line(key))}
+
+    def build(self, make, *args, **kwargs):
+        """``make(*args, **kwargs)`` once no unknown key is left; its ValueError anchors here."""
+        self.reject_unknown()
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            raise self.error(str(exc))
+
     def sub(self, key: str, required: bool = False) -> "_Section | None":
         self._consumed.add(key)
         if key not in self.data or self.data[key] is None:
@@ -195,14 +215,13 @@ class Directive:
 class DetectionConfig:
     enabled: bool
     zone: tuple[float, float]
-    truth_min_vehicles: int = 2
+    truth_min_vehicles: int = QUEUE_MIN_VEHICLES
 
-
-@dataclass(frozen=True)
-class MobilityConfig:
-    follow_margin_m: float = 3.0
-    resume_hysteresis_m: float = 2.0
-    resume_accel_mps2: float = 1.5
+    def __post_init__(self) -> None:
+        if self.truth_min_vehicles < QUEUE_MIN_VEHICLES:
+            raise ValueError(
+                f"truth_min_vehicles must be >= {QUEUE_MIN_VEHICLES}, got {self.truth_min_vehicles}"
+            )
 
 
 @dataclass(frozen=True)
@@ -216,36 +235,31 @@ class ScenarioConfig:
     constants: SimConstants
     corridor: Corridor
     links: dict[LinkKind, LinkModel]
-    beacon_p_near: float
     handoff: BeaconConfig
     mobility: MobilityConfig
     detection: DetectionConfig
-    fixed_edge_retention_ms: int
+    fixed_edge_retention_ms: int = 60_000
     vehicles: list[VehicleSpawn] = field(default_factory=list)
     script: list[Directive] = field(default_factory=list)
+
+
+_CONSTANT_KEYS = {  # YAML key: (SimConstants field, conversion to SI)
+    "queue_speed_threshold_mph": ("queue_speed_threshold_mps", mph_to_mps),
+    "queue_gap_threshold_ft": ("queue_gap_threshold_m", ft_to_m),
+    "decel_fps2": ("decel_mps2", ft_to_m),
+}
 
 
 def _parse_constants(section: _Section | None) -> SimConstants:
     if section is None:
         return SimConstants()
-    kwargs = {}
-    if section.has("bsm_interval_s"):
-        kwargs["bsm_interval_s"] = section.get_ms("bsm_interval_s", positive=True, default=None) / 1000
-    if section.has("queue_speed_threshold_mph"):
-        kwargs["queue_speed_threshold_mps"] = mph_to_mps(section.get("queue_speed_threshold_mph", float))
-    if section.has("queue_gap_threshold_ft"):
-        kwargs["queue_gap_threshold_m"] = ft_to_m(section.get("queue_gap_threshold_ft", float))
-    if section.has("decel_fps2"):
-        kwargs["decel_mps2"] = ft_to_m(section.get("decel_fps2", float))
-    if section.has("dsrc_range_m"):
-        kwargs["dsrc_range_m"] = section.get("dsrc_range_m", float)
-    if section.has("safety_latency_req_ms"):
-        kwargs["safety_latency_req_ms"] = section.get("safety_latency_req_ms", int)
-    section.reject_unknown()
-    try:
-        return SimConstants(**kwargs)
-    except ValueError as exc:
-        raise section.error(str(exc))
+    kwargs = section.present({"safety_latency_req_ms": int})
+    for key, (name, to_si) in _CONSTANT_KEYS.items():
+        value = section.get(key, float)
+        if value is not None:
+            kwargs[name] = to_si(value)
+    kwargs |= section.present_ms("bsm_interval_s", "bsm_interval_ms", positive=True)
+    return section.build(SimConstants, **kwargs)
 
 
 def _parse_corridor(section: _Section) -> Corridor:
@@ -267,15 +281,13 @@ def _parse_corridor(section: _Section) -> Corridor:
     for item, path in section.seq("rsus"):
         s = section.item_section(item, path)
         rsus.append(
-            RsuSpec(
+            s.build(
+                RsuSpec,
                 rsu_id=s.get("id", str, required=True),
                 s_m=s.get("s_m", float, required=True),
-                obstruction=s.get("obstruction", float, default=0.0),
+                **s.present({"obstruction": float}),
             )
         )
-        s.reject_unknown()
-        if not 0.0 <= rsus[-1].obstruction <= 1.0:
-            raise s.error("obstruction must be in [0, 1]", "obstruction")
     section.reject_unknown()
     try:
         return Corridor(points, signals=signals, rsus=rsus)
@@ -293,46 +305,32 @@ _LINK_KEYS = {
 }
 
 
-def _parse_links(
-    section: _Section | None, constants: SimConstants, speed_tier_mph: int
-) -> dict[LinkKind, LinkModel]:
-    wifi_range = 200.0
-    overrides: dict[LinkKind, dict] = {}
-    if section is not None:
-        for kind in LinkKind:
-            sub = section.sub(kind.value)
-            if sub is None:
-                continue
-            params = {}
-            for key, typ in _LINK_KEYS.items():
-                value = sub.get(key, typ)
-                if value is not None:
-                    params[key] = value
-            sub.reject_unknown()
-            overrides[kind] = params
-        section.reject_unknown()
-    if LinkKind.WIFI in overrides and "range_m" in overrides[LinkKind.WIFI]:
-        wifi_range = overrides[LinkKind.WIFI]["range_m"]
-    models = default_link_models(
-        dsrc_range_m=constants.dsrc_range_m,
-        wifi_range_m=wifi_range,
-        speed_tier_mph=speed_tier_mph,
-    )
-    for kind, params in overrides.items():
-        base = models[kind]
+def _parse_links(section: _Section | None, links: dict[LinkKind, LinkModel]) -> None:
+    """Apply each ``links.<kind>`` override to ``links`` in place."""
+    if section is None:
+        return
+    for kind in LinkKind:
+        sub = section.sub(kind.value)
+        if sub is not None:
+            params = sub.present(_LINK_KEYS)
+            if "warning_latency_ms" in params:
+                params["warning_latency_mean_ms"] = params.pop("warning_latency_ms")
+            links[kind] = sub.build(replace, links[kind], **params)
+    section.reject_unknown()
+
+
+def _parse_handoff(section: _Section | None) -> BeaconConfig:
+    if section is None:
+        return BeaconConfig()
+    kwargs = section.present({"beacon_interval_ms": int, "miss_threshold": int, "beacon_p_near": float})
+    short_name = section.get("short_range_link", str)
+    if short_name is not None:
         try:
-            models[kind] = LinkModel(
-                kind=kind,
-                range_m=params.get("range_m", base.range_m),
-                latency_mean_ms=params.get("latency_mean_ms", base.latency_mean_ms),
-                latency_jitter_ms=params.get("latency_jitter_ms", base.latency_jitter_ms),
-                warning_latency_mean_ms=params.get("warning_latency_ms", base.warning_latency_mean_ms),
-                p_near=params.get("p_near", base.p_near),
-                ramp_start_frac=params.get("ramp_start_frac", base.ramp_start_frac),
-            )
-        except ValueError as exc:
-            raise section.error(str(exc), kind.value)
-    return models
+            kwargs["short_range"] = LinkKind(short_name)
+        except ValueError:
+            raise section.error(f"short_range_link must be a link kind, got {short_name!r}", "short_range_link")
+    kwargs |= section.present_ms("association_delay_s", "association_delay_ms", positive=False)
+    return section.build(BeaconConfig, **kwargs)
 
 
 def _parse_spawn_fields(s: _Section) -> VehicleSpawn:
@@ -368,33 +366,48 @@ def _parse_spawn_fields(s: _Section) -> VehicleSpawn:
     )
 
 
-def _parse_script(section_list: list[tuple[object, tuple]], root: _Section) -> list[Directive]:
-    directives = []
-    for item, path in section_list:
+def _parse_script(root: _Section, vehicles: list[VehicleSpawn], signal_ids: set[str]) -> list[Directive]:
+    parsed: list[tuple[Directive, _Section]] = []
+    for item, path in root.seq("script"):
         s = root.item_section(item, path)
         at_ms = s.get_ms("at_s", positive=False, default=None)
         action = s.get("action", str, required=True)
         if action == "hard_brake":
-            directives.append(Directive(at_ms=at_ms, action=action, vehicle=s.get("vehicle", str, required=True)))
+            directive = Directive(at_ms=at_ms, action=action, vehicle=s.get("vehicle", str, required=True))
         elif action == "signal_red":
-            directives.append(
-                Directive(
-                    at_ms=at_ms,
-                    action=action,
-                    signal=s.get("signal", str, required=True),
-                    duration_ms=s.get_ms("duration_s", positive=True, default=None),
-                )
+            directive = Directive(
+                at_ms=at_ms,
+                action=action,
+                signal=s.get("signal", str, required=True),
+                duration_ms=s.get_ms("duration_s", positive=True, default=None),
             )
         elif action == "spawn":
             vsec = s.sub("vehicle_spec", required=True)
             spawn = _parse_spawn_fields(vsec)
             vsec.reject_unknown()
-            directives.append(Directive(at_ms=at_ms, action=action, spawn=spawn))
+            directive = Directive(at_ms=at_ms, action=action, spawn=spawn)
         else:
             raise s.error(
                 f"unknown action {action!r} (expected hard_brake, signal_red, or spawn)", "action"
             )
         s.reject_unknown()
+        parsed.append((directive, s))
+    spawn_ms = {v.vehicle_id: v.spawn_t_ms for v in vehicles}
+    for d, s in parsed:
+        if d.spawn is not None:
+            if d.spawn.vehicle_id in spawn_ms:
+                raise s.error(f"duplicate vehicle id {d.spawn.vehicle_id!r}")
+            spawn_ms[d.spawn.vehicle_id] = d.at_ms
+    for d, s in parsed:
+        if d.action == "hard_brake" and d.vehicle not in spawn_ms:
+            raise s.error(f"hard_brake targets unknown vehicle {d.vehicle!r}")
+        if d.action == "hard_brake" and d.at_ms < spawn_ms[d.vehicle]:
+            raise s.error(
+                f"hard_brake at {d.at_ms} ms precedes the spawn of {d.vehicle!r} at {spawn_ms[d.vehicle]} ms"
+            )
+        if d.action == "signal_red" and d.signal not in signal_ids:
+            raise s.error(f"signal_red targets unknown signal {d.signal!r}")
+    directives = [d for d, _ in parsed]
     directives.sort(key=lambda d: d.at_ms)
     return directives
 
@@ -409,76 +422,41 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     t_end_ms = root.get_ms("t_end_s", positive=True, default=None)
     region = root.get("region", str, default="corridor")
     speed_tier = root.get("speed_tier_mph", int, default=20)
-    if speed_tier not in DSRC_WARNING_LATENCY_BY_TIER:
-        raise root.error(
-            f"speed_tier_mph must be one of {sorted(DSRC_WARNING_LATENCY_BY_TIER)}, "
-            f"got {speed_tier}",
-            "speed_tier_mph",
-        )
+    try:
+        links = default_link_models(speed_tier)
+    except ValueError as exc:
+        raise root.error(str(exc), "speed_tier_mph")
 
     constants = _parse_constants(root.sub("constants"))
     corridor = _parse_corridor(root.sub("corridor", required=True))
-    links = _parse_links(root.sub("links"), constants, speed_tier)
-
-    hsec = root.sub("handoff")
-    beacon_p_near = 0.0
-    if hsec is not None:
-        short_name = hsec.get("short_range_link", str, default="dsrc")
-        try:
-            short = LinkKind(short_name)
-        except ValueError:
-            raise hsec.error(f"short_range_link must be a link kind, got {short_name!r}", "short_range_link")
-        beacon_p_near = hsec.get("beacon_p_near", float, default=0.0)
-        if not 0.0 <= beacon_p_near < 1.0:
-            raise hsec.error("beacon_p_near must be in [0, 1)", "beacon_p_near")
-        try:
-            handoff_cfg = BeaconConfig(
-                beacon_interval_ms=hsec.get("beacon_interval_ms", int, default=100),
-                miss_threshold=hsec.get("miss_threshold", int, default=3),
-                short_range=short,
-                association_delay_ms=hsec.get_ms("association_delay_s", positive=False, default=0.0),
-            )
-        except ValueError as exc:
-            raise hsec.error(str(exc))
-        hsec.reject_unknown()
-    else:
-        handoff_cfg = BeaconConfig()
-
+    _parse_links(root.sub("links"), links)
+    handoff_cfg = _parse_handoff(root.sub("handoff"))
     msec = root.sub("mobility")
-    if msec is not None:
-        mobility_cfg = MobilityConfig(
-            follow_margin_m=msec.get("follow_margin_m", float, default=3.0),
-            resume_hysteresis_m=msec.get("resume_hysteresis_m", float, default=2.0),
-            resume_accel_mps2=msec.get("resume_accel_mps2", float, default=1.5),
-        )
-        msec.reject_unknown()
-        if mobility_cfg.follow_margin_m <= 0 or mobility_cfg.resume_accel_mps2 <= 0:
-            raise msec.error("mobility parameters must be positive")
-    else:
-        mobility_cfg = MobilityConfig()
+    mobility_cfg = MobilityConfig() if msec is None else msec.build(
+        MobilityConfig,
+        **msec.present({"follow_margin_m": float, "resume_hysteresis_m": float, "resume_accel_mps2": float}),
+    )
 
     dsec = root.sub("detection")
-    zone = (0.0, corridor.length_m)
-    det_enabled = bool(corridor.rsus)
-    truth_min = 2
+    detection = DetectionConfig(enabled=bool(corridor.rsus), zone=(0.0, corridor.length_m))
     if dsec is not None:
-        det_enabled = dsec.get("enabled", bool, default=det_enabled)
-        zone_from = dsec.get("zone_from_m", float, default=0.0)
-        zone_to = dsec.get("zone_to_m", float, default=corridor.length_m)
-        truth_min = dsec.get("truth_min_vehicles", int, default=2)
-        dsec.reject_unknown()
-        if not 0.0 <= zone_from < zone_to <= corridor.length_m:
+        zone = (dsec.get("zone_from_m", float, default=0.0),
+                dsec.get("zone_to_m", float, default=corridor.length_m))
+        if not 0.0 <= zone[0] < zone[1] <= corridor.length_m:
             raise dsec.error("detection zone must satisfy 0 <= from < to <= corridor length")
-        if truth_min < 2:
-            raise dsec.error("truth_min_vehicles must be >= 2", "truth_min_vehicles")
-        zone = (zone_from, zone_to)
-    if det_enabled and not corridor.rsus:
+        detection = dsec.build(
+            DetectionConfig,
+            enabled=dsec.get("enabled", bool, default=detection.enabled),
+            zone=zone,
+            **dsec.present({"truth_min_vehicles": int}),
+        )
+    if detection.enabled and not corridor.rsus:
         raise (dsec or root).error("detection enabled but the corridor has no RSUs")
 
     asec = root.sub("archive")
-    retention_ms = 60_000
+    retention = {}
     if asec is not None:
-        retention_ms = asec.get_ms("fixed_edge_retention_s", positive=True, default=60.0)
+        retention = asec.present_ms("fixed_edge_retention_s", "fixed_edge_retention_ms", positive=True)
         asec.reject_unknown()
 
     vehicles = []
@@ -494,14 +472,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
             raise s.error(f"vehicle {spawn.vehicle_id!r} spawns outside the corridor")
         vehicles.append(spawn)
 
-    script = _parse_script(root.seq("script"), root)
-    signal_ids = {s.signal_id for s in corridor.signals}
-    vehicle_ids = seen_ids | {d.spawn.vehicle_id for d in script if d.spawn is not None}
-    for d in script:
-        if d.action == "hard_brake" and d.vehicle not in vehicle_ids:
-            raise root.error(f"hard_brake targets unknown vehicle {d.vehicle!r}")
-        if d.action == "signal_red" and d.signal not in signal_ids:
-            raise root.error(f"signal_red targets unknown signal {d.signal!r}")
+    script = _parse_script(root, vehicles, {s.signal_id for s in corridor.signals})
 
     root.reject_unknown()
     return ScenarioConfig(
@@ -514,13 +485,12 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         constants=constants,
         corridor=corridor,
         links=links,
-        beacon_p_near=beacon_p_near,
         handoff=handoff_cfg,
         mobility=mobility_cfg,
-        detection=DetectionConfig(enabled=det_enabled, zone=zone, truth_min_vehicles=truth_min),
-        fixed_edge_retention_ms=retention_ms,
+        detection=detection,
         vehicles=vehicles,
         script=script,
+        **retention,
     )
 
 

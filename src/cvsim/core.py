@@ -92,12 +92,20 @@ class Bsm:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Bsm":
+        """The inverse of ``to_doc``: ``t`` must be a non-negative integer, numbers finite."""
+        t = doc["t"]
+        if type(t) is not int or t < 0:
+            raise InvalidParameterError(f"t must be a non-negative integer, got {t!r}")
+        speed = float(doc["speed"])
+        heading = float(doc["heading"]) if "heading" in doc else None
+        if not math.isfinite(speed) or (heading is not None and not math.isfinite(heading)):
+            raise InvalidParameterError(f"speed and heading must be finite, got {speed}, {heading}")
         return cls(
-            t=int(doc["t"]),
+            t=t,
             vehicle_id=str(doc["vehicle_id"]),
             pos=GeoPoint(float(doc["lat"]), float(doc["lon"])),
-            speed=float(doc["speed"]),
-            heading=float(doc["heading"]) if "heading" in doc else None,
+            speed=speed,
+            heading=heading,
         )
 
 
@@ -106,33 +114,26 @@ class SimConstants:
     """Scenario-wide physical constants, all strictly positive.
 
     Defaults: 10 Hz messaging, 5 mph / 20 ft queue thresholds, 11.2 ft/s^2
-    braking deceleration, 300 m short-range radio reach, 200 ms safety
-    latency budget.
+    braking deceleration, 200 ms safety latency budget.
     """
 
-    bsm_interval_s: float = 0.1
+    bsm_interval_ms: int = 100
     queue_speed_threshold_mps: float = mph_to_mps(5.0)
     queue_gap_threshold_m: float = ft_to_m(20.0)
     decel_mps2: float = ft_to_m(11.2)
-    dsrc_range_m: float = 300.0
     safety_latency_req_ms: int = 200
 
     def __post_init__(self) -> None:
         for name in (
-            "bsm_interval_s",
+            "bsm_interval_ms",
             "queue_speed_threshold_mps",
             "queue_gap_threshold_m",
             "decel_mps2",
-            "dsrc_range_m",
             "safety_latency_req_ms",
         ):
             value = getattr(self, name)
             if not value > 0:
                 raise InvalidParameterError(f"{name} must be positive, got {value}")
-
-    @property
-    def bsm_interval_ms(self) -> int:
-        return int(round(self.bsm_interval_s * 1000))
 
 
 def distance(a: GeoPoint, b: GeoPoint) -> float:

@@ -21,10 +21,13 @@ from .radio import LinkKind
 
 @dataclass(frozen=True)
 class BeaconConfig:
+    """Beacon cadence and handoff rules; ``beacon_p_near`` is the flat beacon loss."""
+
     beacon_interval_ms: int = 100
     miss_threshold: int = 3
     short_range: LinkKind = LinkKind.DSRC
     association_delay_ms: int = 0
+    beacon_p_near: float = 0.0
 
     def __post_init__(self) -> None:
         if self.beacon_interval_ms <= 0:
@@ -35,6 +38,8 @@ class BeaconConfig:
             raise InvalidParameterError("association_delay_ms must be non-negative")
         if self.short_range is LinkKind.LTE:
             raise InvalidParameterError("short_range link cannot be the fallback link")
+        if not 0.0 <= self.beacon_p_near < 1.0:
+            raise InvalidParameterError(f"beacon_p_near must be in [0, 1), got {self.beacon_p_near}")
 
     @property
     def timeout_ms(self) -> int:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from .core import GeoPoint, SimConstants, min_safety_distance
 
 DEG_TO_M = math.pi / 180.0 * 6_371_000.0
+QUEUE_MIN_VEHICLES = 2  # the fewest slow vehicles ground truth may call a queue
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,10 @@ class RsuSpec:
     rsu_id: str
     s_m: float
     obstruction: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.obstruction <= 1.0:
+            raise ValueError(f"obstruction must be in [0, 1], got {self.obstruction}")
 
 
 class Corridor:
@@ -107,6 +112,22 @@ class Corridor:
         return best_s
 
 
+@dataclass(frozen=True)
+class MobilityConfig:
+    """Car-following knobs: standstill margin, resume hysteresis, resume acceleration."""
+
+    follow_margin_m: float = 3.0
+    resume_hysteresis_m: float = 2.0
+    resume_accel_mps2: float = 1.5
+
+    def __post_init__(self) -> None:
+        for name in ("follow_margin_m", "resume_hysteresis_m", "resume_accel_mps2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.follow_margin_m <= 0 or self.resume_accel_mps2 <= 0:
+            raise ValueError("follow_margin_m and resume_accel_mps2 must be positive")
+
+
 @dataclass
 class VehicleState:
     id: str
@@ -132,9 +153,7 @@ class TrafficWorld:
 
     corridor: Corridor
     constants: SimConstants
-    follow_margin_m: float = 3.0
-    resume_hysteresis_m: float = 2.0
-    resume_accel_mps2: float = 1.5
+    mobility: MobilityConfig = field(default_factory=MobilityConfig)
     vehicles: dict[str, VehicleState] = field(default_factory=dict)
     t_state_ms: int = 0  # the instant the current vehicle states describe
     _red_until: dict[str, tuple[int, int]] = field(default_factory=dict)
@@ -185,19 +204,20 @@ class TrafficWorld:
             raise ValueError(f"dt must be positive, got {dt_s}")
         order = self.ordered()
         decel = self.constants.decel_mps2
+        mob = self.mobility
         for idx, v in enumerate(order):
             leader = order[idx - 1] if idx > 0 else None
             if v.stop_latched:
                 v.accel = -decel if v.speed > 0 else 0.0
                 continue
             gap = self._obstacle_gap(v, leader, self.t_state_ms)
-            trigger = min_safety_distance(v.speed, decel) + self.follow_margin_m
+            trigger = min_safety_distance(v.speed, decel) + mob.follow_margin_m
             if gap < trigger:
                 v.accel = -decel if v.speed > 0 else 0.0
-            elif gap < trigger + self.resume_hysteresis_m:
+            elif gap < trigger + mob.resume_hysteresis_m:
                 v.accel = 0.0
             elif v.speed < v.cruise_speed:
-                v.accel = self.resume_accel_mps2
+                v.accel = mob.resume_accel_mps2
             else:
                 v.accel = 0.0
         for v in order:
@@ -228,7 +248,7 @@ class TrafficWorld:
     def position_geo(self, vehicle_id: str) -> GeoPoint:
         return self.corridor.position_geo(self.vehicles[vehicle_id].s)
 
-    def ground_truth_queue(self, zone: tuple[float, float], min_vehicles: int = 2) -> bool:
+    def ground_truth_queue(self, zone: tuple[float, float], min_vehicles: int = QUEUE_MIN_VEHICLES) -> bool:
         """Omniscient queue judgment over every vehicle, connected or not.
 
         True iff at least ``min_vehicles`` vehicles inside ``zone`` are below
@@ -238,8 +258,8 @@ class TrafficWorld:
         given platoon, e.g. requiring the whole platoon rather than the first
         stopped pair.
         """
-        if min_vehicles < 2:
-            raise ValueError(f"min_vehicles must be >= 2, got {min_vehicles}")
+        if min_vehicles < QUEUE_MIN_VEHICLES:
+            raise ValueError(f"min_vehicles must be >= {QUEUE_MIN_VEHICLES}, got {min_vehicles}")
         s0, s1 = zone
         slow = sorted(
             v.s

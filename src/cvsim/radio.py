@@ -49,8 +49,8 @@ class LinkModel:
     ramp_start_frac: float = 0.8
 
     def __post_init__(self) -> None:
-        if self.range_m is not None and self.range_m <= 0:
-            raise InvalidParameterError(f"range_m must be positive, got {self.range_m}")
+        if self.range_m is not None and not 0 < self.range_m < math.inf:
+            raise InvalidParameterError(f"range_m must be positive and finite, got {self.range_m}")
         if not 0.0 <= self.p_near < 1.0:
             raise InvalidParameterError(f"p_near must be in [0, 1), got {self.p_near}")
         if not 0.0 <= self.ramp_start_frac <= 1.0:
@@ -149,17 +149,17 @@ def rssi_dbm(distance_m: float, params: PathLossParams = PathLossParams()) -> fl
 
 # Latency defaults mirror the deployed-system measurements the scenarios
 # reproduce: a 4 ms short-range hop for telemetry, speed-tier warning
-# latencies for DSRC (88/102/125 ms) versus cellular (2590/2810/3000 ms),
-# and a 6 ms Wi-Fi backhaul hop.
+# latencies for DSRC (88/102/125 ms) versus cellular (2590/2810/3000 ms).
 DSRC_WARNING_LATENCY_BY_TIER = {20: 88, 35: 102, 50: 125}
 LTE_WARNING_LATENCY_BY_TIER = {20: 2590, 35: 2810, 50: 3000}
 
+# The fixed 6 ms RSU-to-backend hop (the "System Edge - Fixed Edge" delay). It
+# is counted as Wi-Fi traffic but is not the Wi-Fi access link, so a
+# ``links.wifi`` override never moves it.
+BACKHAUL = LinkModel(kind=LinkKind.WIFI, range_m=None, latency_mean_ms=6)
 
-def default_link_models(
-    dsrc_range_m: float = 300.0,
-    wifi_range_m: float = 200.0,
-    speed_tier_mph: int = 20,
-) -> dict[LinkKind, LinkModel]:
+
+def default_link_models(speed_tier_mph: int) -> dict[LinkKind, LinkModel]:
     if speed_tier_mph not in DSRC_WARNING_LATENCY_BY_TIER:
         raise InvalidParameterError(
             f"speed_tier_mph must be one of {sorted(DSRC_WARNING_LATENCY_BY_TIER)}, "
@@ -168,7 +168,7 @@ def default_link_models(
     return {
         LinkKind.DSRC: LinkModel(
             kind=LinkKind.DSRC,
-            range_m=dsrc_range_m,
+            range_m=300.0,
             latency_mean_ms=4,
             warning_latency_mean_ms=DSRC_WARNING_LATENCY_BY_TIER[speed_tier_mph],
         ),
@@ -178,5 +178,5 @@ def default_link_models(
             latency_mean_ms=50,
             warning_latency_mean_ms=LTE_WARNING_LATENCY_BY_TIER[speed_tier_mph],
         ),
-        LinkKind.WIFI: LinkModel(kind=LinkKind.WIFI, range_m=wifi_range_m, latency_mean_ms=6),
+        LinkKind.WIFI: LinkModel(kind=LinkKind.WIFI, range_m=200.0, latency_mean_ms=6),
     }

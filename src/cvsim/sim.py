@@ -41,7 +41,9 @@ from .config import Directive, ScenarioConfig, VehicleSpawn
 from .core import Bsm, GeoPoint, distance
 from .engine import Engine, SimSummary
 from .mobility import TrafficWorld, VehicleState
-from .radio import LatencyProfile, LinkKind, LinkModel, in_range, loss_probability, rssi_dbm, sample_delivery
+from .radio import (
+    BACKHAUL, LatencyProfile, LinkKind, LinkModel, in_range, loss_probability, rssi_dbm, sample_delivery,
+)
 
 BEACON_PHASE_MS = 10
 BSM_PHASE_MS = 50
@@ -125,14 +127,7 @@ class Simulation:
         self.links = config.links
         self.tick_ms = self.constants.bsm_interval_ms
 
-        mob = config.mobility
-        self.world = TrafficWorld(
-            corridor=self.corridor,
-            constants=self.constants,
-            follow_margin_m=mob.follow_margin_m,
-            resume_hysteresis_m=mob.resume_hysteresis_m,
-            resume_accel_mps2=mob.resume_accel_mps2,
-        )
+        self.world = TrafficWorld(corridor=self.corridor, constants=self.constants, mobility=config.mobility)
 
         self.system_broker = Broker(name=SYSTEM_NODE_ID)
         self.system_archive = Archive(node_id=SYSTEM_NODE_ID)
@@ -167,7 +162,7 @@ class Simulation:
         # handoffs. Raising beacon_p_near reintroduces spurious exits.
         self._beacon_model = replace(
             self.links[config.handoff.short_range],
-            p_near=config.beacon_p_near,
+            p_near=config.handoff.beacon_p_near,
             ramp_start_frac=1.0,
         )
         self._ran = False
@@ -175,10 +170,11 @@ class Simulation:
     # -- setup ------------------------------------------------------------
 
     def _build_directives(self) -> list[Directive]:
+        """Script and spawns in time order; a spawn precedes same-millisecond directives."""
         directives = list(self.config.script)
         for spawn in self.config.vehicles:
             directives.append(Directive(at_ms=spawn.spawn_t_ms, action="spawn", spawn=spawn))
-        directives.sort(key=lambda d: d.at_ms)
+        directives.sort(key=lambda d: (d.at_ms, d.action != "spawn"))
         return directives
 
     def _spawn_vehicle(self, spawn: VehicleSpawn) -> None:
@@ -367,6 +363,7 @@ class Simulation:
             link=LinkKind.WIFI,
             distance_m=0.0,
             obstruction=0.0,
+            model=BACKHAUL,
             deliver=lambda b=bsm, n=node: self._system_ingest_bsm(b, origin=n.rsu_id),
         )
 
@@ -489,6 +486,7 @@ class Simulation:
                 link=LinkKind.WIFI,
                 distance_m=0.0,
                 obstruction=0.0,
+                model=BACKHAUL,
                 deliver=lambda d=decision, n=node: self._system_ingest_queue_status(n, d),
             )
             node.window = [b for b in node.window if b.t > now - 1000]
@@ -541,9 +539,11 @@ class Simulation:
         model = self.links[self.config.handoff.short_range]
         if model.range_m is None:
             return rows
+        # No corridor point lies farther than the corridor's length from an RSU.
+        reach = min(model.range_m, self.corridor.length_m)
         for node in self.rsus:
             d = 0.0
-            while d <= model.range_m:
+            while d <= reach:
                 rows.append(
                     CoverageRow(
                         rsu=node.rsu_id,

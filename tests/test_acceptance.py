@@ -181,7 +181,7 @@ def test_criterion_6_handoff_correctness(scenario_runs):
     corridor = config.corridor
     rsu_pos = corridor.position_geo(corridor.rsus[0].s_m)
     speed = config.vehicles[0].speed_mps
-    r_eff = config.constants.dsrc_range_m
+    r_eff = config.links[LinkKind.DSRC].range_m
 
     def in_coverage(t_send: int) -> bool:
         pos = corridor.position_geo(speed * t_send / 1000.0)

@@ -216,3 +216,17 @@ def test_runtime_abort_exit_1(tmp_path, capsys):
     rc = main(["--scenario", str(bad), "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     assert "aborted" in capsys.readouterr().err
+
+
+def test_hard_brake_before_spawn_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(
+        "name: x\nt_end_s: 5.0\n" + POLYLINE
+        + "vehicles:\n  - {id: cv1, s_m: 10.0, speed_mph: 20.0, spawn_t_s: 2.0}\n"
+        + "script:\n  - {at_s: 1.0, action: hard_brake, vehicle: cv1}\n"
+    )
+    rc = main(["--scenario", str(bad), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad.yaml:10" in err and "precedes the spawn of 'cv1'" in err
+    assert not (tmp_path / "out").exists()

@@ -1,4 +1,6 @@
 import importlib.resources
+import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -27,7 +29,7 @@ def test_minimal_scenario_parses_with_defaults():
     assert cfg.name == "tiny"
     assert cfg.t_end_ms == 5000
     assert cfg.seed == 0
-    assert cfg.constants.dsrc_range_m == 300.0
+    assert cfg.links[LinkKind.DSRC].range_m == 300.0
     assert cfg.links[LinkKind.DSRC].latency_mean_ms == 4
     assert cfg.vehicles[0].speed_mps == pytest.approx(mph_to_mps(20.0))
     assert cfg.detection.enabled is False  # no RSUs
@@ -270,3 +272,91 @@ def test_mutated_bundled_scenario_parses_or_raises_config_error(name, value, dat
         parse_scenario(text[:start] + value + text[end:], source=f"{name}.yaml")
     except ConfigError:
         pass
+
+
+# -- one knob per setting, each checked by the dataclass that owns it ---------
+
+def test_constants_dsrc_range_is_an_unknown_key():
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(MINIMAL + "constants:\n  dsrc_range_m: 300.0\n", source="case.yaml")
+    assert "case.yaml:12" in str(err.value) and "unknown key 'dsrc_range_m'" in str(err.value)
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+@pytest.mark.parametrize("key", ["follow_margin_m", "resume_hysteresis_m", "resume_accel_mps2"])
+def test_non_finite_mobility_rejected_with_line(key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(MINIMAL + f"mobility:\n  {key}: {value}\n", source="case.yaml")
+    assert "case.yaml:11" in str(err.value) and key in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["dsrc", "wifi"])
+@pytest.mark.parametrize("value", [".nan", ".inf", "0.0"])
+def test_bad_link_range_rejected_with_line(kind, value):
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(MINIMAL + f"links:\n  {kind}:\n    range_m: {value}\n", source="case.yaml")
+    assert "case.yaml:12" in str(err.value) and "range_m" in str(err.value)
+
+
+def test_link_range_override_applies_once_and_only_to_its_kind():
+    cfg = parse_scenario(MINIMAL + "links:\n  wifi:\n    range_m: 50.0\n")
+    assert cfg.links[LinkKind.WIFI].range_m == 50.0
+    assert cfg.links[LinkKind.DSRC].range_m == 300.0
+    assert cfg.links[LinkKind.LTE].range_m is None
+
+
+def test_absent_keys_keep_dataclass_defaults():
+    text = MINIMAL + "handoff:\n  miss_threshold: 5\nmobility:\n  follow_margin_m: 4.0\narchive: {}\n"
+    cfg = parse_scenario(text)
+    assert (cfg.handoff.beacon_interval_ms, cfg.handoff.miss_threshold, cfg.handoff.beacon_p_near) == (100, 5, 0.0)
+    assert (cfg.mobility.follow_margin_m, cfg.mobility.resume_hysteresis_m) == (4.0, 2.0)
+    assert cfg.fixed_edge_retention_ms == 60_000
+    assert cfg.constants.bsm_interval_ms == 100
+
+
+@pytest.mark.parametrize("value", ["1.0", "-0.1", ".nan"])
+def test_beacon_p_near_out_of_range_rejected_with_line(value):
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(MINIMAL + f"handoff:\n  beacon_p_near: {value}\n", source="case.yaml")
+    assert "case.yaml:11" in str(err.value) and "beacon_p_near" in str(err.value)
+
+
+# -- script directives against spawns ------------------------------------------
+
+SCRIPTED = MINIMAL.replace("    speed_mph: 20.0\n", "    speed_mph: 20.0\n    spawn_t_s: 2.0\n") + "script:\n"
+
+
+@pytest.mark.parametrize(
+    "directive,message",
+    [
+        ("{at_s: 1.0, action: hard_brake, vehicle: cv1}", "precedes the spawn of 'cv1'"),
+        ("{at_s: 0.5, action: hard_brake, vehicle: cv9}", "precedes the spawn of 'cv9'"),
+        ("{at_s: 3.0, action: hard_brake, vehicle: ghost}", "unknown vehicle 'ghost'"),
+        ("{at_s: 3.0, action: signal_red, signal: nope, duration_s: 1.0}", "unknown signal 'nope'"),
+        ("{at_s: 3.0, action: spawn, vehicle_spec: {id: cv1, s_m: 50.0, speed_mph: 10.0}}", "duplicate vehicle id 'cv1'"),
+        ("{at_s: 3.0, action: spawn, vehicle_spec: {id: cv9, s_m: 50.0, speed_mph: 10.0}}", "duplicate vehicle id 'cv9'"),
+    ],
+)
+def test_bad_directive_rejected_at_its_line(directive, message):
+    spawn = "  - {at_s: 1.0, action: spawn, vehicle_spec: {id: cv9, s_m: 5.0, speed_mph: 10.0}}\n"
+    text = SCRIPTED + spawn + f"  - {directive}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(text, source="case.yaml")
+    assert "case.yaml:14" in str(err.value) and message in str(err.value)
+
+
+def test_hard_brake_at_its_spawn_millisecond_parses():
+    cfg = parse_scenario(SCRIPTED + "  - {at_s: 2.0, action: hard_brake, vehicle: cv1}\n")
+    assert cfg.script[0].at_ms == cfg.vehicles[0].spawn_t_ms == 2000
+
+
+# -- the README's configuration reference -------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_yaml_blocks_parse():
+    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    assert blocks
+    for block in blocks:
+        parse_scenario(block, source="README.md")

@@ -124,16 +124,13 @@ def test_sim_constants_defaults_are_converted_paper_units():
     assert c.queue_speed_threshold_mps == pytest.approx(2.2352, abs=0)
     assert c.queue_gap_threshold_m == pytest.approx(6.096, abs=0)
     assert c.decel_mps2 == pytest.approx(3.41376, abs=0)
-    assert c.dsrc_range_m == 300.0
     assert c.safety_latency_req_ms == 200
     assert c.bsm_interval_ms == 100
 
 
 def test_sim_constants_reject_nonpositive():
     with pytest.raises(InvalidParameterError):
-        SimConstants(bsm_interval_s=0)
-    with pytest.raises(InvalidParameterError):
-        SimConstants(dsrc_range_m=-5)
+        SimConstants(bsm_interval_ms=0)
 
 
 def test_bsm_doc_round_trip():

@@ -1,7 +1,9 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvsim.config import load_scenario
 from cvsim.replay import TraceError, axis_order_key, parse_trace, replay_trace
@@ -113,3 +115,48 @@ def test_axis_order_key_handles_east_west_roads():
     key = axis_order_key(records)
     values = [key(r.bsm.pos) for r in records]
     assert values == sorted(values)
+
+
+# -- hypothesis property: the trace parser's boundary -------------------------
+
+GOLDEN_LINES = GOLDEN_MIXED_TRACE.read_text(encoding="utf-8").splitlines()
+TRACE_FIELDS = ("t", "vehicle_id", "lat", "lon", "speed", "heading", "truth")
+# Raw JSON spellings; Python's json module reads NaN, Infinity and 1e400 as non-finite floats.
+BAD_JSON_VALUES = ("NaN", "Infinity", "-Infinity", "1e400", "-1", "1.5", "true", '"x"', "null", "[]")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    line=st.sampled_from(GOLDEN_LINES),
+    field=st.sampled_from(TRACE_FIELDS),
+    value=st.sampled_from(BAD_JSON_VALUES + (None,)),  # None drops the field
+)
+def test_mutated_trace_line_parses_or_raises_trace_error(tmp_path_factory, line, field, value):
+    doc = json.loads(line)
+    if value is None:
+        doc.pop(field, None)
+        text = json.dumps(doc)
+    else:
+        doc[field] = "\0"
+        text = json.dumps(doc).replace('"\\u0000"', value)
+    path = tmp_path_factory.getbasetemp() / "mutated.ndjson"
+    path.write_text(text + "\n", encoding="utf-8")
+    try:
+        records = parse_trace(path)
+    except TraceError:
+        return
+    (record,) = records
+    bsm = record.bsm
+    assert type(bsm.t) is int and bsm.t >= 0
+    assert all(math.isfinite(x) for x in (bsm.pos.lat, bsm.pos.lon, bsm.speed))
+    assert bsm.heading is None or math.isfinite(bsm.heading)
+    assert record.truth in (True, False, None)
+
+
+@pytest.mark.parametrize("t", ["1e400", "-5", "1.5", "true"])
+def test_bad_trace_time_rejected_with_line(tmp_path, t):
+    path = tmp_path / "bad.ndjson"
+    path.write_text(GOLDEN_LINES[0] + "\n" + GOLDEN_LINES[1].replace('"t":50', f'"t":{t}') + "\n")
+    with pytest.raises(TraceError) as err:
+        parse_trace(path)
+    assert f"{path}:2" in str(err.value) and "t must be a non-negative integer" in str(err.value)

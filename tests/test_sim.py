@@ -1,10 +1,13 @@
 """Integration behavior of the wired simulation, scenario by scenario."""
 
+import importlib.resources
+
 import pytest
 
 from cvsim.apps import Verdict
 from cvsim.config import load_scenario, parse_scenario
 from cvsim.radio import LinkKind
+from cvsim.report import exchange_delays
 from cvsim.sim import SYSTEM_NODE_ID, Simulation, run_scenario
 
 
@@ -205,3 +208,31 @@ def test_bsm_timestamps_monotone_per_vehicle(scenario_runs):
         t = record.payload["t"]
         assert last.get(vid, -1) < t
         last[vid] = t
+
+
+def bundled_text(name):
+    return (importlib.resources.files("cvsim") / "scenarios" / f"{name}.yaml").read_text(encoding="utf-8")
+
+
+def test_wifi_access_override_leaves_the_backhaul_at_6_ms():
+    text = bundled_text("queue_full_penetration") + "links:\n  wifi:\n    latency_mean_ms: 20\n"
+    result = run_scenario(parse_scenario(text), t_end_ms=5_000)
+    assert exchange_delays(result)["system_fixed"] == 6.0
+    forwarded = [p for p in result.packets if p.kind in ("bsm_forward", "queue_status")]
+    assert forwarded and all(p.link is LinkKind.WIFI and p.latency_ms == 6 for p in forwarded)
+
+
+@pytest.mark.parametrize("range_m", ["1.0e+12", "5000.0"])
+def test_coverage_sweep_stops_at_the_corridor_length(range_m):
+    text = bundled_text("corridor_coverage").replace("p_near: 0.05\n", f"p_near: 0.05\n    range_m: {range_m}\n")
+    result = run_scenario(parse_scenario(text), t_end_ms=1_000)
+    length = result.config.corridor.length_m
+    for rsu in ("rsu1", "rsu2", "rsu3"):
+        distances = [row.distance_m for row in result.coverage if row.rsu == rsu]
+        assert distances[-1] <= length < distances[-1] + 10.0
+
+
+def test_hard_brake_at_its_spawn_millisecond_runs():
+    text = bundled_text("collision_avoidance_20mph").replace("at_s: 2.0", "at_s: 0.0")
+    result = run_scenario(parse_scenario(text), t_end_ms=3_000)
+    assert {d.vehicle for d in result.avoidance_decisions} == {"cv2", "cv3"}
