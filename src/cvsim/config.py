@@ -333,7 +333,7 @@ def _parse_handoff(section: _Section | None) -> BeaconConfig:
     return section.build(BeaconConfig, **kwargs)
 
 
-def _parse_spawn_fields(s: _Section) -> VehicleSpawn:
+def _parse_spawn_fields(s: _Section, spawn_t_ms: int) -> VehicleSpawn:
     vid = s.get("id", str, required=True)
     if s.has("s_m") and s.has("s_ft"):
         raise s.error("give s_m or s_ft, not both", "s_ft")
@@ -355,7 +355,6 @@ def _parse_spawn_fields(s: _Section) -> VehicleSpawn:
         raise s.error(f"vehicle {vid!r} needs speed_mph or speed_mps")
     if not (math.isfinite(speed) and speed >= 0):
         raise s.error(f"{speed_key} must be finite and non-negative, got {s.data[speed_key]}", speed_key)
-    spawn_t_ms = s.get_ms("spawn_t_s", positive=False, default=0.0)
     connected = s.get("connected", bool, default=True)
     return VehicleSpawn(
         vehicle_id=vid,
@@ -383,7 +382,9 @@ def _parse_script(root: _Section, vehicles: list[VehicleSpawn], signal_ids: set[
             )
         elif action == "spawn":
             vsec = s.sub("vehicle_spec", required=True)
-            spawn = _parse_spawn_fields(vsec)
+            if vsec.has("spawn_t_s"):
+                raise vsec.error("a script spawn starts at its at_s; spawn_t_s is not allowed here", "spawn_t_s")
+            spawn = _parse_spawn_fields(vsec, at_ms)
             vsec.reject_unknown()
             directive = Directive(at_ms=at_ms, action=action, spawn=spawn)
         else:
@@ -397,7 +398,7 @@ def _parse_script(root: _Section, vehicles: list[VehicleSpawn], signal_ids: set[
         if d.spawn is not None:
             if d.spawn.vehicle_id in spawn_ms:
                 raise s.error(f"duplicate vehicle id {d.spawn.vehicle_id!r}")
-            spawn_ms[d.spawn.vehicle_id] = d.at_ms
+            spawn_ms[d.spawn.vehicle_id] = d.spawn.spawn_t_ms
     for d, s in parsed:
         if d.action == "hard_brake" and d.vehicle not in spawn_ms:
             raise s.error(f"hard_brake targets unknown vehicle {d.vehicle!r}")
@@ -463,7 +464,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     seen_ids: set[str] = set()
     for item, path in root.seq("vehicles"):
         s = root.item_section(item, path)
-        spawn = _parse_spawn_fields(s)
+        spawn = _parse_spawn_fields(s, s.get_ms("spawn_t_s", positive=False, default=0.0))
         s.reject_unknown()
         if spawn.vehicle_id in seen_ids:
             raise s.error(f"duplicate vehicle id {spawn.vehicle_id!r}")

@@ -150,6 +150,19 @@ def distance(a: GeoPoint, b: GeoPoint) -> float:
     return 2 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
 
+def ecef(p: GeoPoint) -> tuple[float, float, float]:
+    """Earth-centred coordinates in meters on the sphere that ``distance`` assumes.
+
+    The straight-line chord between two such points is ``2R*sqrt(h)`` and
+    their ``distance`` is ``2R*asin(sqrt(h))``, so the chord never exceeds the
+    distance.
+    """
+    phi = math.radians(p.lat)
+    lam = math.radians(p.lon)
+    r_cos = EARTH_RADIUS_M * math.cos(phi)
+    return (r_cos * math.cos(lam), r_cos * math.sin(lam), EARTH_RADIUS_M * math.sin(phi))
+
+
 def min_safety_distance(speed_mps: float, decel_mps2: float) -> float:
     """Braking distance v^2 / (2a) in meters.
 

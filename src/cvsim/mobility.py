@@ -157,6 +157,7 @@ class TrafficWorld:
     vehicles: dict[str, VehicleState] = field(default_factory=dict)
     t_state_ms: int = 0  # the instant the current vehicle states describe
     _red_until: dict[str, tuple[int, int]] = field(default_factory=dict)
+    _geo: dict[str, GeoPoint] = field(default_factory=dict)  # position_geo until the next step
 
     def spawn(self, state: VehicleState) -> None:
         if state.id in self.vehicles:
@@ -220,6 +221,7 @@ class TrafficWorld:
                 v.accel = mob.resume_accel_mps2
             else:
                 v.accel = 0.0
+        self._geo.clear()
         for v in order:
             self._integrate(v, dt_s)
         self._check_order(order)
@@ -246,7 +248,11 @@ class TrafficWorld:
                 raise OvertakeError(f"{behind.id} overtook {ahead.id}")
 
     def position_geo(self, vehicle_id: str) -> GeoPoint:
-        return self.corridor.position_geo(self.vehicles[vehicle_id].s)
+        """The vehicle's coordinates, computed once per ``step``: only ``step`` moves vehicles."""
+        pos = self._geo.get(vehicle_id)
+        if pos is None:
+            pos = self._geo[vehicle_id] = self.corridor.position_geo(self.vehicles[vehicle_id].s)
+        return pos
 
     def ground_truth_queue(self, zone: tuple[float, float], min_vehicles: int = QUEUE_MIN_VEHICLES) -> bool:
         """Omniscient queue judgment over every vehicle, connected or not.

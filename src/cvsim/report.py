@@ -47,20 +47,28 @@ class LinkStats:
 
 
 def link_stats(result: RunResult) -> list[LinkStats]:
+    """Per link kind with traffic: sends, deliveries, losses and delivered latency.
+
+    Out-of-range beacons are counted, not logged: ``result.beacons_out_of_range``
+    adds to the short-range link's sent and lost.
+    """
     stats = []
     for link in LinkKind:
         pkts = [p for p in result.packets if p.link is link]
-        if not pkts:
+        sent = len(pkts)
+        if link is result.config.handoff.short_range:
+            sent += result.beacons_out_of_range
+        if not sent:
             continue
         delivered = [p for p in pkts if p.delivered]
         latencies = [p.latency_ms for p in delivered]
         stats.append(
             LinkStats(
                 link=link,
-                sent=len(pkts),
+                sent=sent,
                 delivered=len(delivered),
-                lost=len(pkts) - len(delivered),
-                loss_pct=100.0 * (len(pkts) - len(delivered)) / len(pkts),
+                lost=sent - len(delivered),
+                loss_pct=100.0 * (sent - len(delivered)) / sent,
                 avg_latency_ms=sum(latencies) / len(latencies) if latencies else None,
                 max_latency_ms=max(latencies) if latencies else None,
             )

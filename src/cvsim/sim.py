@@ -7,7 +7,8 @@ Layer wiring:
   backend otherwise;
 * roadside nodes publish received telemetry to their local broker (archived via
   a tap), forward it over the backhaul, run the queue detector once per second,
-  and broadcast handoff beacons;
+  and broadcast handoff beacons; a beacon that cannot reach a vehicle is
+  counted in ``RunResult.beacons_out_of_range``, not logged as a packet;
 * the backend node archives everything it receives and hosts the region-wide
   warning topic that relays sudden-stop warnings to subscribed vehicles beyond
   short-range reach.
@@ -19,10 +20,17 @@ and therefore every artifact byte -- a pure function of (scenario, seed).
 The detector fires before the same-instant kinematics tick, so a decision at
 second k and the ground-truth sample beside it both see the world exactly as
 the newest telemetry in its window reported it.
+
+Roadside nodes are found through ``_RsuIndex``, a sorted projection of their
+positions onto one fixed axis: a beacon round measures only the pairs the
+index cannot rule out, and the nearest-node search stops once no closer node
+can remain. Both give exactly what measuring every node would.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 
 from . import handoff as ho
@@ -38,7 +46,7 @@ from .apps import (
 from .archive import Archive, RetentionPolicy
 from .broker import Broker, BrokerMessage
 from .config import Directive, ScenarioConfig, VehicleSpawn
-from .core import Bsm, GeoPoint, distance
+from .core import Bsm, GeoPoint, distance, ecef
 from .engine import Engine, SimSummary
 from .mobility import TrafficWorld, VehicleState
 from .radio import (
@@ -48,6 +56,10 @@ from .radio import (
 BEACON_PHASE_MS = 10
 BSM_PHASE_MS = 50
 SYSTEM_NODE_ID = "system"
+# Added to every pruning bound of ``_RsuIndex``. Float error in a key or a
+# ``distance`` stays far under a metre for any two points on Earth (micrometres
+# at corridor scale), so no RSU an exact comparison would accept is pruned.
+INDEX_SLACK_M = 1.0
 
 
 @dataclass(frozen=True)
@@ -91,6 +103,7 @@ class RunResult:
     archives: dict[str, Archive]
     coverage: list[CoverageRow]
     trace_lines: list[str]
+    beacons_out_of_range: int  # beacons beyond the receiver's effective range; not in ``packets``
 
     def queue_accuracy(self) -> float | None:
         if not self.queue_evals:
@@ -107,6 +120,71 @@ class _RsuNode:
     broker: Broker
     archive: Archive
     window: list[Bsm] = field(default_factory=list)
+
+
+class _RsuIndex:
+    """RSUs sorted by their key: the offset of their position along one fixed axis.
+
+    The axis is a unit vector in Earth-centred coordinates, from the corridor's
+    first point to its point farthest from the first. A key difference is the
+    chord between two points projected onto that axis, so it never exceeds the
+    chord, which never exceeds ``distance``: ``|key(a) - key(b)|`` is a lower
+    bound on ``distance(a, b)``. (Arc length along the corridor is not: a bent
+    road can come back close to itself.)
+    """
+
+    def __init__(self, rsus: list[_RsuNode], polyline: list[GeoPoint]):
+        origin = ecef(polyline[0])
+        far = max((ecef(p) for p in polyline), key=lambda q: math.dist(q, origin))
+        # A zero axis (a corridor shorter than float resolution) keys every
+        # point 0, a bound that prunes nothing but still holds.
+        norm = math.dist(far, origin) or 1.0
+        self._axis = tuple((f - o) / norm for f, o in zip(far, origin))
+        self._rsus = rsus
+        self._order = sorted(range(len(rsus)), key=lambda i: self.key(rsus[i].pos))
+        self._keys = [self.key(rsus[i].pos) for i in self._order]
+
+    def key(self, pos: GeoPoint) -> float:
+        x, y, z = ecef(pos)
+        ax, ay, az = self._axis
+        return x * ax + y * ay + z * az
+
+    def within(self, pos: GeoPoint, reach_m: float | None) -> list[int]:
+        """Positions in the RSU list of every RSU that may lie within ``reach_m`` of ``pos``.
+
+        ``None`` (an unbounded link) returns every RSU.
+        """
+        if reach_m is None:
+            return self._order
+        key = self.key(pos)
+        lo = bisect_left(self._keys, key - reach_m - INDEX_SLACK_M)
+        hi = bisect_right(self._keys, key + reach_m + INDEX_SLACK_M)
+        return self._order[lo:hi]
+
+    def nearest(self, pos: GeoPoint) -> tuple[_RsuNode, float] | None:
+        """The RSU of least ``(distance, rsu_id)`` from ``pos``, and its distance.
+
+        Visits RSUs outward from the key of ``pos`` and stops once the key gaps
+        on both sides exceed the best distance found, so ties are all visited.
+        """
+        keys, key = self._keys, self.key(pos)
+        hi = bisect_left(keys, key)
+        lo = hi - 1
+        best = None  # (distance, rsu_id, position in the RSU list)
+        while lo >= 0 or hi < len(keys):
+            gap_lo = key - keys[lo] if lo >= 0 else math.inf
+            gap_hi = keys[hi] - key if hi < len(keys) else math.inf
+            if best is not None and min(gap_lo, gap_hi) > best[0] + INDEX_SLACK_M:
+                break
+            if gap_lo <= gap_hi:
+                i, lo = self._order[lo], lo - 1
+            else:
+                i, hi = self._order[hi], hi + 1
+            node = self._rsus[i]
+            candidate = (distance(node.pos, pos), node.rsu_id, i)
+            if best is None or candidate < best:
+                best = candidate
+        return None if best is None else (self._rsus[best[2]], best[0])
 
 
 @dataclass
@@ -148,9 +226,11 @@ class Simulation:
             )
             node.broker.add_tap(self._make_rsu_tap(node))
             self.rsus.append(node)
+        self._rsu_index = _RsuIndex(self.rsus, self.corridor.polyline)
 
         self.agents: dict[str, _VehicleAgent] = {}
         self.packets: list[PacketRecord] = []
+        self.beacons_out_of_range = 0
         self.handoff_events: list[ho.HandoffEvent] = []
         self.avoidance_decisions: list[AvoidanceDecision] = []
         self.queue_evals: list[QueueEval] = []
@@ -225,23 +305,36 @@ class Simulation:
         profile: LatencyProfile = LatencyProfile.DATA,
         model: LinkModel | None = None,
     ) -> None:
-        """Range-gate, draw loss/latency, and schedule the delivery event."""
+        """Range-gate, then transmit; an out-of-range send is logged as lost."""
         model = model or self.links[link]
-        now = self.engine.now
-        outcome = None
         if in_range(distance_m, model, obstruction):
-            rng = self.engine.stream(f"radio.{link.value}.delivery")
-            outcome = sample_delivery(distance_m, model, rng, obstruction, profile)
-        if outcome is None:  # out of range, or lost on the channel
-            self.packets.append(
-                PacketRecord(t_send=now, t_recv=None, tx=tx, rx=rx, link=link, kind=kind, delivered=False)
-            )
-            return
-        t_recv = now + outcome.latency_ms
+            self._transmit(kind, tx, rx, link, model, distance_m, obstruction, deliver, profile)
+        else:
+            now = self.engine.now
+            self.packets.append(PacketRecord(now, None, tx, rx, link, kind, delivered=False))
+
+    def _transmit(
+        self,
+        kind: str,
+        tx: str,
+        rx: str,
+        link: LinkKind,
+        model: LinkModel,
+        distance_m: float,
+        obstruction: float,
+        deliver,
+        profile: LatencyProfile = LatencyProfile.DATA,
+    ) -> None:
+        """Draw loss/latency for an in-range send, log it, and schedule the delivery event."""
+        now = self.engine.now
+        rng = self.engine.stream(f"radio.{link.value}.delivery")
+        outcome = sample_delivery(distance_m, model, rng, obstruction, profile)
+        t_recv = None if outcome is None else now + outcome.latency_ms  # None: lost on the channel
         self.packets.append(
-            PacketRecord(t_send=now, t_recv=t_recv, tx=tx, rx=rx, link=link, kind=kind, delivered=True)
+            PacketRecord(now, t_recv, tx, rx, link, kind, delivered=t_recv is not None)
         )
-        self.engine.at(t_recv, "radio-delivery", f"{kind}:{tx}->{rx}", deliver)
+        if t_recv is not None:
+            self.engine.at(t_recv, "radio-delivery", f"{kind}:{tx}->{rx}", deliver)
 
     # -- recurring events ---------------------------------------------------
 
@@ -264,23 +357,40 @@ class Simulation:
                 self._emit_warning(directive.vehicle)
 
     def _beacon_round(self) -> None:
+        """Every RSU beacons every spawned connected vehicle, RSU-major, vehicle-minor.
+
+        Only pairs the index cannot rule out are measured. A beacon whose
+        receiver is out of range draws no random number and is counted in
+        ``beacons_out_of_range`` instead of logged, so skipping the pruned
+        pairs leaves every random stream and event where it was.
+        """
         now = self.engine.now
         cfg = self.config.handoff
-        for node in self.rsus:
-            for vid in self._spawned_agents():
-                pos = self.world.position_geo(vid)
+        model = self._beacon_model
+        vids = self._spawned_agents()
+        receivers: list[list[tuple[str, GeoPoint]]] = [[] for _ in self.rsus]
+        for vid in vids:
+            pos = self.world.position_geo(vid)
+            for i in self._rsu_index.within(pos, model.range_m):
+                receivers[i].append((vid, pos))
+        sent = 0
+        for node, reached in zip(self.rsus, receivers):
+            for vid, pos in reached:
                 d = distance(node.pos, pos)
-                agent = self.agents[vid]
-                self._send(
+                if not in_range(d, model, node.obstruction):
+                    continue
+                sent += 1
+                self._transmit(
                     kind="beacon",
                     tx=node.rsu_id,
                     rx=vid,
                     link=cfg.short_range,
+                    model=model,
                     distance_m=d,
                     obstruction=node.obstruction,
-                    model=self._beacon_model,
-                    deliver=lambda a=agent: self._on_beacon(a),
+                    deliver=lambda a=self.agents[vid]: self._on_beacon(a),
                 )
+        self.beacons_out_of_range += len(self.rsus) * len(vids) - sent
         self.engine.at(now + cfg.beacon_interval_ms, "beacon", "rsus", self._beacon_round)
 
     def _on_beacon(self, agent: _VehicleAgent) -> None:
@@ -324,7 +434,7 @@ class Simulation:
                     deliver=lambda b=bsm, v=vid: self._system_ingest_bsm(b, origin=v),
                 )
             else:
-                target = self._nearest_rsu(bsm.pos)
+                target = self._rsu_index.nearest(bsm.pos)
                 if target is None:
                     continue
                 node, d = target
@@ -338,15 +448,6 @@ class Simulation:
                     deliver=lambda b=bsm, n=node: self._rsu_ingest_bsm(n, b),
                 )
         self.engine.at(now + self.tick_ms, "app-timer", "bsm-round", self._bsm_round)
-
-    def _nearest_rsu(self, pos: GeoPoint) -> tuple[_RsuNode, float] | None:
-        if not self.rsus:
-            return None
-        best = min(
-            ((distance(node.pos, pos), node.rsu_id, node) for node in self.rsus),
-            key=lambda t: (t[0], t[1]),
-        )
-        return best[2], best[0]
 
     # -- data plane ---------------------------------------------------------
 
@@ -586,6 +687,7 @@ class Simulation:
             archives=archives,
             coverage=self._coverage_rows(),
             trace_lines=self.engine.trace_lines,
+            beacons_out_of_range=self.beacons_out_of_range,
         )
 
 

@@ -230,3 +230,19 @@ def test_hard_brake_before_spawn_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bad.yaml:10" in err and "precedes the spawn of 'cv1'" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_script_spawn_time_in_vehicle_spec_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(
+        "name: x\nt_end_s: 5.0\n" + POLYLINE
+        + "vehicles:\n  - {id: cv1, s_m: 10.0, speed_mph: 20.0}\n"
+        + "script:\n"
+        + "  - at_s: 1.0\n    action: spawn\n"
+        + "    vehicle_spec: {id: cv2, s_m: 5.0, speed_mph: 20.0, spawn_t_s: 30.0}\n"
+    )
+    rc = main(["--scenario", str(bad), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad.yaml:12" in err and "spawn_t_s is not allowed" in err
+    assert not (tmp_path / "out").exists()

@@ -335,6 +335,10 @@ SCRIPTED = MINIMAL.replace("    speed_mph: 20.0\n", "    speed_mph: 20.0\n    sp
         ("{at_s: 3.0, action: signal_red, signal: nope, duration_s: 1.0}", "unknown signal 'nope'"),
         ("{at_s: 3.0, action: spawn, vehicle_spec: {id: cv1, s_m: 50.0, speed_mph: 10.0}}", "duplicate vehicle id 'cv1'"),
         ("{at_s: 3.0, action: spawn, vehicle_spec: {id: cv9, s_m: 50.0, speed_mph: 10.0}}", "duplicate vehicle id 'cv9'"),
+        (
+            "{at_s: 3.0, action: spawn, vehicle_spec: {id: cv8, s_m: 50.0, speed_mph: 10.0, spawn_t_s: 30.0}}",
+            "spawn_t_s is not allowed",
+        ),
     ],
 )
 def test_bad_directive_rejected_at_its_line(directive, message):
@@ -343,6 +347,12 @@ def test_bad_directive_rejected_at_its_line(directive, message):
     with pytest.raises(ConfigError) as err:
         parse_scenario(text, source="case.yaml")
     assert "case.yaml:14" in str(err.value) and message in str(err.value)
+
+
+def test_script_spawn_starts_at_its_at_s():
+    spawn = "  - {at_s: 3.5, action: spawn, vehicle_spec: {id: cv9, s_m: 5.0, speed_mph: 10.0}}\n"
+    cfg = parse_scenario(SCRIPTED + spawn)
+    assert cfg.script[0].at_ms == cfg.script[0].spawn.spawn_t_ms == 3500
 
 
 def test_hard_brake_at_its_spawn_millisecond_parses():

@@ -1,13 +1,18 @@
 """Integration behavior of the wired simulation, scenario by scenario."""
 
 import importlib.resources
+import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvsim.apps import Verdict
 from cvsim.config import load_scenario, parse_scenario
-from cvsim.radio import LinkKind
-from cvsim.report import exchange_delays
+from cvsim.core import GeoPoint, distance
+from cvsim.mobility import DEG_TO_M, Corridor
+from cvsim.radio import LinkKind, in_range
+from cvsim.report import exchange_delays, link_stats
 from cvsim.sim import SYSTEM_NODE_ID, Simulation, run_scenario
 
 
@@ -236,3 +241,136 @@ def test_hard_brake_at_its_spawn_millisecond_runs():
     text = bundled_text("collision_avoidance_20mph").replace("at_s: 2.0", "at_s: 0.0")
     result = run_scenario(parse_scenario(text), t_end_ms=3_000)
     assert {d.vehicle for d in result.avoidance_decisions} == {"cv2", "cv3"}
+
+
+# -- the RSU index against measuring every RSU ---------------------------------
+
+
+def walk(legs, lat0=40.0, lon0=-75.0):
+    """The polyline walked from (lat0, lon0) as (heading in degrees, length in m) legs."""
+    points = [GeoPoint(lat0, lon0)]
+    for heading, length in legs:
+        p = points[-1]
+        north = length * math.cos(math.radians(heading))
+        east = length * math.sin(math.radians(heading))
+        lon_m = DEG_TO_M * math.cos(math.radians(p.lat))
+        points.append(GeoPoint(p.lat + north / DEG_TO_M, p.lon + east / lon_m))
+    return points
+
+
+def index_scenario(legs, rsus, vehicles, range_m=300.0, t_end_s=0.02, speed_mph=0.0, extra=""):
+    """A scenario on the walked polyline; RSUs are (id, fraction of length, obstruction), vehicles fractions."""
+    points = walk(legs)
+    length = Corridor(points).length_m
+
+    def offset(frac):  # rounded down, so that 1.0 stays on the corridor
+        return f"{max(0.0, frac * length - 1e-6):.6f}"
+
+    text = f"name: index\nt_end_s: {t_end_s}\ncorridor:\n  polyline:\n"
+    text += "".join(f"    - [{p.lat!r}, {p.lon!r}]\n" for p in points)
+    text += "  rsus:\n" + "".join(
+        f"    - {{id: {rid}, s_m: {offset(frac)}, obstruction: {obs!r}}}\n" for rid, frac, obs in rsus
+    )
+    text += f"links:\n  dsrc:\n    range_m: {range_m!r}\ndetection:\n  enabled: false\nvehicles:\n"
+    text += "".join(
+        f"  - {{id: v{j}, s_m: {offset(frac)}, speed_mph: {speed_mph!r}}}\n" for j, frac in enumerate(vehicles)
+    )
+    return parse_scenario(text + extra)
+
+
+# Turns between legs; 180 folds the road straight back onto itself.
+TURNS = st.one_of(st.sampled_from([0.0, 90.0, 170.0, 178.0, 180.0, -175.0]), st.floats(-180.0, 180.0))
+FRACTION = st.floats(0.0, 1.0)
+OBSTRUCTION = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def index_cases(draw):
+    heading = draw(st.floats(0.0, 360.0))
+    legs = []
+    for _ in range(draw(st.integers(1, 4))):
+        legs.append((heading, draw(st.floats(20.0, 1500.0))))
+        heading += draw(TURNS)
+    ids = draw(st.lists(st.sampled_from("abcdefgh"), min_size=2, max_size=8, unique=True))
+    rsus = [(f"r{rid}", draw(FRACTION), draw(OBSTRUCTION)) for rid in ids[1:]]
+    # One more RSU on top of a drawn one, under another id: a tie in distance.
+    twin = draw(st.sampled_from(rsus))
+    rsus.append((f"r{ids[0]}", twin[1], draw(OBSTRUCTION)))
+    vehicles = draw(st.lists(FRACTION, min_size=1, max_size=6))
+    return legs, rsus, vehicles, draw(st.sampled_from([50.0, 300.0, 1000.0, None]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(index_cases())
+def test_rsu_index_agrees_with_measuring_every_rsu(case):
+    legs, rsus, vehicles, range_m = case
+    config = index_scenario(legs, rsus, vehicles, range_m=range_m or 300.0)
+    if range_m is None:  # an unbounded short-range link, which only code can build
+        dsrc = replace(config.links[LinkKind.DSRC], range_m=None)
+        config = replace(config, links={**config.links, LinkKind.DSRC: dsrc})
+    sim = Simulation(config)
+    result = sim.run()  # one beacon round, at 10 ms, before any vehicle moves
+    positions = {vid: sim.world.position_geo(vid) for vid in sim.agents}
+    pairs = {
+        (node.rsu_id, vid)
+        for node in sim.rsus
+        for vid, pos in positions.items()
+        if in_range(distance(node.pos, pos), sim._beacon_model, node.obstruction)
+    }
+    # A zero beacon_p_near delivers, and so logs, every in-range beacon.
+    assert sorted((p.tx, p.rx) for p in result.packets if p.kind == "beacon") == sorted(pairs)
+    assert result.beacons_out_of_range == len(sim.rsus) * len(positions) - len(pairs)
+    for pos in positions.values():
+        node, d = sim._rsu_index.nearest(pos)
+        assert (d, node.rsu_id) == min((distance(n.pos, pos), n.rsu_id) for n in sim.rsus)
+
+
+class _CountingSimulation(Simulation):
+    """Tallies, per beacon round, RSUs times the spawned connected vehicles."""
+
+    beacon_pairs = 0
+
+    def _beacon_round(self):
+        connected = sum(v.connected for v in self.world.vehicles.values())
+        self.beacon_pairs += len(self.rsus) * connected
+        super()._beacon_round()
+
+
+# 1500 m north, then back south to 100 m east of the start.
+HAIRPIN = [(0.0, 1500.0), (176.19, 1503.3)]
+
+
+def test_beacons_are_logged_or_counted_once_each():
+    late = (
+        "  - {id: late, s_m: 10.0, speed_mph: 20.0, spawn_t_s: 12.3}\n"
+        "  - {id: nc, s_m: 5.0, speed_mph: 20.0, connected: false}\n"
+    )
+    cases = [
+        load_scenario("corridor_coverage"),
+        index_scenario(
+            HAIRPIN, [("out", 0.2, 0.0), ("turn", 0.45, 0.25), ("back", 0.9, 0.0)], [0.1, 0.6, 0.75],
+            t_end_s=60.0, speed_mph=20.0, extra=late,
+        ),
+    ]
+    for config in cases:
+        sim = _CountingSimulation(config)
+        result = sim.run()
+        logged = sum(p.kind == "beacon" for p in result.packets)
+        assert logged and result.beacons_out_of_range
+        assert logged + result.beacons_out_of_range == sim.beacon_pairs
+        short_range = config.handoff.short_range
+        stats = next(s for s in link_stats(result) if s.link is short_range)
+        assert stats.sent == sum(p.link is short_range for p in result.packets) + result.beacons_out_of_range
+
+
+def test_return_leg_hands_off_through_an_outbound_rsu():
+    # The only RSU stands 300 m along the way out; the vehicle starts 2 km
+    # along the road, on the way back, and drives south past it.
+    config = index_scenario(HAIRPIN, [("out", 0.1, 0.0)], [0.667], t_end_s=60.0, speed_mph=20.0)
+    result = run_scenario(config)
+    entry = next(e for e in result.handoff_events if e.to_link is LinkKind.DSRC)
+    spawn = config.vehicles[0]
+    arc_gap = spawn.s_m + spawn.speed_mps * entry.t / 1000.0 - config.corridor.rsus[0].s_m
+    assert arc_gap > 1500.0 > config.links[LinkKind.DSRC].range_m
+    hops = [p for p in result.packets if p.kind == "bsm" and p.rx == "out" and p.delivered]
+    assert hops and all(p.t_send >= entry.t for p in hops)
