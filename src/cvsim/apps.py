@@ -107,6 +107,15 @@ class QueueDecision:
         }
 
 
+def window_by_vehicle(bsms: Iterable[Bsm], t: int, window_ms: int = 1000) -> dict[str, list[Bsm]]:
+    """The messages with ``t - window_ms < bsm.t <= t``, per vehicle in first-seen order."""
+    per_vehicle: dict[str, list[Bsm]] = {}
+    for bsm in bsms:
+        if t - window_ms < bsm.t <= t:
+            per_vehicle.setdefault(bsm.vehicle_id, []).append(bsm)
+    return per_vehicle
+
+
 def detect_queue(
     rsu: str,
     t: int,
@@ -123,10 +132,7 @@ def detect_queue(
     Queued means: at least two reporting vehicles, average speed under the
     speed threshold, average separation under the gap threshold.
     """
-    per_vehicle: dict[str, list[Bsm]] = {}
-    for bsm in window_bsms:
-        if t - window_ms < bsm.t <= t:
-            per_vehicle.setdefault(bsm.vehicle_id, []).append(bsm)
+    per_vehicle = window_by_vehicle(window_bsms, t, window_ms)
     n_cvs = len(per_vehicle)
     if n_cvs < 2:
         avg_speed = fmean(fmean(b.speed for b in bsms) for bsms in per_vehicle.values()) if n_cvs else None

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, bundled_scenario_names, load_scenario, seconds_to_ms
+from .config import ConfigError, ScenarioConfig, bundled_scenario_names, load_scenario, seconds_to_ms
 from .engine import SimulationAborted
 from .replay import TraceError, parse_trace, replay_trace, write_replay_csv
 from .report import write_artifacts
@@ -38,22 +39,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["text", "csv", "both"], default="both",
                         help="metrics report rendering(s) to write")
     parser.add_argument("--trace", metavar="FILE", help="replay this telemetry trace instead of running")
-    parser.add_argument("--event-trace", metavar="FILE", help="also dump the engine event trace")
+    parser.add_argument("--event-trace", metavar="FILE",
+                        help="also write the engine event trace, one line per event as it fires")
     return parser
 
 
-def _run(args: argparse.Namespace) -> int:
+def _load(args: argparse.Namespace) -> ScenarioConfig:
+    """The scenario with the ``--seed`` and ``--t-end`` overrides applied."""
     config = load_scenario(args.scenario)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.t_end is not None:
         config = replace(config, t_end_ms=seconds_to_ms(args.t_end, "--t-end", True, "<cli>", None))
-    sim = Simulation(config, trace=args.event_trace is not None)
-    result = sim.run()
+    return config
+
+
+def _run(args: argparse.Namespace) -> int:
+    config = _load(args)
+    # Opened before the run, so an aborted run leaves the trace up to the event that raised.
+    trace = nullcontext() if args.event_trace is None else open(args.event_trace, "w", encoding="utf-8")
+    with trace as sink:
+        result = Simulation(config, trace=sink).run()
     out_dir = Path(args.out_dir)
     written = write_artifacts(result, out_dir, fmt=args.format)
-    if args.event_trace:
-        sim.engine.dump_trace(args.event_trace)
     print(f"scenario {config.name}: {result.summary.events_processed} events, "
           f"clock {result.summary.end_time_ms} ms")
     for name in sorted(written):
@@ -65,13 +73,11 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def _replay(args: argparse.Namespace) -> int:
-    records = parse_trace(args.trace)
-    corridor = None
-    constants = None
+    corridor = constants = t_end_ms = None
     if args.scenario:
-        config = load_scenario(args.scenario)
-        corridor = config.corridor
-        constants = config.constants
+        config = _load(args)
+        corridor, constants, t_end_ms = config.corridor, config.constants, config.t_end_ms
+    records = parse_trace(args.trace, t_end_ms=t_end_ms)
     result = replay_trace(records, constants=constants, corridor=corridor)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -18,10 +18,16 @@ from pathlib import Path
 
 import yaml
 
-from .core import GeoPoint, SimConstants, ft_to_m, mph_to_mps
+from .core import GeoPoint, SimConstants, ft_to_m, mph_to_mps, mps_to_mph
 from .mobility import QUEUE_MIN_VEHICLES, Corridor, MobilityConfig, RsuSpec, SignalSpec
 from .radio import LinkKind, LinkModel, default_link_models
 from .handoff import BeaconConfig
+
+
+# The backend node's id in every archive, topic origin and packet log; no RSU may take it.
+SYSTEM_NODE_ID = "system"
+# Spawn speeds above this (about 224 mph, beyond any road vehicle) are rejected.
+MAX_SPEED_MPS = 100.0
 
 
 class ConfigError(ValueError):
@@ -280,14 +286,17 @@ def _parse_corridor(section: _Section) -> Corridor:
     rsus = []
     for item, path in section.seq("rsus"):
         s = section.item_section(item, path)
-        rsus.append(
-            s.build(
-                RsuSpec,
-                rsu_id=s.get("id", str, required=True),
-                s_m=s.get("s_m", float, required=True),
-                **s.present({"obstruction": float}),
-            )
+        rsu = s.build(
+            RsuSpec,
+            rsu_id=s.get("id", str, required=True),
+            s_m=s.get("s_m", float, required=True),
+            **s.present({"obstruction": float}),
         )
+        if rsu.rsu_id == SYSTEM_NODE_ID:
+            raise s.error(f"RSU id {SYSTEM_NODE_ID!r} is reserved for the backend node", "id")
+        if any(r.rsu_id == rsu.rsu_id for r in rsus):
+            raise s.error(f"duplicate RSU id {rsu.rsu_id!r}", "id")
+        rsus.append(rsu)
     section.reject_unknown()
     try:
         return Corridor(points, signals=signals, rsus=rsus)
@@ -353,8 +362,9 @@ def _parse_spawn_fields(s: _Section, spawn_t_ms: int) -> VehicleSpawn:
         speed = s.get(speed_key, float)
     else:
         raise s.error(f"vehicle {vid!r} needs speed_mph or speed_mps")
-    if not (math.isfinite(speed) and speed >= 0):
-        raise s.error(f"{speed_key} must be finite and non-negative, got {s.data[speed_key]}", speed_key)
+    if not 0 <= speed <= MAX_SPEED_MPS:  # also false for NaN
+        limit = f"{MAX_SPEED_MPS:g} m/s ({mps_to_mph(MAX_SPEED_MPS):.1f} mph)"
+        raise s.error(f"{speed_key} must be between 0 and {limit}, got {s.data[speed_key]}", speed_key)
     connected = s.get("connected", bool, default=True)
     return VehicleSpawn(
         vehicle_id=vid,

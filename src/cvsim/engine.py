@@ -13,7 +13,7 @@ import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, TextIO
 
 EventFn = Callable[[], None]
 
@@ -40,7 +40,7 @@ class Event:
 
     ``kind`` is one of the simulator's event families (mobility-tick, beacon,
     radio-delivery, app-timer, detector-tick); ``subject`` names the entity
-    involved and feeds the optional trace dump.
+    involved and feeds the optional event trace.
     """
 
     fire_at: int
@@ -69,16 +69,19 @@ def derive_stream_seed(seed: int, stream_id: str) -> int:
 
 
 class Engine:
-    """Single-threaded event loop owning the clock and all RNG streams."""
+    """Single-threaded event loop owning the clock and all RNG streams.
 
-    def __init__(self, seed: int = 0, trace: bool = False):
+    With a ``trace`` sink, each event writes one ``fire_at,kind,subject`` line
+    to it as it fires, before its handler runs.
+    """
+
+    def __init__(self, seed: int = 0, trace: TextIO | None = None):
         self.seed = seed
         self._now = 0
         self._seq = 0
         self._queue: list[tuple[int, int, Event]] = []
         self._streams: dict[str, random.Random] = {}
-        self._trace_enabled = trace
-        self.trace_lines: list[str] = []
+        self._trace = trace
 
     @property
     def now(self) -> int:
@@ -122,8 +125,8 @@ class Engine:
         while self._queue and self._queue[0][0] <= t_end:
             _, _, event = heapq.heappop(self._queue)
             self._now = event.fire_at
-            if self._trace_enabled:
-                self.trace_lines.append(f"{event.fire_at},{event.kind},{event.subject}")
+            if self._trace is not None:
+                self._trace.write(f"{event.fire_at},{event.kind},{event.subject}\n")
             try:
                 event.fn()
             except Exception as exc:
@@ -135,16 +138,3 @@ class Engine:
 
     def pending(self) -> int:
         return len(self._queue)
-
-    def trace_digest(self) -> str:
-        """SHA-256 over the trace lines; equal digests mean equal runs."""
-        h = hashlib.sha256()
-        for line in self.trace_lines:
-            h.update(line.encode("utf-8"))
-            h.update(b"\n")
-        return h.hexdigest()
-
-    def dump_trace(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in self.trace_lines:
-                fh.write(line + "\n")

@@ -27,6 +27,10 @@ from .mobility import DEG_TO_M, Corridor
 from .report import eval_bucket, write_queue_csv
 
 REPLAY_RSU_ID = "replay"
+# The largest message time a trace may carry: one day. Replay makes one
+# decision per second up to the largest ``t``, so this caps a trace at
+# 86,400 decisions however few lines it has.
+MAX_TRACE_T_MS = 24 * 3600 * 1000
 
 
 class TraceError(ValueError):
@@ -50,7 +54,9 @@ class ReplayResult:
     accuracy: float | None
 
 
-def parse_trace(path: str | Path) -> list[TraceRecord]:
+def parse_trace(path: str | Path, t_end_ms: int | None = None) -> list[TraceRecord]:
+    """The trace's records; a ``t`` past ``MAX_TRACE_T_MS``, or past ``t_end_ms`` when given, is an error."""
+    t_max = MAX_TRACE_T_MS if t_end_ms is None else min(t_end_ms, MAX_TRACE_T_MS)
     records: list[TraceRecord] = []
     source = str(path)
     with open(path, encoding="utf-8") as fh:
@@ -71,6 +77,9 @@ def parse_trace(path: str | Path) -> list[TraceRecord]:
                 bsm = Bsm.from_doc(doc)
             except (TypeError, ValueError) as exc:
                 raise TraceError(source, lineno, f"bad message fields: {exc}")
+            if bsm.t > t_max:
+                limit = "the replay ceiling" if t_max == MAX_TRACE_T_MS else "the scenario's t_end"
+                raise TraceError(source, lineno, f"t={bsm.t} ms is past {limit} of {t_max} ms")
             truth = doc.get("truth")
             if truth is not None and not isinstance(truth, bool):
                 raise TraceError(source, lineno, "truth must be a boolean")

@@ -5,13 +5,16 @@ Layer wiring:
 * vehicles stream telemetry every messaging period on their active link --
   short-range to the nearest in-range roadside node, cellular straight to the
   backend otherwise;
-* roadside nodes publish received telemetry to their local broker (archived via
-  a tap), forward it over the backhaul, run the queue detector once per second,
-  and broadcast handoff beacons; a beacon that cannot reach a vehicle is
-  counted in ``RunResult.beacons_out_of_range``, not logged as a packet;
-* the backend node archives everything it receives and hosts the region-wide
-  warning topic that relays sudden-stop warnings to subscribed vehicles beyond
-  short-range reach.
+* every edge node, roadside or backend, is one ``_Node``: a broker whose single
+  tap appends every message to the node's archive, and every publish goes
+  through ``Simulation._publish``;
+* roadside nodes publish received telemetry to their local broker, forward the
+  same payload over the backhaul, run the queue detector once per second, and
+  broadcast handoff beacons; a beacon that cannot reach a vehicle is counted
+  in ``RunResult.beacons_out_of_range``, not logged as a packet;
+* the backend node is the same kind of node with an unbounded archive: it
+  stores everything it receives and hosts the region-wide warning topic that
+  relays sudden-stop warnings to subscribed vehicles beyond short-range reach.
 
 Recurring activities are phase-offset inside each 100 ms period (kinematics at
 +0, beacons at +10, telemetry at +50, detector on the whole second) so that no
@@ -32,6 +35,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from typing import TextIO
 
 from . import handoff as ho
 from .apps import (
@@ -42,10 +46,11 @@ from .apps import (
     accuracy,
     decide_avoidance,
     detect_queue,
+    window_by_vehicle,
 )
 from .archive import Archive, RetentionPolicy
 from .broker import Broker, BrokerMessage
-from .config import Directive, ScenarioConfig, VehicleSpawn
+from .config import SYSTEM_NODE_ID, Directive, ScenarioConfig, VehicleSpawn
 from .core import Bsm, GeoPoint, distance, ecef
 from .engine import Engine, SimSummary
 from .mobility import TrafficWorld, VehicleState
@@ -55,7 +60,6 @@ from .radio import (
 
 BEACON_PHASE_MS = 10
 BSM_PHASE_MS = 50
-SYSTEM_NODE_ID = "system"
 # Added to every pruning bound of ``_RsuIndex``. Float error in a key or a
 # ``distance`` stays far under a metre for any two points on Earth (micrometres
 # at corridor scale), so no RSU an exact comparison would accept is pruned.
@@ -102,7 +106,6 @@ class RunResult:
     queue_evals: list[QueueEval]
     archives: dict[str, Archive]
     coverage: list[CoverageRow]
-    trace_lines: list[str]
     beacons_out_of_range: int  # beacons beyond the receiver's effective range; not in ``packets``
 
     def queue_accuracy(self) -> float | None:
@@ -111,15 +114,27 @@ class RunResult:
         return accuracy([e.decision.queued for e in self.queue_evals], [e.truth for e in self.queue_evals])
 
 
-@dataclass
-class _RsuNode:
-    rsu_id: str
-    s_m: float
-    pos: GeoPoint
-    obstruction: float
-    broker: Broker
-    archive: Archive
-    window: list[Bsm] = field(default_factory=list)
+class _Node:
+    """An edge node: a broker whose one tap appends every message to the node's archive."""
+
+    def __init__(self, node_id: str, policy: RetentionPolicy = RetentionPolicy()):
+        self.node_id = node_id
+        self.broker = Broker(name=node_id)
+        self.archive = Archive(node_id=node_id, policy=policy)
+        self.broker.add_tap(self._store)
+
+    def _store(self, msg: BrokerMessage) -> None:
+        self.archive.append(topic=msg.topic, t=msg.t_pub, payload=msg.payload, origin=msg.publisher)
+
+
+class _RsuNode(_Node):
+    """A roadside edge node: its position, its obstruction and the detector's message window."""
+
+    def __init__(self, node_id: str, policy: RetentionPolicy, pos: GeoPoint, obstruction: float):
+        super().__init__(node_id, policy)
+        self.pos = pos
+        self.obstruction = obstruction
+        self.window: list[Bsm] = []
 
 
 class _RsuIndex:
@@ -162,7 +177,7 @@ class _RsuIndex:
         return self._order[lo:hi]
 
     def nearest(self, pos: GeoPoint) -> tuple[_RsuNode, float] | None:
-        """The RSU of least ``(distance, rsu_id)`` from ``pos``, and its distance.
+        """The RSU of least ``(distance, node_id)`` from ``pos``, and its distance.
 
         Visits RSUs outward from the key of ``pos`` and stops once the key gaps
         on both sides exceed the best distance found, so ties are all visited.
@@ -170,7 +185,7 @@ class _RsuIndex:
         keys, key = self._keys, self.key(pos)
         hi = bisect_left(keys, key)
         lo = hi - 1
-        best = None  # (distance, rsu_id, position in the RSU list)
+        best = None  # (distance, node_id, position in the RSU list)
         while lo >= 0 or hi < len(keys):
             gap_lo = key - keys[lo] if lo >= 0 else math.inf
             gap_hi = keys[hi] - key if hi < len(keys) else math.inf
@@ -181,7 +196,7 @@ class _RsuIndex:
             else:
                 i, hi = self._order[hi], hi + 1
             node = self._rsus[i]
-            candidate = (distance(node.pos, pos), node.rsu_id, i)
+            candidate = (distance(node.pos, pos), node.node_id, i)
             if best is None or candidate < best:
                 best = candidate
         return None if best is None else (self._rsus[best[2]], best[0])
@@ -197,7 +212,7 @@ class _VehicleAgent:
 class Simulation:
     """One scenario bound to one engine; single-use."""
 
-    def __init__(self, config: ScenarioConfig, trace: bool = False):
+    def __init__(self, config: ScenarioConfig, trace: TextIO | None = None):
         self.config = config
         self.engine = Engine(seed=config.seed, trace=trace)
         self.constants = config.constants
@@ -207,25 +222,12 @@ class Simulation:
 
         self.world = TrafficWorld(corridor=self.corridor, constants=self.constants, mobility=config.mobility)
 
-        self.system_broker = Broker(name=SYSTEM_NODE_ID)
-        self.system_archive = Archive(node_id=SYSTEM_NODE_ID)
-        self.system_broker.add_tap(self._system_tap)
-
-        self.rsus: list[_RsuNode] = []
-        for spec in self.corridor.rsus:
-            node = _RsuNode(
-                rsu_id=spec.rsu_id,
-                s_m=spec.s_m,
-                pos=self.corridor.position_geo(spec.s_m),
-                obstruction=spec.obstruction,
-                broker=Broker(name=spec.rsu_id),
-                archive=Archive(
-                    node_id=spec.rsu_id,
-                    policy=RetentionPolicy(max_age_ms=config.fixed_edge_retention_ms),
-                ),
-            )
-            node.broker.add_tap(self._make_rsu_tap(node))
-            self.rsus.append(node)
+        self.backend = _Node(SYSTEM_NODE_ID)
+        retention = RetentionPolicy(max_age_ms=config.fixed_edge_retention_ms)
+        self.rsus = [
+            _RsuNode(spec.rsu_id, retention, self.corridor.position_geo(spec.s_m), spec.obstruction)
+            for spec in self.corridor.rsus
+        ]
         self._rsu_index = _RsuIndex(self.rsus, self.corridor.polyline)
 
         self.agents: dict[str, _VehicleAgent] = {}
@@ -274,24 +276,30 @@ class Simulation:
             handoff=ho.HandoffState(vehicle=spawn.vehicle_id),
         )
         self.agents[spawn.vehicle_id] = agent
-        self.system_broker.subscribe(
+        self.backend.broker.subscribe(
             client=spawn.vehicle_id,
             pattern=self._warning_topic,
             callback=lambda msg, a=agent: self._on_warning_via_broker(a, msg),
         )
 
-    # -- archive taps -----------------------------------------------------
+    # -- publish and radio helpers -----------------------------------------
 
-    def _system_tap(self, msg: BrokerMessage) -> None:
-        self.system_archive.append(topic=msg.topic, t=msg.t_pub, payload=msg.payload, origin=msg.publisher)
+    def _publish(self, node: _Node, topic: str, payload: dict, publisher: str) -> None:
+        node.broker.publish(BrokerMessage(topic=topic, payload=payload, publisher=publisher, t_pub=self.engine.now))
 
-    def _make_rsu_tap(self, node: _RsuNode):
-        def tap(msg: BrokerMessage) -> None:
-            node.archive.append(topic=msg.topic, t=msg.t_pub, payload=msg.payload, origin=msg.publisher)
-
-        return tap
-
-    # -- radio helper -----------------------------------------------------
+    def _forward(self, node: _RsuNode, kind: str, topic: str, payload: dict) -> None:
+        """Publish at ``node``, then send over the backhaul for the backend to publish the same payload."""
+        self._publish(node, topic, payload, node.node_id)
+        self._send(
+            kind=kind,
+            tx=node.node_id,
+            rx=SYSTEM_NODE_ID,
+            link=LinkKind.WIFI,
+            distance_m=0.0,
+            obstruction=0.0,
+            model=BACKHAUL,
+            deliver=lambda: self._publish(self.backend, topic, payload, node.node_id),
+        )
 
     def _send(
         self,
@@ -382,7 +390,7 @@ class Simulation:
                 sent += 1
                 self._transmit(
                     kind="beacon",
-                    tx=node.rsu_id,
+                    tx=node.node_id,
                     rx=vid,
                     link=cfg.short_range,
                     model=model,
@@ -431,7 +439,7 @@ class Simulation:
                     link=LinkKind.LTE,
                     distance_m=0.0,
                     obstruction=0.0,
-                    deliver=lambda b=bsm, v=vid: self._system_ingest_bsm(b, origin=v),
+                    deliver=lambda b=bsm, v=vid: self._publish(self.backend, f"bsm/raw/{v}", b.to_doc(), v),
                 )
             else:
                 target = self._rsu_index.nearest(bsm.pos)
@@ -441,7 +449,7 @@ class Simulation:
                 self._send(
                     kind="bsm",
                     tx=vid,
-                    rx=node.rsu_id,
+                    rx=node.node_id,
                     link=link,
                     distance_m=d,
                     obstruction=node.obstruction,
@@ -452,28 +460,8 @@ class Simulation:
     # -- data plane ---------------------------------------------------------
 
     def _rsu_ingest_bsm(self, node: _RsuNode, bsm: Bsm) -> None:
-        now = self.engine.now
         node.window.append(bsm)
-        node.broker.publish(
-            BrokerMessage(topic=f"bsm/raw/{bsm.vehicle_id}", payload=bsm.to_doc(), publisher=node.rsu_id, t_pub=now)
-        )
-        self._send(
-            kind="bsm_forward",
-            tx=node.rsu_id,
-            rx=SYSTEM_NODE_ID,
-            link=LinkKind.WIFI,
-            distance_m=0.0,
-            obstruction=0.0,
-            model=BACKHAUL,
-            deliver=lambda b=bsm, n=node: self._system_ingest_bsm(b, origin=n.rsu_id),
-        )
-
-    def _system_ingest_bsm(self, bsm: Bsm, origin: str) -> None:
-        self.system_broker.publish(
-            BrokerMessage(
-                topic=f"bsm/raw/{bsm.vehicle_id}", payload=bsm.to_doc(), publisher=origin, t_pub=self.engine.now
-            )
-        )
+        self._forward(node, "bsm_forward", f"bsm/raw/{bsm.vehicle_id}", bsm.to_doc())
 
     def _emit_warning(self, vehicle_id: str) -> None:
         agent = self.agents.get(vehicle_id)
@@ -511,17 +499,7 @@ class Simulation:
             distance_m=0.0,
             obstruction=0.0,
             profile=LatencyProfile.WARNING,
-            deliver=lambda w=warning, v=vehicle_id: self._publish_warning(w, v),
-        )
-
-    def _publish_warning(self, warning: WarningMessage, publisher: str) -> None:
-        self.system_broker.publish(
-            BrokerMessage(
-                topic=self._warning_topic,
-                payload=warning.to_doc(),
-                publisher=publisher,
-                t_pub=self.engine.now,
-            )
+            deliver=lambda: self._publish(self.backend, self._warning_topic, warning.to_doc(), vehicle_id),
         )
 
     def _on_warning_direct(self, agent: _VehicleAgent, warning: WarningMessage) -> None:
@@ -564,40 +542,20 @@ class Simulation:
         )
         for node in self.rsus:
             decision = detect_queue(
-                rsu=node.rsu_id,
+                rsu=node.node_id,
                 t=now,
                 window_bsms=node.window,
                 order_key=self.corridor.project,
                 constants=self.constants,
             )
-            self.queue_evals.append(QueueEval(rsu=node.rsu_id, decision=decision, truth=truth))
+            self.queue_evals.append(QueueEval(rsu=node.node_id, decision=decision, truth=truth))
             self._publish_processed(node, now)
-            node.broker.publish(
-                BrokerMessage(
-                    topic=f"queue/status/{node.rsu_id}",
-                    payload=decision.to_doc(),
-                    publisher=node.rsu_id,
-                    t_pub=now,
-                )
-            )
-            self._send(
-                kind="queue_status",
-                tx=node.rsu_id,
-                rx=SYSTEM_NODE_ID,
-                link=LinkKind.WIFI,
-                distance_m=0.0,
-                obstruction=0.0,
-                model=BACKHAUL,
-                deliver=lambda d=decision, n=node: self._system_ingest_queue_status(n, d),
-            )
+            self._forward(node, "queue_status", f"queue/status/{node.node_id}", decision.to_doc())
             node.window = [b for b in node.window if b.t > now - 1000]
         self.engine.at(now + 1000, "detector-tick", "rsus", self._detector_tick)
 
     def _publish_processed(self, node: _RsuNode, now: int) -> None:
-        per_vehicle: dict[str, list[Bsm]] = {}
-        for bsm in node.window:
-            if now - 1000 < bsm.t <= now:
-                per_vehicle.setdefault(bsm.vehicle_id, []).append(bsm)
+        per_vehicle = window_by_vehicle(node.window, now)
         vehicles = {}
         for vid in sorted(per_vehicle):
             bsms = per_vehicle[vid]
@@ -608,24 +566,8 @@ class Simulation:
                 "lon": latest.pos.lon,
                 "reports": len(bsms),
             }
-        node.broker.publish(
-            BrokerMessage(
-                topic=f"bsm/processed/{node.rsu_id}",
-                payload={"t": now, "rsu": node.rsu_id, "vehicles": vehicles},
-                publisher=node.rsu_id,
-                t_pub=now,
-            )
-        )
-
-    def _system_ingest_queue_status(self, node: _RsuNode, decision: QueueDecision) -> None:
-        self.system_broker.publish(
-            BrokerMessage(
-                topic=f"queue/status/{node.rsu_id}",
-                payload=decision.to_doc(),
-                publisher=node.rsu_id,
-                t_pub=self.engine.now,
-            )
-        )
+        payload = {"t": now, "rsu": node.node_id, "vehicles": vehicles}
+        self._publish(node, f"bsm/processed/{node.node_id}", payload, node.node_id)
 
     def _prune_archives(self) -> None:
         for node in self.rsus:
@@ -647,7 +589,7 @@ class Simulation:
             while d <= reach:
                 rows.append(
                     CoverageRow(
-                        rsu=node.rsu_id,
+                        rsu=node.node_id,
                         distance_m=d,
                         rssi_dbm=rssi_dbm(d),
                         p_loss=loss_probability(d, model, node.obstruction),
@@ -674,9 +616,6 @@ class Simulation:
             interval = max(1, self.config.fixed_edge_retention_ms // 4)
             self.engine.at(interval, "app-timer", "archive-prune", self._prune_archives)
         summary = self.engine.run_until(t_end)
-        archives = {SYSTEM_NODE_ID: self.system_archive}
-        for node in self.rsus:
-            archives[node.rsu_id] = node.archive
         return RunResult(
             config=self.config,
             summary=summary,
@@ -684,12 +623,11 @@ class Simulation:
             handoff_events=self.handoff_events,
             avoidance_decisions=self.avoidance_decisions,
             queue_evals=self.queue_evals,
-            archives=archives,
+            archives={node.node_id: node.archive for node in (self.backend, *self.rsus)},
             coverage=self._coverage_rows(),
-            trace_lines=self.engine.trace_lines,
             beacons_out_of_range=self.beacons_out_of_range,
         )
 
 
-def run_scenario(config: ScenarioConfig, t_end_ms: int | None = None, trace: bool = False) -> RunResult:
+def run_scenario(config: ScenarioConfig, t_end_ms: int | None = None, trace: TextIO | None = None) -> RunResult:
     return Simulation(config, trace=trace).run(t_end_ms=t_end_ms)

@@ -84,6 +84,19 @@ def test_invalid_config_exit_2(tmp_path, capsys):
     assert "t_end_s" in capsys.readouterr().err
 
 
+# Two vehicles on the same spot, one stopped and one at speed: the mover
+# cannot brake in zero gap, the ordering invariant trips, the run aborts.
+CRASH_YAML = (
+    "name: crash\n"
+    "t_end_s: 5.0\n"
+    "corridor:\n"
+    "  polyline:\n"
+    "    - [40.0, -75.0]\n"
+    "    - [40.01, -75.0]\n"
+    "vehicles:\n"
+    "  - {id: a, s_m: 100.0, speed_mph: 0.0}\n"
+    "  - {id: b, s_m: 100.0, speed_mph: 20.0}\n"
+)
 POLYLINE = "corridor:\n  polyline:\n    - [40.0, -75.0]\n    - [40.01, -75.0]\n"
 
 
@@ -170,6 +183,17 @@ def test_event_trace_dump(tmp_path):
     assert {"mobility-tick", "beacon", "radio-delivery", "app-timer"} <= kinds
 
 
+def test_aborted_run_leaves_the_event_trace_up_to_the_aborting_event(tmp_path, capsys):
+    bad = tmp_path / "crash.yaml"
+    bad.write_text(CRASH_YAML)
+    dump = tmp_path / "events.log"
+    rc = main(["--scenario", str(bad), "--out-dir", str(tmp_path / "out"), "--event-trace", str(dump)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    t, kind, subject = dump.read_text().splitlines()[-1].split(",", 2)
+    assert f"event kind={kind!r} subject={subject!r} at t={t} raised" in err
+
+
 def test_missing_mode_arguments_error():
     with pytest.raises(SystemExit) as err:
         main([])
@@ -199,20 +223,8 @@ def test_unreadable_config_path_exit_2(tmp_path, capsys):
 
 
 def test_runtime_abort_exit_1(tmp_path, capsys):
-    # two vehicles on the same spot, one stopped and one at speed: the mover
-    # cannot brake in zero gap, the ordering invariant trips, the run aborts
     bad = tmp_path / "crash.yaml"
-    bad.write_text(
-        "name: crash\n"
-        "t_end_s: 5.0\n"
-        "corridor:\n"
-        "  polyline:\n"
-        "    - [40.0, -75.0]\n"
-        "    - [40.01, -75.0]\n"
-        "vehicles:\n"
-        "  - {id: a, s_m: 100.0, speed_mph: 0.0}\n"
-        "  - {id: b, s_m: 100.0, speed_mph: 20.0}\n"
-    )
+    bad.write_text(CRASH_YAML)
     rc = main(["--scenario", str(bad), "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     assert "aborted" in capsys.readouterr().err
@@ -246,3 +258,49 @@ def test_script_spawn_time_in_vehicle_spec_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bad.yaml:12" in err and "spawn_t_s is not allowed" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "rsus,line,message",
+    [
+        ("    - {id: rsu1, s_m: 100.0}\n    - {id: rsu1, s_m: 900.0}\n", 9, "duplicate RSU id 'rsu1'"),
+        ("    - {id: system, s_m: 100.0}\n", 8, "RSU id 'system' is reserved"),
+    ],
+)
+def test_bad_rsu_id_exit_2(tmp_path, capsys, rsus, line, message):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("name: x\nt_end_s: 5.0\n" + POLYLINE + "  rsus:\n" + rsus)
+    rc = main(["--scenario", str(bad), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"bad.yaml:{line}" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "t,with_scenario,message",
+    [(5001, True, "past the scenario's t_end of 5000 ms"), (10**12, False, "past the replay ceiling")],
+)
+def test_replay_time_past_its_limit_exit_2(tmp_path, capsys, t, with_scenario, message):
+    trace = tmp_path / "t.ndjson"
+    doc = {"t": t, "vehicle_id": "v", "lat": 40.0, "lon": -75.0, "speed": 0.0}
+    trace.write_text(json.dumps({**doc, "t": 50}) + "\n" + json.dumps(doc) + "\n")
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text("name: x\nt_end_s: 5.0\n" + POLYLINE)
+    argv = ["--trace", str(trace), "--out-dir", str(tmp_path / "out")]
+    rc = main(argv + (["--scenario", str(scenario)] if with_scenario else []))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{trace}:2" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_replay_honours_the_t_end_flag(tmp_path, capsys):
+    trace = tmp_path / "t.ndjson"
+    doc = {"t": 5001, "vehicle_id": "v", "lat": 40.0, "lon": -75.0, "speed": 0.0}
+    trace.write_text(json.dumps(doc) + "\n")
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text("name: x\nt_end_s: 5.0\n" + POLYLINE)
+    rc = main(["--trace", str(trace), "--scenario", str(scenario), "--t-end", "6", "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    assert "replayed 1 records into 6 decisions" in capsys.readouterr().out

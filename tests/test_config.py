@@ -6,7 +6,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from cvsim.config import ConfigError, bundled_scenario_names, load_scenario, parse_scenario
+from cvsim.config import MAX_SPEED_MPS, ConfigError, bundled_scenario_names, load_scenario, parse_scenario
 from cvsim.core import ft_to_m, mph_to_mps
 from cvsim.radio import LinkKind
 
@@ -222,6 +222,8 @@ def test_boundary_base_parses():
         ("speed_mph: 20.0", "speed_mph: .inf", 19, "speed_mph"),
         ("speed_mph: 20.0", "speed_mps: .nan", 19, "speed_mps"),
         ("speed_mph: 20.0", "speed_mps: .inf", 19, "speed_mps"),
+        ("speed_mph: 20.0", "speed_mph: 1.0e+12", 19, "speed_mph"),
+        ("speed_mph: 20.0", "speed_mps: 100.001", 19, "speed_mps"),
         ("spawn_t_s: 0.0", "spawn_t_s: .inf", 20, "spawn_t_s"),
         ("spawn_t_s: 0.0", "spawn_t_s: .nan", 20, "spawn_t_s"),
         ("spawn_t_s: 0.0", "spawn_t_s: -0.0001", 20, "spawn_t_s"),
@@ -234,6 +236,34 @@ def test_out_of_range_values_rejected_with_line(old, new, line, key):
     with pytest.raises(ConfigError) as err:
         parse_scenario(BOUNDARY_BASE.replace(old, new), source="case.yaml")
     assert f"case.yaml:{line}" in str(err.value) and key in str(err.value)
+
+
+def test_speed_at_the_ceiling_parses():
+    cfg = parse_scenario(BOUNDARY_BASE.replace("speed_mph: 20.0", f"speed_mps: {MAX_SPEED_MPS}"))
+    assert cfg.vehicles[0].speed_mps == MAX_SPEED_MPS
+
+
+RSU_BASE = MINIMAL.replace("    - [40.005, -75.0]\n", "    - [40.005, -75.0]\n  rsus:\n    - {id: rsu1, s_m: 100.0}\n")
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ("    - {id: rsu1, s_m: 300.0}\n", "duplicate RSU id 'rsu1'"),
+        ("    - {id: system, s_m: 300.0}\n", "RSU id 'system' is reserved"),
+        ("    - id: system\n      s_m: 300.0\n", "RSU id 'system' is reserved"),
+    ],
+)
+def test_bad_rsu_id_rejected_at_its_line(extra, message):
+    text = RSU_BASE.replace("{id: rsu1, s_m: 100.0}\n", "{id: rsu1, s_m: 100.0}\n" + extra)
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(text, source="case.yaml")
+    assert "case.yaml:9" in str(err.value) and message in str(err.value)
+
+
+def test_distinct_rsu_ids_parse():
+    cfg = parse_scenario(RSU_BASE.replace("s_m: 100.0}\n", "s_m: 100.0}\n    - {id: rsu2, s_m: 300.0}\n"))
+    assert [r.rsu_id for r in cfg.corridor.rsus] == ["rsu1", "rsu2"]
 
 
 # -- hypothesis property: the parser's boundary -------------------------------

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from cvsim.engine import Engine, Event, SchedulingInPastError, SimulationAborted, derive_stream_seed
@@ -103,14 +105,28 @@ def test_derive_stream_seed_is_pure():
 
 def test_trace_digest_detects_identical_runs():
     def run():
-        eng = Engine(seed=9, trace=True)
+        sink = io.StringIO()
+        eng = Engine(seed=9, trace=sink)
         log = []
         for t in (10, 20, 20, 30):
             eng.schedule(make_event(t, f"e{t}", log))
         eng.run_until(100)
-        return eng.trace_digest()
+        return sink.getvalue()
 
-    assert run() == run()
+    first = run()
+    assert first == run()
+    assert first.splitlines() == ["10,app-timer,e10", "20,app-timer,e20", "20,app-timer,e20", "30,app-timer,e30"]
+
+
+def test_trace_ends_with_the_aborting_event():
+    sink = io.StringIO()
+    eng = Engine(trace=sink)
+    eng.schedule(make_event(10, "ok", []))
+    eng.schedule(Event(fire_at=20, kind="app-timer", subject="boom", fn=lambda: 1 / 0))
+    eng.schedule(make_event(30, "never", []))
+    with pytest.raises(SimulationAborted):
+        eng.run_until(100)
+    assert sink.getvalue().splitlines() == ["10,app-timer,ok", "20,app-timer,boom"]
 
 
 def test_run_until_backwards_rejected():

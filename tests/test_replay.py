@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvsim.config import load_scenario
-from cvsim.replay import TraceError, axis_order_key, parse_trace, replay_trace
+from cvsim.replay import MAX_TRACE_T_MS, TraceError, axis_order_key, parse_trace, replay_trace
 from cvsim.report import eval_bucket, write_bsm_trace
 from cvsim.core import GeoPoint
 
@@ -122,16 +122,21 @@ def test_axis_order_key_handles_east_west_roads():
 GOLDEN_LINES = GOLDEN_MIXED_TRACE.read_text(encoding="utf-8").splitlines()
 TRACE_FIELDS = ("t", "vehicle_id", "lat", "lon", "speed", "heading", "truth")
 # Raw JSON spellings; Python's json module reads NaN, Infinity and 1e400 as non-finite floats.
-BAD_JSON_VALUES = ("NaN", "Infinity", "-Infinity", "1e400", "-1", "1.5", "true", '"x"', "null", "[]")
+# The integers probe the replay ceiling and the golden scenario's 40 s t_end.
+BAD_JSON_VALUES = (
+    "NaN", "Infinity", "-Infinity", "1e400", "-1", "1.5", "true", '"x"', "null", "[]",
+    "40000", "40001", str(MAX_TRACE_T_MS), str(MAX_TRACE_T_MS + 1), "1000000000000",
+)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
     line=st.sampled_from(GOLDEN_LINES),
     field=st.sampled_from(TRACE_FIELDS),
     value=st.sampled_from(BAD_JSON_VALUES + (None,)),  # None drops the field
+    t_end_ms=st.sampled_from([None, 40_000]),
 )
-def test_mutated_trace_line_parses_or_raises_trace_error(tmp_path_factory, line, field, value):
+def test_mutated_trace_line_parses_or_raises_trace_error(tmp_path_factory, line, field, value, t_end_ms):
     doc = json.loads(line)
     if value is None:
         doc.pop(field, None)
@@ -142,12 +147,12 @@ def test_mutated_trace_line_parses_or_raises_trace_error(tmp_path_factory, line,
     path = tmp_path_factory.getbasetemp() / "mutated.ndjson"
     path.write_text(text + "\n", encoding="utf-8")
     try:
-        records = parse_trace(path)
+        records = parse_trace(path, t_end_ms=t_end_ms)
     except TraceError:
         return
     (record,) = records
     bsm = record.bsm
-    assert type(bsm.t) is int and bsm.t >= 0
+    assert type(bsm.t) is int and 0 <= bsm.t <= (MAX_TRACE_T_MS if t_end_ms is None else t_end_ms)
     assert all(math.isfinite(x) for x in (bsm.pos.lat, bsm.pos.lon, bsm.speed))
     assert bsm.heading is None or math.isfinite(bsm.heading)
     assert record.truth in (True, False, None)
@@ -160,3 +165,27 @@ def test_bad_trace_time_rejected_with_line(tmp_path, t):
     with pytest.raises(TraceError) as err:
         parse_trace(path)
     assert f"{path}:2" in str(err.value) and "t must be a non-negative integer" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "t,t_end_ms,message",
+    [
+        (MAX_TRACE_T_MS + 1, None, f"past the replay ceiling of {MAX_TRACE_T_MS} ms"),
+        (10**12, None, f"past the replay ceiling of {MAX_TRACE_T_MS} ms"),
+        (40_001, 40_000, "past the scenario's t_end of 40000 ms"),
+        (MAX_TRACE_T_MS + 1, 10**12, f"past the replay ceiling of {MAX_TRACE_T_MS} ms"),
+    ],
+)
+def test_trace_time_past_its_limit_rejected_with_line(tmp_path, t, t_end_ms, message):
+    path = tmp_path / "late.ndjson"
+    path.write_text(GOLDEN_LINES[0] + "\n" + GOLDEN_LINES[1].replace('"t":50', f'"t":{t}') + "\n")
+    with pytest.raises(TraceError) as err:
+        parse_trace(path, t_end_ms=t_end_ms)
+    assert f"{path}:2" in str(err.value) and message in str(err.value)
+
+
+def test_trace_time_at_its_limit_parses(tmp_path):
+    path = tmp_path / "edge.ndjson"
+    path.write_text(GOLDEN_LINES[1].replace('"t":50', f'"t":{MAX_TRACE_T_MS}') + "\n")
+    assert parse_trace(path)[0].bsm.t == MAX_TRACE_T_MS
+    assert len(parse_trace(GOLDEN_MIXED_TRACE, t_end_ms=40_000)) == 1200
