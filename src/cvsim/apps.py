@@ -15,6 +15,10 @@ from typing import Callable, Iterable
 from .core import Bsm, GeoPoint, SimConstants, distance, min_safety_distance
 from .radio import LinkKind
 
+# The queue detector's one window: it decides at every multiple of WINDOW_MS,
+# each time over the messages of the half-open window (t - WINDOW_MS, t].
+WINDOW_MS = 1000
+
 
 class Verdict(enum.Enum):
     SAFE = "safe"
@@ -107,11 +111,16 @@ class QueueDecision:
         }
 
 
-def window_by_vehicle(bsms: Iterable[Bsm], t: int, window_ms: int = 1000) -> dict[str, list[Bsm]]:
-    """The messages with ``t - window_ms < bsm.t <= t``, per vehicle in first-seen order."""
+def eval_bucket(t_emit: int) -> int:
+    """The detector evaluation instant whose window contains ``t_emit``."""
+    return -(-t_emit // WINDOW_MS) * WINDOW_MS
+
+
+def window_by_vehicle(bsms: Iterable[Bsm], t: int) -> dict[str, list[Bsm]]:
+    """The messages with ``t - WINDOW_MS < bsm.t <= t``, per vehicle in first-seen order."""
     per_vehicle: dict[str, list[Bsm]] = {}
     for bsm in bsms:
-        if t - window_ms < bsm.t <= t:
+        if t - WINDOW_MS < bsm.t <= t:
             per_vehicle.setdefault(bsm.vehicle_id, []).append(bsm)
     return per_vehicle
 
@@ -122,7 +131,6 @@ def detect_queue(
     window_bsms: Iterable[Bsm],
     order_key: Callable[[GeoPoint], float],
     constants: SimConstants,
-    window_ms: int = 1000,
 ) -> QueueDecision:
     """Threshold rule over the last second of messages.
 
@@ -132,7 +140,7 @@ def detect_queue(
     Queued means: at least two reporting vehicles, average speed under the
     speed threshold, average separation under the gap threshold.
     """
-    per_vehicle = window_by_vehicle(window_bsms, t, window_ms)
+    per_vehicle = window_by_vehicle(window_bsms, t)
     n_cvs = len(per_vehicle)
     if n_cvs < 2:
         avg_speed = fmean(fmean(b.speed for b in bsms) for bsms in per_vehicle.values()) if n_cvs else None

@@ -2,7 +2,9 @@
 
 Config files are YAML. Validation is strict (unknown keys are rejected) and
 every diagnostic carries the offending line number, which means the loader
-walks the YAML node tree itself instead of using ``safe_load`` directly.
+walks the YAML node tree itself instead of using ``safe_load`` directly. Each
+scalar is still built by the loader that composed it, so its tag, and with it
+any quoting, decides its type: ``id: "42"`` is a string.
 
 US-customary units (mph, ft) are accepted at this boundary and converted to SI
 immediately; nothing past this module sees them.
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import yaml
 
+from .broker import TopicError, split_topic
 from .core import GeoPoint, SimConstants, ft_to_m, mph_to_mps, mps_to_mph
 from .mobility import QUEUE_MIN_VEHICLES, Corridor, MobilityConfig, RsuSpec, SignalSpec
 from .radio import LinkKind, LinkModel, default_link_models
@@ -57,7 +60,7 @@ def seconds_to_ms(seconds: float, name: str, positive: bool, source: str, line: 
 # YAML loading with a per-path line map
 # --------------------------------------------------------------------------
 
-def _convert(node: yaml.Node, path: tuple, lines: dict[tuple, int], source: str):
+def _convert(node: yaml.Node, path: tuple, lines: dict[tuple, int], source: str, loader: yaml.SafeLoader):
     lines[path] = node.start_mark.line + 1
     if isinstance(node, yaml.MappingNode):
         out: dict = {}
@@ -67,28 +70,36 @@ def _convert(node: yaml.Node, path: tuple, lines: dict[tuple, int], source: str)
             key = key_node.value
             if key in out:
                 raise ConfigError(f"duplicate key {key!r}", source, key_node.start_mark.line + 1)
-            out[key] = _convert(value_node, path + (key,), lines, source)
+            out[key] = _convert(value_node, path + (key,), lines, source, loader)
             lines[path + (key,)] = key_node.start_mark.line + 1
         return out
     if isinstance(node, yaml.SequenceNode):
         return [
-            _convert(child, path + (i,), lines, source) for i, child in enumerate(node.value)
+            _convert(child, path + (i,), lines, source, loader) for i, child in enumerate(node.value)
         ]
-    assert isinstance(node, yaml.ScalarNode)
-    return yaml.safe_load(node.value) if node.value != "" else None
+    try:
+        return loader.construct_object(node)
+    # SafeLoader's scalar constructors raise these on an unknown tag or a
+    # malformed tagged value: !foo x, !!int abc, !!bool maybe, 2020-13-45.
+    except (yaml.YAMLError, ValueError, KeyError, AttributeError):
+        tag = node.tag.replace("tag:yaml.org,2002:", "!!")
+        raise ConfigError(f"cannot read {node.value!r} as {tag}", source, lines[path])
 
 
 def load_yaml_with_lines(text: str, source: str) -> tuple[dict, dict[tuple, int]]:
+    lines: dict[tuple, int] = {}
     try:
-        root = yaml.compose(text)
+        loader = yaml.SafeLoader(text)
+        root = loader.get_single_node()
+        data = None if root is None else _convert(root, (), lines, source, loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else None
         raise ConfigError(f"YAML syntax error: {getattr(exc, 'problem', exc)}", source, line)
+    except RecursionError:
+        raise ConfigError("nested too deeply, or an alias refers to a collection that contains it", source)
     if root is None:
         raise ConfigError("empty config", source)
-    lines: dict[tuple, int] = {}
-    data = _convert(root, (), lines, source)
     if not isinstance(data, dict):
         raise ConfigError("top level must be a mapping", source, 1)
     return data, lines
@@ -151,6 +162,16 @@ class _Section:
         if seconds is None:
             return {}
         return {name: seconds_to_ms(seconds, key, positive, self.source, self.line(key))}
+
+    def check_topic(self, key: str, value: str, topic: str) -> None:
+        """Reject ``value``, read under ``key``, unless ``topic`` is a valid broker topic.
+
+        ``topic`` is the longest topic a run builds from ``value``.
+        """
+        try:
+            split_topic(topic)
+        except TopicError as exc:
+            raise self.error(f"{key} {value!r} cannot form a topic: {exc}", key)
 
     def build(self, make, *args, **kwargs):
         """``make(*args, **kwargs)`` once no unknown key is left; its ValueError anchors here."""
@@ -292,6 +313,7 @@ def _parse_corridor(section: _Section) -> Corridor:
             s_m=s.get("s_m", float, required=True),
             **s.present({"obstruction": float}),
         )
+        s.check_topic("id", rsu.rsu_id, f"bsm/processed/{rsu.rsu_id}")
         if rsu.rsu_id == SYSTEM_NODE_ID:
             raise s.error(f"RSU id {SYSTEM_NODE_ID!r} is reserved for the backend node", "id")
         if any(r.rsu_id == rsu.rsu_id for r in rsus):
@@ -342,8 +364,9 @@ def _parse_handoff(section: _Section | None) -> BeaconConfig:
     return section.build(BeaconConfig, **kwargs)
 
 
-def _parse_spawn_fields(s: _Section, spawn_t_ms: int) -> VehicleSpawn:
+def _parse_spawn_fields(s: _Section, spawn_t_ms: int, corridor_length_m: float) -> VehicleSpawn:
     vid = s.get("id", str, required=True)
+    s.check_topic("id", vid, f"bsm/raw/{vid}")
     if s.has("s_m") and s.has("s_ft"):
         raise s.error("give s_m or s_ft, not both", "s_ft")
     if s.has("s_m"):
@@ -352,6 +375,8 @@ def _parse_spawn_fields(s: _Section, spawn_t_ms: int) -> VehicleSpawn:
         s_pos = ft_to_m(s.get("s_ft", float))
     else:
         raise s.error(f"vehicle {vid!r} needs s_m or s_ft")
+    if not 0.0 <= s_pos <= corridor_length_m:  # also false for NaN
+        raise s.error(f"vehicle {vid!r} spawns outside the corridor")
     if s.has("speed_mph") and s.has("speed_mps"):
         raise s.error("give speed_mph or speed_mps, not both", "speed_mps")
     if s.has("speed_mph"):
@@ -375,7 +400,9 @@ def _parse_spawn_fields(s: _Section, spawn_t_ms: int) -> VehicleSpawn:
     )
 
 
-def _parse_script(root: _Section, vehicles: list[VehicleSpawn], signal_ids: set[str]) -> list[Directive]:
+def _parse_script(
+    root: _Section, vehicles: list[VehicleSpawn], signal_ids: set[str], corridor_length_m: float
+) -> list[Directive]:
     parsed: list[tuple[Directive, _Section]] = []
     for item, path in root.seq("script"):
         s = root.item_section(item, path)
@@ -394,7 +421,7 @@ def _parse_script(root: _Section, vehicles: list[VehicleSpawn], signal_ids: set[
             vsec = s.sub("vehicle_spec", required=True)
             if vsec.has("spawn_t_s"):
                 raise vsec.error("a script spawn starts at its at_s; spawn_t_s is not allowed here", "spawn_t_s")
-            spawn = _parse_spawn_fields(vsec, at_ms)
+            spawn = _parse_spawn_fields(vsec, at_ms, corridor_length_m)
             vsec.reject_unknown()
             directive = Directive(at_ms=at_ms, action=action, spawn=spawn)
         else:
@@ -432,6 +459,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     seed = root.get("seed", int, default=0)
     t_end_ms = root.get_ms("t_end_s", positive=True, default=None)
     region = root.get("region", str, default="corridor")
+    root.check_topic("region", region, f"warning/region/{region}")
     speed_tier = root.get("speed_tier_mph", int, default=20)
     try:
         links = default_link_models(speed_tier)
@@ -474,16 +502,14 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     seen_ids: set[str] = set()
     for item, path in root.seq("vehicles"):
         s = root.item_section(item, path)
-        spawn = _parse_spawn_fields(s, s.get_ms("spawn_t_s", positive=False, default=0.0))
+        spawn = _parse_spawn_fields(s, s.get_ms("spawn_t_s", positive=False, default=0.0), corridor.length_m)
         s.reject_unknown()
         if spawn.vehicle_id in seen_ids:
             raise s.error(f"duplicate vehicle id {spawn.vehicle_id!r}")
         seen_ids.add(spawn.vehicle_id)
-        if not 0.0 <= spawn.s_m <= corridor.length_m:
-            raise s.error(f"vehicle {spawn.vehicle_id!r} spawns outside the corridor")
         vehicles.append(spawn)
 
-    script = _parse_script(root, vehicles, {s.signal_id for s in corridor.signals})
+    script = _parse_script(root, vehicles, {s.signal_id for s in corridor.signals}, corridor.length_m)
 
     root.reject_unknown()
     return ScenarioConfig(

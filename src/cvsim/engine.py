@@ -54,7 +54,6 @@ class Event:
 class SimSummary:
     events_processed: int
     end_time_ms: int
-    by_kind: dict[str, int]
 
 
 def derive_stream_seed(seed: int, stream_id: str) -> int:
@@ -109,9 +108,6 @@ class Engine:
     def at(self, fire_at: int, kind: str, subject: str, fn: EventFn) -> int:
         return self.schedule(Event(fire_at=fire_at, kind=kind, subject=subject, fn=fn))
 
-    def after(self, delay: int, kind: str, subject: str, fn: EventFn) -> int:
-        return self.at(self._now + delay, kind, subject, fn)
-
     def run_until(self, t_end: int) -> SimSummary:
         """Process every event with fire_at <= t_end, in (fire_at, seq) order.
 
@@ -121,7 +117,6 @@ class Engine:
         if t_end < self._now:
             raise SchedulingInPastError(f"t_end={t_end} is before now={self._now}")
         processed = 0
-        by_kind: dict[str, int] = {}
         while self._queue and self._queue[0][0] <= t_end:
             _, _, event = heapq.heappop(self._queue)
             self._now = event.fire_at
@@ -132,9 +127,8 @@ class Engine:
             except Exception as exc:
                 raise SimulationAborted(event, exc) from exc
             processed += 1
-            by_kind[event.kind] = by_kind.get(event.kind, 0) + 1
         self._now = t_end
-        return SimSummary(events_processed=processed, end_time_ms=self._now, by_kind=by_kind)
+        return SimSummary(events_processed=processed, end_time_ms=self._now)
 
     def pending(self) -> int:
         return len(self._queue)

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .apps import QueueDecision, accuracy, detect_queue
+from .apps import WINDOW_MS, QueueDecision, accuracy, detect_queue, eval_bucket
 from .core import Bsm, GeoPoint, SimConstants
 from .mobility import DEG_TO_M, Corridor
-from .report import eval_bucket, write_queue_csv
+from .report import write_queue_csv
 
 REPLAY_RSU_ID = "replay"
 # The largest message time a trace may carry: one day. Replay makes one
@@ -115,7 +115,6 @@ def replay_trace(
     records: list[TraceRecord],
     constants: SimConstants | None = None,
     corridor: Corridor | None = None,
-    window_ms: int = 1000,
 ) -> ReplayResult:
     """Run the detector at one-second cadence over the whole trace."""
     constants = constants or SimConstants()
@@ -124,11 +123,11 @@ def replay_trace(
     order_key = corridor.project if corridor is not None else axis_order_key(records)
     by_bucket: dict[int, list[TraceRecord]] = {}
     for record in records:
-        by_bucket.setdefault(eval_bucket(record.bsm.t, window_ms), []).append(record)
+        by_bucket.setdefault(eval_bucket(record.bsm.t), []).append(record)
     last_bucket = max(by_bucket)
     decisions: list[QueueDecision] = []
     truths: list[bool | None] = []
-    for t in range(window_ms, last_bucket + window_ms, window_ms):
+    for t in range(WINDOW_MS, last_bucket + WINDOW_MS, WINDOW_MS):
         bucket = by_bucket.get(t, [])
         decisions.append(
             detect_queue(
@@ -137,7 +136,6 @@ def replay_trace(
                 window_bsms=[r.bsm for r in bucket],
                 order_key=order_key,
                 constants=constants,
-                window_ms=window_ms,
             )
         )
         flags = [r.truth for r in bucket if r.truth is not None]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .apps import QueueDecision, accuracy
+from .apps import QueueDecision, accuracy, eval_bucket
 from .core import m_to_ft, mps_to_mph, round_half_away
 from .radio import LinkKind
 from .sim import RunResult, SYSTEM_NODE_ID
@@ -117,7 +117,7 @@ class ReportFigures:
 def compute_figures(result: RunResult) -> ReportFigures:
     by_rsu: dict[str, tuple[list[bool], list[bool]]] = {}
     for e in result.queue_evals:
-        decided, truth = by_rsu.setdefault(e.rsu, ([], []))
+        decided, truth = by_rsu.setdefault(e.decision.rsu, ([], []))
         decided.append(e.decision.queued)
         truth.append(e.truth)
     queues = [
@@ -188,11 +188,6 @@ def write_coverage_csv(result: RunResult, path: Path) -> None:
         for r in result.coverage
     ]
     write_csv(path, ["rsu", "distance_m", "rssi_dbm", "p_loss"], rows)
-
-
-def eval_bucket(t_emit: int, window_ms: int = 1000) -> int:
-    """The detector evaluation instant whose window contains ``t_emit``."""
-    return -(-t_emit // window_ms) * window_ms
 
 
 def write_bsm_trace(result: RunResult, path: Path) -> int:

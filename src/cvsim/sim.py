@@ -12,6 +12,9 @@ Layer wiring:
   same payload over the backhaul, run the queue detector once per second, and
   broadcast handoff beacons; a beacon that cannot reach a vehicle is counted
   in ``RunResult.beacons_out_of_range``, not logged as a packet;
+* a roadside node keeps a window of received telemetry only while the
+  detector runs: each tick reads it and trims it to the last
+  ``apps.WINDOW_MS``, and with detection disabled it stays empty;
 * the backend node is the same kind of node with an unbounded archive: it
   stores everything it receives and hosts the region-wide warning topic that
   relays sudden-stop warnings to subscribed vehicles beyond short-range reach.
@@ -39,6 +42,7 @@ from typing import TextIO
 
 from . import handoff as ho
 from .apps import (
+    WINDOW_MS,
     AvoidanceDecision,
     QueueDecision,
     WarningDedup,
@@ -74,7 +78,10 @@ class PacketRecord:
     rx: str
     link: LinkKind
     kind: str  # bsm | bsm_forward | beacon | warning | queue_status
-    delivered: bool
+
+    @property
+    def delivered(self) -> bool:
+        return self.t_recv is not None
 
     @property
     def latency_ms(self) -> int | None:
@@ -83,7 +90,6 @@ class PacketRecord:
 
 @dataclass(frozen=True)
 class QueueEval:
-    rsu: str
     decision: QueueDecision
     truth: bool
 
@@ -247,6 +253,7 @@ class Simulation:
             p_near=config.handoff.beacon_p_near,
             ramp_start_frac=1.0,
         )
+        self._prune_interval_ms = max(1, config.fixed_edge_retention_ms // 4)
         self._ran = False
 
     # -- setup ------------------------------------------------------------
@@ -294,9 +301,6 @@ class Simulation:
             kind=kind,
             tx=node.node_id,
             rx=SYSTEM_NODE_ID,
-            link=LinkKind.WIFI,
-            distance_m=0.0,
-            obstruction=0.0,
             model=BACKHAUL,
             deliver=lambda: self._publish(self.backend, topic, payload, node.node_id),
         )
@@ -306,41 +310,38 @@ class Simulation:
         kind: str,
         tx: str,
         rx: str,
-        link: LinkKind,
-        distance_m: float,
-        obstruction: float,
+        model: LinkModel,
         deliver,
+        distance_m: float = 0.0,
+        obstruction: float = 0.0,
         profile: LatencyProfile = LatencyProfile.DATA,
-        model: LinkModel | None = None,
     ) -> None:
-        """Range-gate, then transmit; an out-of-range send is logged as lost."""
-        model = model or self.links[link]
+        """Range-gate, then transmit; an out-of-range send is logged as lost.
+
+        The distance and obstruction default to 0, which is all an unbounded link needs.
+        """
         if in_range(distance_m, model, obstruction):
-            self._transmit(kind, tx, rx, link, model, distance_m, obstruction, deliver, profile)
+            self._transmit(kind, tx, rx, model, deliver, distance_m, obstruction, profile)
         else:
-            now = self.engine.now
-            self.packets.append(PacketRecord(now, None, tx, rx, link, kind, delivered=False))
+            self.packets.append(PacketRecord(self.engine.now, None, tx, rx, model.kind, kind))
 
     def _transmit(
         self,
         kind: str,
         tx: str,
         rx: str,
-        link: LinkKind,
         model: LinkModel,
+        deliver,
         distance_m: float,
         obstruction: float,
-        deliver,
         profile: LatencyProfile = LatencyProfile.DATA,
     ) -> None:
         """Draw loss/latency for an in-range send, log it, and schedule the delivery event."""
         now = self.engine.now
-        rng = self.engine.stream(f"radio.{link.value}.delivery")
+        rng = self.engine.stream(f"radio.{model.kind.value}.delivery")
         outcome = sample_delivery(distance_m, model, rng, obstruction, profile)
         t_recv = None if outcome is None else now + outcome.latency_ms  # None: lost on the channel
-        self.packets.append(
-            PacketRecord(now, t_recv, tx, rx, link, kind, delivered=t_recv is not None)
-        )
+        self.packets.append(PacketRecord(now, t_recv, tx, rx, model.kind, kind))
         if t_recv is not None:
             self.engine.at(t_recv, "radio-delivery", f"{kind}:{tx}->{rx}", deliver)
 
@@ -349,7 +350,7 @@ class Simulation:
     def _mobility_tick(self) -> None:
         self.world.step(self.tick_ms / 1000.0)
         self._apply_due_directives()
-        self.engine.after(self.tick_ms, "mobility-tick", "world", self._mobility_tick)
+        self.engine.at(self.engine.now + self.tick_ms, "mobility-tick", "world", self._mobility_tick)
 
     def _apply_due_directives(self) -> None:
         while self._pending and self._pending[0].at_ms <= self.world.t_state_ms:
@@ -375,9 +376,8 @@ class Simulation:
         now = self.engine.now
         cfg = self.config.handoff
         model = self._beacon_model
-        vids = self._spawned_agents()
         receivers: list[list[tuple[str, GeoPoint]]] = [[] for _ in self.rsus]
-        for vid in vids:
+        for vid in self.agents:
             pos = self.world.position_geo(vid)
             for i in self._rsu_index.within(pos, model.range_m):
                 receivers[i].append((vid, pos))
@@ -392,13 +392,12 @@ class Simulation:
                     kind="beacon",
                     tx=node.node_id,
                     rx=vid,
-                    link=cfg.short_range,
                     model=model,
                     distance_m=d,
                     obstruction=node.obstruction,
                     deliver=lambda a=self.agents[vid]: self._on_beacon(a),
                 )
-        self.beacons_out_of_range += len(self.rsus) * len(vids) - sent
+        self.beacons_out_of_range += len(self.rsus) * len(self.agents) - sent
         self.engine.at(now + cfg.beacon_interval_ms, "beacon", "rsus", self._beacon_round)
 
     def _on_beacon(self, agent: _VehicleAgent) -> None:
@@ -419,13 +418,9 @@ class Simulation:
         if event is not None:
             self.handoff_events.append(event)
 
-    def _spawned_agents(self) -> list[str]:
-        return [vid for vid in self.agents if vid in self.world.vehicles]
-
     def _bsm_round(self) -> None:
         now = self.engine.now
-        for vid in self._spawned_agents():
-            agent = self.agents[vid]
+        for vid, agent in self.agents.items():
             state = self.world.vehicles[vid]
             bsm = Bsm(t=now, vehicle_id=vid, pos=self.world.position_geo(vid), speed=state.speed)
             if not ho.can_transmit(agent.handoff, now):
@@ -436,9 +431,7 @@ class Simulation:
                     kind="bsm",
                     tx=vid,
                     rx=SYSTEM_NODE_ID,
-                    link=LinkKind.LTE,
-                    distance_m=0.0,
-                    obstruction=0.0,
+                    model=self.links[link],
                     deliver=lambda b=bsm, v=vid: self._publish(self.backend, f"bsm/raw/{v}", b.to_doc(), v),
                 )
             else:
@@ -450,7 +443,7 @@ class Simulation:
                     kind="bsm",
                     tx=vid,
                     rx=node.node_id,
-                    link=link,
+                    model=self.links[link],
                     distance_m=d,
                     obstruction=node.obstruction,
                     deliver=lambda b=bsm, n=node: self._rsu_ingest_bsm(n, b),
@@ -460,7 +453,8 @@ class Simulation:
     # -- data plane ---------------------------------------------------------
 
     def _rsu_ingest_bsm(self, node: _RsuNode, bsm: Bsm) -> None:
-        node.window.append(bsm)
+        if self.config.detection.enabled:
+            node.window.append(bsm)
         self._forward(node, "bsm_forward", f"bsm/raw/{bsm.vehicle_id}", bsm.to_doc())
 
     def _emit_warning(self, vehicle_id: str) -> None:
@@ -473,7 +467,7 @@ class Simulation:
         )
         src_pos = warning.pos
         dsrc = self.links[LinkKind.DSRC]
-        for vid in self._spawned_agents():
+        for vid, agent in self.agents.items():
             if vid == vehicle_id:
                 continue
             d = distance(src_pos, self.world.position_geo(vid))
@@ -481,12 +475,10 @@ class Simulation:
                 kind="warning",
                 tx=vehicle_id,
                 rx=vid,
-                link=LinkKind.DSRC,
-                distance_m=d,
-                obstruction=0.0,
-                profile=LatencyProfile.WARNING,
                 model=dsrc,
-                deliver=lambda a=self.agents[vid], w=warning: self._on_warning_direct(a, w),
+                distance_m=d,
+                profile=LatencyProfile.WARNING,
+                deliver=lambda a=agent, w=warning: self._handle_warning(a, w, LinkKind.DSRC),
             )
         # Region-wide relay rides cellular into the backend broker; fan-out to
         # subscribers models the whole relay path, so its latency is the
@@ -495,15 +487,10 @@ class Simulation:
             kind="warning",
             tx=vehicle_id,
             rx=SYSTEM_NODE_ID,
-            link=LinkKind.LTE,
-            distance_m=0.0,
-            obstruction=0.0,
+            model=self.links[LinkKind.LTE],
             profile=LatencyProfile.WARNING,
             deliver=lambda: self._publish(self.backend, self._warning_topic, warning.to_doc(), vehicle_id),
         )
-
-    def _on_warning_direct(self, agent: _VehicleAgent, warning: WarningMessage) -> None:
-        self._handle_warning(agent, warning, LinkKind.DSRC)
 
     def _on_warning_via_broker(self, agent: _VehicleAgent, msg: BrokerMessage) -> None:
         warning = WarningMessage(
@@ -516,8 +503,6 @@ class Simulation:
     def _handle_warning(self, agent: _VehicleAgent, warning: WarningMessage, link: LinkKind) -> None:
         if warning.source_vehicle == agent.vehicle_id:
             return  # own warning echoed back through the region topic
-        if agent.vehicle_id not in self.world.vehicles:
-            return
         if not agent.dedup.first(warning):
             return
         state = self.world.vehicles[agent.vehicle_id]
@@ -548,11 +533,11 @@ class Simulation:
                 order_key=self.corridor.project,
                 constants=self.constants,
             )
-            self.queue_evals.append(QueueEval(rsu=node.node_id, decision=decision, truth=truth))
+            self.queue_evals.append(QueueEval(decision=decision, truth=truth))
             self._publish_processed(node, now)
             self._forward(node, "queue_status", f"queue/status/{node.node_id}", decision.to_doc())
-            node.window = [b for b in node.window if b.t > now - 1000]
-        self.engine.at(now + 1000, "detector-tick", "rsus", self._detector_tick)
+            node.window = [b for b in node.window if b.t > now - WINDOW_MS]
+        self.engine.at(now + WINDOW_MS, "detector-tick", "rsus", self._detector_tick)
 
     def _publish_processed(self, node: _RsuNode, now: int) -> None:
         per_vehicle = window_by_vehicle(node.window, now)
@@ -570,10 +555,10 @@ class Simulation:
         self._publish(node, f"bsm/processed/{node.node_id}", payload, node.node_id)
 
     def _prune_archives(self) -> None:
+        now = self.engine.now
         for node in self.rsus:
-            node.archive.prune(self.engine.now)
-        interval = max(1, self.config.fixed_edge_retention_ms // 4)
-        self.engine.after(interval, "app-timer", "archive-prune", self._prune_archives)
+            node.archive.prune(now)
+        self.engine.at(now + self._prune_interval_ms, "app-timer", "archive-prune", self._prune_archives)
 
     # -- coverage -------------------------------------------------------------
 
@@ -611,10 +596,9 @@ class Simulation:
             self.engine.at(BEACON_PHASE_MS, "beacon", "rsus", self._beacon_round)
         self.engine.at(BSM_PHASE_MS, "app-timer", "bsm-round", self._bsm_round)
         if self.rsus and self.config.detection.enabled:
-            self.engine.at(1000, "detector-tick", "rsus", self._detector_tick)
+            self.engine.at(WINDOW_MS, "detector-tick", "rsus", self._detector_tick)
         if self.rsus:
-            interval = max(1, self.config.fixed_edge_retention_ms // 4)
-            self.engine.at(interval, "app-timer", "archive-prune", self._prune_archives)
+            self.engine.at(self._prune_interval_ms, "app-timer", "archive-prune", self._prune_archives)
         summary = self.engine.run_until(t_end)
         return RunResult(
             config=self.config,

@@ -106,6 +106,9 @@ POLYLINE = "corridor:\n  polyline:\n    - [40.0, -75.0]\n    - [40.01, -75.0]\n"
         ("t_end_s: .inf\n", 2, "t_end_s"),
         ("t_end_s: .nan\n", 2, "t_end_s"),
         ("t_end_s: 1.0\nconstants:\n  bsm_interval_s: 0.0001\n", 4, "bsm_interval_s"),
+        ("t_end_s: 1.0\nregion: \"a+b\"\n", 3, "region 'a+b' cannot form a topic"),
+        ("t_end_s: 1.0\nregion: a//b\n", 3, "region 'a//b' cannot form a topic"),
+        ("t_end_s: !foo 1.0\n", 2, "cannot read '1.0' as !foo"),
     ],
 )
 def test_boundary_values_exit_2_at_parse_time(tmp_path, capsys, body, line, key):
@@ -265,11 +268,38 @@ def test_script_spawn_time_in_vehicle_spec_exit_2(tmp_path, capsys):
     [
         ("    - {id: rsu1, s_m: 100.0}\n    - {id: rsu1, s_m: 900.0}\n", 9, "duplicate RSU id 'rsu1'"),
         ("    - {id: system, s_m: 100.0}\n", 8, "RSU id 'system' is reserved"),
+        ("    - {id: rsu1, s_m: 100.0}\n    - {id: \"r#1\", s_m: 900.0}\n", 9, "id 'r#1' cannot form a topic"),
     ],
 )
 def test_bad_rsu_id_exit_2(tmp_path, capsys, rsus, line, message):
     bad = tmp_path / "bad.yaml"
     bad.write_text("name: x\nt_end_s: 5.0\n" + POLYLINE + "  rsus:\n" + rsus)
+    rc = main(["--scenario", str(bad), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"bad.yaml:{line}" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "tail,line,message",
+    [
+        ("vehicles:\n  - {id: \"c+v\", s_m: 10.0, speed_mph: 20.0}\n", 8, "id 'c+v' cannot form a topic"),
+        (
+            "script:\n  - {at_s: 0, action: spawn, vehicle_spec: {id: cv2, s_m: 1.0e+9, speed_mph: 20.0}}\n",
+            8,
+            "vehicle 'cv2' spawns outside the corridor",
+        ),
+        (
+            "script:\n  - {at_s: 1.0, action: spawn, vehicle_spec: {id: cv2, s_m: 1.0e+9, speed_mph: 20.0}}\n",
+            8,
+            "vehicle 'cv2' spawns outside the corridor",
+        ),
+    ],
+)
+def test_bad_spawn_exit_2(tmp_path, capsys, tail, line, message):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("name: x\nt_end_s: 5.0\n" + POLYLINE + tail)
     rc = main(["--scenario", str(bad), "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err

@@ -8,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from cvsim.config import MAX_SPEED_MPS, ConfigError, bundled_scenario_names, load_scenario, parse_scenario
 from cvsim.core import ft_to_m, mph_to_mps
+from cvsim.engine import SimulationAborted
+from cvsim.mobility import OvertakeError
 from cvsim.radio import LinkKind
+from cvsim.sim import run_scenario
 
 MINIMAL = """\
 name: tiny
@@ -266,42 +269,123 @@ def test_distinct_rsu_ids_parse():
     assert [r.rsu_id for r in cfg.corridor.rsus] == ["rsu1", "rsu2"]
 
 
+# -- YAML quoting, tags and topic-safe names ----------------------------------
+
+
+@pytest.mark.parametrize("quoted", ['"42"', '"null"', "'yes'", '"a: b"', '"1.5"'])
+def test_quoted_scalar_stays_a_string(quoted):
+    cfg = parse_scenario(MINIMAL.replace("id: cv1", f"id: {quoted}"))
+    assert cfg.vehicles[0].vehicle_id == quoted[1:-1]
+
+
+@pytest.mark.parametrize(
+    "old,new,line,message",
+    [
+        ("id: cv1", "id: !foo cv1", 9, "cannot read 'cv1' as !foo"),
+        ("seed: 0", "seed: !!int abc", 2, "cannot read 'abc' as !!int"),
+        ("seed: 0", "seed: 2020-13-45", 2, "cannot read '2020-13-45' as !!timestamp"),
+    ],
+)
+def test_unreadable_scalar_rejected_with_line(old, new, line, message):
+    text = MINIMAL.replace("t_end_s: 5.0", "seed: 0\nt_end_s: 5.0")
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(text.replace(old, new), source="case.yaml")
+    assert f"case.yaml:{line}" in str(err.value) and message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "polyline",
+    ["&p [[40.0, -75.0], *p]", "&p {a: *p}", pytest.param("[" * 3000 + "]" * 3000, id="3000-deep")],
+)
+def test_cyclic_alias_or_deep_nesting_rejected(polyline):
+    text = MINIMAL.replace("  polyline:\n    - [40.0, -75.0]\n    - [40.005, -75.0]\n", f"  polyline: {polyline}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(text, source="case.yaml")
+    assert "nested too deeply, or an alias refers to a collection that contains it" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "value", ['"a+b"', '"#"', "a//b", "x/", "/x", "a/+/b", pytest.param("v" * 250, id="250-bytes")]
+)
+@pytest.mark.parametrize(
+    "key,old,line",
+    [
+        ("id", "id: cv1", 10),
+        ("region", "t_end_s: 5.0", 3),
+        ("id", "id: rsu1", 8),
+    ],
+)
+def test_name_that_cannot_form_a_topic_rejected_with_line(key, old, line, value):
+    new = f"{old}\nregion: {value}" if key == "region" else f"id: {value}"
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(RSU_BASE.replace(old, new), source="case.yaml")
+    assert f"case.yaml:{line}" in str(err.value) and "cannot form a topic" in str(err.value)
+
+
+def test_vehicle_id_and_region_with_slashes_run():
+    cfg = parse_scenario(MINIMAL.replace("id: cv1", "id: a/b") + "region: north/east\n")
+    assert cfg.vehicles[0].vehicle_id == "a/b" and cfg.region == "north/east"
+    assert run_scenario(cfg).archives["system"].count("bsm/raw/a/b") > 0
+
+
 # -- hypothesis property: the parser's boundary -------------------------------
 
 # YAML spellings that PyYAML resolves to floats/ints: nan, inf, -inf, -1, 0, 1e-9, 1e12.
 BOUNDARY_VALUES = (".nan", ".inf", "-.inf", "-1", "0", "1.0e-9", "1.0e+12")
+# Names that no topic can hold, and the backend's reserved id. Each base's own
+# names are drawn too, so a name can also take a sibling's id.
+NAME_KEYS = {"id", "vehicle", "signal", "region"}
+NAME_VALUES = ('"a+b"', '"#"', '"a//b"', '"x/"', "system")
+# Long enough for every bundled topic to be published: the first detector tick
+# at 1 s and the README example's script spawn at 3 s.
+RUN_MS = 4000
 
 
-def numeric_scalar_spans(text):
-    """(start, end) offsets of every int or float scalar in a YAML document."""
-    spans, stack = [], [yaml.compose(text)]
+def mutable_spans(text):
+    """(start, end, kind) of every int or float scalar ("number") and every name scalar ("name")."""
+    spans, stack = [], [(None, yaml.compose(text))]
     while stack:
-        node = stack.pop()
+        key, node = stack.pop()
         if isinstance(node, yaml.MappingNode):
-            stack += [value for _, value in node.value]
+            stack += [(k.value, value) for k, value in node.value]
         elif isinstance(node, yaml.SequenceNode):
-            stack += node.value
+            stack += [(None, child) for child in node.value]
         elif node.tag in ("tag:yaml.org,2002:int", "tag:yaml.org,2002:float"):
-            spans.append((node.start_mark.index, node.end_mark.index))
+            spans.append((node.start_mark.index, node.end_mark.index, "number"))
+        elif key in NAME_KEYS:
+            spans.append((node.start_mark.index, node.end_mark.index, "name"))
     return sorted(spans)
 
 
-BUNDLED_TEXTS = {
+README = Path(__file__).resolve().parent.parent / "README.md"
+README_BLOCKS = re.findall(r"```yaml\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+BASE_TEXTS = {
     name: (importlib.resources.files("cvsim") / "scenarios" / f"{name}.yaml").read_text(encoding="utf-8")
     for name in bundled_scenario_names()
-}
-NUMERIC_SPANS = {name: numeric_scalar_spans(text) for name, text in BUNDLED_TEXTS.items()}
+} | {"README": README_BLOCKS[0]}
+SPANS = {name: mutable_spans(text) for name, text in BASE_TEXTS.items()}
 
 
 @settings(max_examples=400, deadline=None)
-@given(name=st.sampled_from(sorted(BUNDLED_TEXTS)), value=st.sampled_from(BOUNDARY_VALUES), data=st.data())
-def test_mutated_bundled_scenario_parses_or_raises_config_error(name, value, data):
-    text = BUNDLED_TEXTS[name]
-    start, end = data.draw(st.sampled_from(NUMERIC_SPANS[name]))
+@given(name=st.sampled_from(sorted(BASE_TEXTS)), data=st.data())
+def test_mutated_bundled_scenario_parses_or_raises_config_error(name, data):
+    """A bundled scenario or the README example with one number or name changed
+    is rejected with a ConfigError, or runs its first seconds.
+
+    A run may abort only with the ``OvertakeError`` of two vehicles that meet.
+    """
+    text = BASE_TEXTS[name]
+    start, end, kind = data.draw(st.sampled_from(SPANS[name]))
+    names = tuple(text[s:e] for s, e, k in SPANS[name] if k == "name")
+    value = data.draw(st.sampled_from(BOUNDARY_VALUES if kind == "number" else NAME_VALUES + names))
     try:
-        parse_scenario(text[:start] + value + text[end:], source=f"{name}.yaml")
+        cfg = parse_scenario(text[:start] + value + text[end:], source=f"{name}.yaml")
     except ConfigError:
-        pass
+        return
+    try:
+        run_scenario(cfg, t_end_ms=min(cfg.t_end_ms, RUN_MS))
+    except SimulationAborted as exc:
+        assert isinstance(exc.cause, OvertakeError), exc
 
 
 # -- one knob per setting, each checked by the dataclass that owns it ---------
@@ -392,11 +476,7 @@ def test_hard_brake_at_its_spawn_millisecond_parses():
 
 # -- the README's configuration reference -------------------------------------
 
-README = Path(__file__).resolve().parent.parent / "README.md"
-
-
 def test_readme_yaml_blocks_parse():
-    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
-    assert blocks
-    for block in blocks:
+    assert README_BLOCKS
+    for block in README_BLOCKS:
         parse_scenario(block, source="README.md")

@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cvsim.apps import eval_bucket
 from cvsim.config import load_scenario
 from cvsim.replay import MAX_TRACE_T_MS, TraceError, axis_order_key, parse_trace, replay_trace
-from cvsim.report import eval_bucket, write_bsm_trace
+from cvsim.report import write_bsm_trace
 from cvsim.core import GeoPoint
 
 GOLDEN_MIXED_TRACE = Path(__file__).parent / "data" / "golden_mixed_40s.ndjson"

@@ -112,6 +112,15 @@ def test_detector_window_population(scenario_runs):
     assert first.t == 1000 and first.n_cvs == 3
 
 
+def test_rsu_windows_stay_empty_without_the_detector():
+    cfg = load_scenario("rsu_coverage_pass")
+    assert not cfg.detection.enabled
+    sim = Simulation(cfg)
+    result = sim.run()
+    assert result.archives["rsu1"].count("bsm/raw/#") > 0  # the RSU did receive telemetry
+    assert all(node.window == [] for node in sim.rsus)
+
+
 def test_rsu_archive_retention_bounded(scenario_runs):
     result = scenario_runs("queue_full_penetration")
     rsu_archive = result.archives["rsu1"]
