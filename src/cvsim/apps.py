@@ -116,44 +116,49 @@ def eval_bucket(t_emit: int) -> int:
     return -(-t_emit // WINDOW_MS) * WINDOW_MS
 
 
-def window_by_vehicle(bsms: Iterable[Bsm], t: int) -> dict[str, list[Bsm]]:
-    """The messages with ``t - WINDOW_MS < bsm.t <= t``, per vehicle in first-seen order."""
+@dataclass(frozen=True)
+class VehicleSummary:
+    """One vehicle's messages in a detector window."""
+
+    vehicle_id: str
+    mean_speed: float
+    pos: GeoPoint  # of its latest message; the first of equal-``t`` ones
+    reports: int
+
+
+def window_by_vehicle(bsms: Iterable[Bsm], t: int) -> list[VehicleSummary]:
+    """Summaries of the messages with ``t - WINDOW_MS < bsm.t <= t``, per vehicle in first-seen order."""
     per_vehicle: dict[str, list[Bsm]] = {}
     for bsm in bsms:
         if t - WINDOW_MS < bsm.t <= t:
             per_vehicle.setdefault(bsm.vehicle_id, []).append(bsm)
-    return per_vehicle
+    return [
+        VehicleSummary(vid, fmean(b.speed for b in group), max(group, key=lambda b: b.t).pos, len(group))
+        for vid, group in per_vehicle.items()
+    ]
 
 
 def detect_queue(
     rsu: str,
     t: int,
-    window_bsms: Iterable[Bsm],
+    vehicles: list[VehicleSummary],
     order_key: Callable[[GeoPoint], float],
     constants: SimConstants,
 ) -> QueueDecision:
-    """Threshold rule over the last second of messages.
+    """Threshold rule over the per-vehicle summaries of the last second of messages.
 
-    Per vehicle, speeds are averaged over its window messages and its position
-    is the latest report. Vehicles are ordered along the corridor via
-    ``order_key`` and consecutive-pair great-circle separations are averaged.
-    Queued means: at least two reporting vehicles, average speed under the
-    speed threshold, average separation under the gap threshold.
+    The average speed is the mean of the vehicles' mean speeds. Vehicles are
+    ordered along the corridor by their latest positions via ``order_key``,
+    and consecutive-pair great-circle separations are averaged. Queued means:
+    at least two reporting vehicles, average speed under the speed threshold,
+    average separation under the gap threshold.
     """
-    per_vehicle = window_by_vehicle(window_bsms, t)
-    n_cvs = len(per_vehicle)
+    n_cvs = len(vehicles)
+    avg_speed = fmean(v.mean_speed for v in vehicles) if n_cvs else None
     if n_cvs < 2:
-        avg_speed = fmean(fmean(b.speed for b in bsms) for bsms in per_vehicle.values()) if n_cvs else None
         return QueueDecision(rsu=rsu, t=t, avg_speed_mps=avg_speed, avg_gap_m=None, queued=False, n_cvs=n_cvs)
-    mean_speeds = []
-    latest_pos: list[GeoPoint] = []
-    for bsms in per_vehicle.values():
-        mean_speeds.append(fmean(b.speed for b in bsms))
-        latest_pos.append(max(bsms, key=lambda b: b.t).pos)
-    avg_speed = fmean(mean_speeds)
-    ordered = sorted(latest_pos, key=order_key)
-    gaps = [distance(a, b) for a, b in zip(ordered, ordered[1:])]
-    avg_gap = fmean(gaps)
+    ordered = sorted((v.pos for v in vehicles), key=order_key)
+    avg_gap = fmean(distance(a, b) for a, b in zip(ordered, ordered[1:]))
     queued = (
         avg_speed < constants.queue_speed_threshold_mps
         and avg_gap < constants.queue_gap_threshold_m

@@ -28,44 +28,23 @@ class Record:
     payload: dict
     origin: str
 
-    def to_line(self) -> str:
-        doc = {
-            "seq": self.seq,
-            "topic": self.topic,
-            "t": self.t,
-            "origin": self.origin,
-            "payload": self.payload,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
+@dataclass
+class Archive:
+    """Records older than ``max_age_ms`` are dropped at ``prune``; ``None`` keeps everything."""
 
-@dataclass(frozen=True)
-class RetentionPolicy:
-    """``max_age_ms=None`` means keep forever."""
-
+    node_id: str
     max_age_ms: int | None = None
+    _records: list[Record] = field(default_factory=list)
+    appended_total: int = 0
 
     def __post_init__(self) -> None:
         if self.max_age_ms is not None and self.max_age_ms <= 0:
             raise ValueError(f"max_age_ms must be positive, got {self.max_age_ms}")
 
-    @property
-    def unbounded(self) -> bool:
-        return self.max_age_ms is None
-
-
-@dataclass
-class Archive:
-    node_id: str
-    policy: RetentionPolicy = field(default_factory=RetentionPolicy)
-    _records: list[Record] = field(default_factory=list)
-    _next_seq: int = 0
-    appended_total: int = 0
-
     def append(self, topic: str, t: int, payload: dict, origin: str) -> int:
-        """Append a record; returns its strictly increasing sequence number."""
-        seq = self._next_seq
-        self._next_seq += 1
+        """Append a record; returns its sequence number, the count appended before it."""
+        seq = self.appended_total
         self._records.append(Record(seq=seq, topic=topic, t=t, payload=payload, origin=origin))
         self.appended_total += 1
         return seq
@@ -92,9 +71,9 @@ class Archive:
 
     def prune(self, now: int) -> int:
         """Drop records older than the retention horizon; returns how many."""
-        if self.policy.unbounded:
+        if self.max_age_ms is None:
             return 0
-        horizon = now - self.policy.max_age_ms
+        horizon = now - self.max_age_ms
         before = len(self._records)
         self._records = [r for r in self._records if r.t >= horizon]
         return before - len(self._records)
@@ -105,6 +84,7 @@ class Archive:
     def export_ndjson(self, path: str) -> int:
         """Write one normalized JSON document per line; returns record count."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for record in self._records:
-                fh.write(record.to_line() + "\n")
+            for r in self._records:
+                doc = {"seq": r.seq, "topic": r.topic, "t": r.t, "origin": r.origin, "payload": r.payload}
+                fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         return len(self._records)

@@ -44,13 +44,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _t_end_ms(args: argparse.Namespace) -> int | None:
+    return None if args.t_end is None else seconds_to_ms(args.t_end, "--t-end", True, "<cli>", None)
+
+
 def _load(args: argparse.Namespace) -> ScenarioConfig:
     """The scenario with the ``--seed`` and ``--t-end`` overrides applied."""
     config = load_scenario(args.scenario)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.t_end is not None:
-        config = replace(config, t_end_ms=seconds_to_ms(args.t_end, "--t-end", True, "<cli>", None))
+        config = replace(config, t_end_ms=_t_end_ms(args))
     return config
 
 
@@ -73,10 +77,12 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def _replay(args: argparse.Namespace) -> int:
-    corridor = constants = t_end_ms = None
+    corridor = constants = None
     if args.scenario:
         config = _load(args)
         corridor, constants, t_end_ms = config.corridor, config.constants, config.t_end_ms
+    else:
+        t_end_ms = _t_end_ms(args)
     records = parse_trace(args.trace, t_end_ms=t_end_ms)
     result = replay_trace(records, constants=constants, corridor=corridor)
     out_dir = Path(args.out_dir)
@@ -97,6 +103,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not args.trace and not args.scenario:
         parser.error("either --scenario or --trace is required")
+    if args.trace and args.event_trace:
+        parser.error("--event-trace records a scenario run; replay with --trace has no event trace")
     try:
         if args.trace:
             return _replay(args)

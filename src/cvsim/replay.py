@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .apps import WINDOW_MS, QueueDecision, accuracy, detect_queue, eval_bucket
+from .apps import WINDOW_MS, QueueDecision, accuracy, detect_queue, eval_bucket, window_by_vehicle
 from .core import Bsm, GeoPoint, SimConstants
 from .mobility import DEG_TO_M, Corridor
 from .report import write_queue_csv
@@ -133,7 +133,7 @@ def replay_trace(
             detect_queue(
                 rsu=REPLAY_RSU_ID,
                 t=t,
-                window_bsms=[r.bsm for r in bucket],
+                vehicles=window_by_vehicle([r.bsm for r in bucket], t),
                 order_key=order_key,
                 constants=constants,
             )

@@ -13,8 +13,9 @@ Layer wiring:
   broadcast handoff beacons; a beacon that cannot reach a vehicle is counted
   in ``RunResult.beacons_out_of_range``, not logged as a packet;
 * a roadside node keeps a window of received telemetry only while the
-  detector runs: each tick reads it and trims it to the last
-  ``apps.WINDOW_MS``, and with detection disabled it stays empty;
+  detector runs: each tick summarises it once per vehicle
+  (``apps.window_by_vehicle``), decides and publishes the processed data from
+  those summaries, then empties it; with detection disabled it stays empty;
 * the backend node is the same kind of node with an unbounded archive: it
   stores everything it receives and hosts the region-wide warning topic that
   relays sudden-stop warnings to subscribed vehicles beyond short-range reach.
@@ -45,6 +46,7 @@ from .apps import (
     WINDOW_MS,
     AvoidanceDecision,
     QueueDecision,
+    VehicleSummary,
     WarningDedup,
     WarningMessage,
     accuracy,
@@ -52,7 +54,7 @@ from .apps import (
     detect_queue,
     window_by_vehicle,
 )
-from .archive import Archive, RetentionPolicy
+from .archive import Archive
 from .broker import Broker, BrokerMessage
 from .config import SYSTEM_NODE_ID, Directive, ScenarioConfig, VehicleSpawn
 from .core import Bsm, GeoPoint, distance, ecef
@@ -123,10 +125,10 @@ class RunResult:
 class _Node:
     """An edge node: a broker whose one tap appends every message to the node's archive."""
 
-    def __init__(self, node_id: str, policy: RetentionPolicy = RetentionPolicy()):
+    def __init__(self, node_id: str, max_age_ms: int | None = None):
         self.node_id = node_id
         self.broker = Broker(name=node_id)
-        self.archive = Archive(node_id=node_id, policy=policy)
+        self.archive = Archive(node_id=node_id, max_age_ms=max_age_ms)
         self.broker.add_tap(self._store)
 
     def _store(self, msg: BrokerMessage) -> None:
@@ -136,8 +138,8 @@ class _Node:
 class _RsuNode(_Node):
     """A roadside edge node: its position, its obstruction and the detector's message window."""
 
-    def __init__(self, node_id: str, policy: RetentionPolicy, pos: GeoPoint, obstruction: float):
-        super().__init__(node_id, policy)
+    def __init__(self, node_id: str, max_age_ms: int, pos: GeoPoint, obstruction: float):
+        super().__init__(node_id, max_age_ms)
         self.pos = pos
         self.obstruction = obstruction
         self.window: list[Bsm] = []
@@ -229,9 +231,9 @@ class Simulation:
         self.world = TrafficWorld(corridor=self.corridor, constants=self.constants, mobility=config.mobility)
 
         self.backend = _Node(SYSTEM_NODE_ID)
-        retention = RetentionPolicy(max_age_ms=config.fixed_edge_retention_ms)
+        retention_ms = config.fixed_edge_retention_ms
         self.rsus = [
-            _RsuNode(spec.rsu_id, retention, self.corridor.position_geo(spec.s_m), spec.obstruction)
+            _RsuNode(spec.rsu_id, retention_ms, self.corridor.position_geo(spec.s_m), spec.obstruction)
             for spec in self.corridor.rsus
         ]
         self._rsu_index = _RsuIndex(self.rsus, self.corridor.polyline)
@@ -526,32 +528,27 @@ class Simulation:
             self.config.detection.zone, self.config.detection.truth_min_vehicles
         )
         for node in self.rsus:
+            vehicles = window_by_vehicle(node.window, now)
             decision = detect_queue(
                 rsu=node.node_id,
                 t=now,
-                window_bsms=node.window,
+                vehicles=vehicles,
                 order_key=self.corridor.project,
                 constants=self.constants,
             )
             self.queue_evals.append(QueueEval(decision=decision, truth=truth))
-            self._publish_processed(node, now)
+            self._publish_processed(node, now, vehicles)
             self._forward(node, "queue_status", f"queue/status/{node.node_id}", decision.to_doc())
-            node.window = [b for b in node.window if b.t > now - WINDOW_MS]
+            # Every message held was sent at or before ``now``, so no later window holds it.
+            node.window = []
         self.engine.at(now + WINDOW_MS, "detector-tick", "rsus", self._detector_tick)
 
-    def _publish_processed(self, node: _RsuNode, now: int) -> None:
-        per_vehicle = window_by_vehicle(node.window, now)
-        vehicles = {}
-        for vid in sorted(per_vehicle):
-            bsms = per_vehicle[vid]
-            latest = max(bsms, key=lambda b: b.t)
-            vehicles[vid] = {
-                "mean_speed": sum(b.speed for b in bsms) / len(bsms),
-                "lat": latest.pos.lat,
-                "lon": latest.pos.lon,
-                "reports": len(bsms),
-            }
-        payload = {"t": now, "rsu": node.node_id, "vehicles": vehicles}
+    def _publish_processed(self, node: _RsuNode, now: int, vehicles: list[VehicleSummary]) -> None:
+        docs = {
+            v.vehicle_id: {"mean_speed": v.mean_speed, "lat": v.pos.lat, "lon": v.pos.lon, "reports": v.reports}
+            for v in sorted(vehicles, key=lambda v: v.vehicle_id)
+        }
+        payload = {"t": now, "rsu": node.node_id, "vehicles": docs}
         self._publish(node, f"bsm/processed/{node.node_id}", payload, node.node_id)
 
     def _prune_archives(self) -> None:

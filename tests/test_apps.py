@@ -1,6 +1,10 @@
+from statistics import fmean
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvsim.apps import (
+    WINDOW_MS,
     UndefinedAccuracyError,
     Verdict,
     WarningDedup,
@@ -8,6 +12,7 @@ from cvsim.apps import (
     accuracy,
     decide_avoidance,
     detect_queue,
+    window_by_vehicle,
 )
 from cvsim.core import Bsm, GeoPoint, SimConstants, ft_to_m, m_to_ft, mph_to_mps
 from cvsim.radio import LinkKind
@@ -94,10 +99,13 @@ def window(speeds_by_vehicle, t=5000, gap_m=3.0, base_s=600.0):
     return bsms
 
 
+def summaries(bsms, t=5000):
+    return window_by_vehicle(bsms, t)
+
+
 def test_queue_detected_when_stopped_and_tight():
-    decision = detect_queue(
-        "rsu1", 5000, window({"a": 0.0, "b": 0.0, "c": 0.0}, gap_m=ft_to_m(10)), order_key, CONSTANTS
-    )
+    bsms = window({"a": 0.0, "b": 0.0, "c": 0.0}, gap_m=ft_to_m(10))
+    decision = detect_queue("rsu1", 5000, summaries(bsms), order_key, CONSTANTS)
     assert decision.queued and decision.n_cvs == 3
     assert decision.avg_speed_mps == 0.0
     assert m_to_ft(decision.avg_gap_m) == pytest.approx(10.0, abs=0.01)
@@ -106,7 +114,7 @@ def test_queue_detected_when_stopped_and_tight():
 def test_queue_rejected_at_cruise_speed():
     v = mph_to_mps(30)
     decision = detect_queue(
-        "rsu1", 5000, window({"a": v, "b": v, "c": v}, gap_m=3.0), order_key, CONSTANTS
+        "rsu1", 5000, summaries(window({"a": v, "b": v, "c": v}, gap_m=3.0)), order_key, CONSTANTS
     )
     assert not decision.queued
     assert decision.avg_speed_mps == pytest.approx(v)
@@ -119,18 +127,18 @@ def test_queue_false_negative_from_hidden_vehicle_gap():
         Bsm(t=4050 + k * 100, vehicle_id="c", pos=geo(600.0 - ft_to_m(10) - ft_to_m(45)), speed=0.0)
         for k in range(10)
     ]
-    decision = detect_queue("rsu1", 5000, bsms, order_key, CONSTANTS)
+    decision = detect_queue("rsu1", 5000, summaries(bsms), order_key, CONSTANTS)
     assert not decision.queued
     assert decision.avg_speed_mps == 0.0
     assert decision.avg_gap_m >= CONSTANTS.queue_gap_threshold_m
 
 
 def test_queue_requires_two_reporting_vehicles():
-    decision = detect_queue("rsu1", 5000, window({"a": 0.0}), order_key, CONSTANTS)
+    decision = detect_queue("rsu1", 5000, summaries(window({"a": 0.0})), order_key, CONSTANTS)
     assert not decision.queued and decision.n_cvs == 1
     assert decision.avg_gap_m is None
 
-    decision = detect_queue("rsu1", 5000, [], order_key, CONSTANTS)
+    decision = detect_queue("rsu1", 5000, summaries([]), order_key, CONSTANTS)
     assert not decision.queued and decision.n_cvs == 0
     assert decision.avg_speed_mps is None
 
@@ -140,15 +148,48 @@ def test_queue_window_bounds_are_half_open():
     edge = Bsm(t=5000, vehicle_id="b", pos=geo(597), speed=0.0)
     outside = Bsm(t=4000, vehicle_id="c", pos=geo(594), speed=0.0)
     future = Bsm(t=5001, vehicle_id="d", pos=geo(591), speed=0.0)
-    decision = detect_queue("rsu1", 5000, [inside, edge, outside, future], order_key, CONSTANTS)
+    decision = detect_queue("rsu1", 5000, summaries([inside, edge, outside, future]), order_key, CONSTANTS)
     assert decision.n_cvs == 2  # a and b only
 
 
 def test_detect_queue_is_pure():
     bsms = window({"a": 0.0, "b": 0.1, "c": 0.2})
-    first = detect_queue("rsu1", 5000, bsms, order_key, CONSTANTS)
-    second = detect_queue("rsu1", 5000, list(bsms), order_key, CONSTANTS)
+    first = detect_queue("rsu1", 5000, summaries(bsms), order_key, CONSTANTS)
+    second = detect_queue("rsu1", 5000, summaries(list(bsms)), order_key, CONSTANTS)
     assert first == second
+
+
+def reference_summaries(bsms, t):
+    """Per vehicle in first-seen order: (id, fmean of speeds, first latest position, count)."""
+    inside = [b for b in bsms if t - WINDOW_MS < b.t <= t]
+    order = list(dict.fromkeys(b.vehicle_id for b in inside))
+    rows = []
+    for vid in order:
+        mine = [b for b in inside if b.vehicle_id == vid]
+        latest_t = max(b.t for b in mine)
+        latest = [b for b in mine if b.t == latest_t][0]
+        rows.append((vid, fmean([b.speed for b in mine]), latest.pos, len(mine)))
+    return rows
+
+
+T_EVAL = 5000
+# The window's edges and their neighbours, plus times anywhere around it.
+EDGES = [T_EVAL - WINDOW_MS - 1, T_EVAL - WINDOW_MS, T_EVAL - WINDOW_MS + 1, T_EVAL - 1, T_EVAL, T_EVAL + 1]
+message_time = st.one_of(st.sampled_from(EDGES), st.integers(T_EVAL - 2 * WINDOW_MS, T_EVAL + WINDOW_MS))
+message = st.tuples(
+    message_time,
+    st.sampled_from(["a", "b", "c"]),
+    st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(messages=st.lists(message, max_size=30))
+def test_window_by_vehicle_agrees_with_brute_force(messages):
+    # Each message gets its own position, so a wrong pick among equal-t messages shows.
+    bsms = [Bsm(t=t, vehicle_id=vid, pos=geo(i), speed=speed) for i, (t, vid, speed) in enumerate(messages)]
+    got = [(v.vehicle_id, v.mean_speed, v.pos, v.reports) for v in window_by_vehicle(bsms, T_EVAL)]
+    assert got == reference_summaries(bsms, T_EVAL)
 
 
 def test_accuracy_basics():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cvsim.archive import Archive, InvalidRangeError, RetentionPolicy
+from cvsim.archive import Archive, InvalidRangeError
 
 
 def test_append_returns_increasing_seq():
@@ -60,7 +60,7 @@ def test_query_sorted_by_time_then_seq_for_shuffled_inserts():
 
 
 def test_retention_prunes_old_records():
-    arch = Archive(node_id="rsu", policy=RetentionPolicy(max_age_ms=60_000))
+    arch = Archive(node_id="rsu", max_age_ms=60_000)
     for t in (0, 30_000, 59_999, 60_000, 90_000):
         arch.append("a", t, {}, "x")
     dropped = arch.prune(now=120_000)
@@ -78,8 +78,8 @@ def test_unbounded_policy_never_prunes():
 
 def test_retention_policy_validation():
     with pytest.raises(ValueError):
-        RetentionPolicy(max_age_ms=0)
-    assert RetentionPolicy().unbounded
+        Archive(node_id="n1", max_age_ms=0)
+    assert Archive(node_id="n1").max_age_ms is None
 
 
 def test_export_is_sorted_key_ndjson(tmp_path):

@@ -334,3 +334,25 @@ def test_replay_honours_the_t_end_flag(tmp_path, capsys):
     rc = main(["--trace", str(trace), "--scenario", str(scenario), "--t-end", "6", "--out-dir", str(tmp_path / "out")])
     assert rc == 0
     assert "replayed 1 records into 6 decisions" in capsys.readouterr().out
+
+
+def test_replay_without_a_scenario_honours_the_t_end_flag(tmp_path, capsys):
+    trace = tmp_path / "t.ndjson"
+    doc = {"t": 9000, "vehicle_id": "v", "lat": 40.0, "lon": -75.0, "speed": 0.0}
+    trace.write_text(json.dumps({**doc, "t": 50}) + "\n" + json.dumps(doc) + "\n")
+    rc = main(["--trace", str(trace), "--t-end", "5", "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{trace}:2" in err and "t=9000 ms is past" in err and "of 5000 ms" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_event_trace_with_replay_is_a_usage_error(tmp_path, capsys):
+    trace = tmp_path / "t.ndjson"
+    trace.write_text(json.dumps({"t": 50, "vehicle_id": "v", "lat": 40.0, "lon": -75.0, "speed": 0.0}) + "\n")
+    dump = tmp_path / "events.log"
+    with pytest.raises(SystemExit) as err:
+        main(["--trace", str(trace), "--event-trace", str(dump), "--out-dir", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert "--event-trace" in capsys.readouterr().err
+    assert not dump.exists() and not (tmp_path / "out").exists()

@@ -3,8 +3,8 @@ their recorded SHA-256 digests, and a rerun in another process under another
 hash seed writes the same bytes.
 
 ``report.txt`` and ``report.csv`` carry no digest: they may gain rows. The
-digests in ``data/golden_digests.json`` are those the benchmark records in
-``perfbench/digests.json`` for the bundled scenarios.
+digests are the ones the benchmark records for its ``paper_scenarios``
+workload in ``perfbench/digests.json``, so both gates read one copy.
 """
 
 import hashlib
@@ -20,7 +20,7 @@ from cvsim.config import bundled_scenario_names
 from cvsim.report import write_artifacts
 
 ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_digests.json").read_text())
+GOLDEN = json.loads((ROOT / "perfbench" / "digests.json").read_text())["paper_scenarios"]
 HASH_SEED_SCENARIO = "queue_mixed_penetration"
 
 

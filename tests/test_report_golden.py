@@ -3,7 +3,7 @@
 
 ``test_golden.py`` pins the behavioural artifacts; this file pins the reports,
 which are rendered from one computed summary of the run. A later change that
-adds report rows on purpose (ROADMAP item 3, the per-link breakdown) re-pins
+adds report rows on purpose (ROADMAP item 2, the per-link breakdown) re-pins
 ``data/report_digests.json`` and gives the reason in ``CHANGES.md``.
 """
 

@@ -4,11 +4,12 @@ import importlib.resources
 import io
 import math
 from dataclasses import replace
+from statistics import fmean
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cvsim.apps import Verdict
+from cvsim.apps import WINDOW_MS, Verdict
 from cvsim.config import load_scenario, parse_scenario
 from cvsim.core import GeoPoint, distance
 from cvsim.mobility import DEG_TO_M, Corridor
@@ -119,6 +120,58 @@ def test_rsu_windows_stay_empty_without_the_detector():
     result = sim.run()
     assert result.archives["rsu1"].count("bsm/raw/#") > 0  # the RSU did receive telemetry
     assert all(node.window == [] for node in sim.rsus)
+
+
+@pytest.mark.parametrize("name", ["queue_full_penetration", "queue_mixed_penetration", "corridor_coverage"])
+def test_processed_means_are_the_detector_means(name):
+    """Each processed ``mean_speed`` is the ``fmean`` of that vehicle's speeds in the
+    detector window, and their ``fmean`` is the decision's ``avg_speed_mps``."""
+    sim = Simulation(load_scenario(name))
+    received = {node.node_id: [] for node in sim.rsus}  # raw telemetry, in arrival order
+    processed = []  # (processed document, speeds per vehicle in the detector window)
+
+    def listen(msg):
+        if msg.topic.startswith("bsm/raw/"):
+            received[msg.publisher].append(msg.payload)
+        elif msg.topic.startswith("bsm/processed/"):
+            # Published during the tick: everything received so far is what the window held.
+            now, speeds = msg.payload["t"], {}
+            for doc in received[msg.publisher]:
+                if now - WINDOW_MS < doc["t"] <= now:
+                    speeds.setdefault(doc["vehicle_id"], []).append(doc["speed"])
+            processed.append((msg.payload, speeds))
+
+    for node in sim.rsus:
+        node.broker.subscribe(client="listener", pattern="#", callback=listen)
+    result = sim.run()
+    decisions = {(e.decision.rsu, e.decision.t): e.decision for e in result.queue_evals}
+    assert len(processed) == len(decisions) > 0
+    compared = 0
+    for doc, speeds in processed:
+        means = {vid: v["mean_speed"] for vid, v in doc["vehicles"].items()}
+        reports = {vid: v["reports"] for vid, v in doc["vehicles"].items()}
+        assert means == {vid: fmean(s) for vid, s in speeds.items()}
+        assert reports == {vid: len(s) for vid, s in speeds.items()}
+        if means:
+            assert decisions[(doc["rsu"], doc["t"])].avg_speed_mps == fmean(means.values())
+        compared += len(means)
+    assert compared > 100
+
+
+def test_rsu_windows_are_empty_after_each_tick():
+    sim = Simulation(load_scenario("queue_mixed_penetration"))
+    after = []
+    original = sim._detector_tick
+
+    def tick():
+        before = sum(len(node.window) for node in sim.rsus)
+        original()
+        after.append((before, [len(node.window) for node in sim.rsus]))
+
+    sim._detector_tick = tick
+    sim.run()
+    assert any(before > 0 for before, _ in after)
+    assert all(sizes == [0] * len(sim.rsus) for _, sizes in after)
 
 
 def test_rsu_archive_retention_bounded(scenario_runs):
