@@ -4,7 +4,9 @@ Time is integer milliseconds: every quantity the simulator handles (4 ms radio
 hops up to multi-second association gaps, 100 ms messaging periods) is exactly
 representable, and event ordering never depends on float rounding. Ties on
 ``fire_at`` break by insertion order, so a scenario replays identically for a
-given seed.
+given seed. ``Engine.ticket`` reserves the next place in that order for an
+event scheduled later: it sorts as if it had been scheduled at the
+reservation, ahead of every same-time event scheduled after it.
 """
 
 from __future__ import annotations
@@ -34,13 +36,14 @@ class SimulationAborted(RuntimeError):
         self.cause = cause
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     """A scheduled callback with a kind tag and a human-readable subject.
 
     ``kind`` is one of the simulator's event families (mobility-tick, beacon,
     radio-delivery, app-timer, detector-tick); ``subject`` names the entity
-    involved and feeds the optional event trace.
+    involved and feeds the optional event trace. ``seq`` is its place in the
+    insertion order: -1 until scheduled, or a ticket reserved beforehand.
     """
 
     fire_at: int
@@ -94,19 +97,30 @@ class Engine:
             self._streams[stream_id] = rng
         return rng
 
+    def ticket(self) -> int:
+        """Reserve the next insertion sequence number for an event scheduled later."""
+        seq = self._seq
+        self._seq += 1
+        return seq
+
     def schedule(self, event: Event) -> int:
-        """Enqueue ``event``; returns its ticket (insertion sequence number)."""
+        """Enqueue ``event``; returns its ticket (insertion sequence number).
+
+        An event whose ``seq`` is already set keeps it: it must be a ticket
+        from ``ticket()``, each used once.
+        """
         if event.fire_at < self._now:
             raise SchedulingInPastError(
                 f"fire_at={event.fire_at} is before now={self._now}"
             )
-        event.seq = self._seq
-        self._seq += 1
+        if event.seq < 0:
+            event.seq = self._seq
+            self._seq += 1
         heapq.heappush(self._queue, (event.fire_at, event.seq, event))
         return event.seq
 
-    def at(self, fire_at: int, kind: str, subject: str, fn: EventFn) -> int:
-        return self.schedule(Event(fire_at=fire_at, kind=kind, subject=subject, fn=fn))
+    def at(self, fire_at: int, kind: str, subject: str, fn: EventFn, ticket: int = -1) -> int:
+        return self.schedule(Event(fire_at=fire_at, kind=kind, subject=subject, fn=fn, seq=ticket))
 
     def run_until(self, t_end: int) -> SimSummary:
         """Process every event with fire_at <= t_end, in (fire_at, seq) order.

@@ -19,6 +19,11 @@ Layer wiring:
 * the backend node is the same kind of node with an unbounded archive: it
   stores everything it receives and hosts the region-wide warning topic that
   relays sudden-stop warnings to subscribed vehicles beyond short-range reach.
+* each connected vehicle has at most one pending liveness check
+  (``handoff-check``), due at its last beacon plus the miss timeout; when a
+  later beacon has come by then, the check re-arms at that beacon's deadline
+  under the engine ticket the beacon reserved, so it fires exactly where a
+  check per beacon would have (RFC 6298 section 5's one restartable timer).
 
 Recurring activities are phase-offset inside each 100 ms period (kinematics at
 +0, beacons at +10, telemetry at +50, detector on the whole second) so that no
@@ -212,9 +217,18 @@ class _RsuIndex:
 
 @dataclass
 class _VehicleAgent:
+    """A connected vehicle, with the bookkeeping of its one pending liveness check.
+
+    ``check_ticket`` is the engine ticket of the first beacon delivered in the
+    millisecond ``handoff.last_beacon_at``; ``check_pending`` says whether a
+    ``handoff-check`` is queued.
+    """
+
     vehicle_id: str
     handoff: ho.HandoffState
     dedup: WarningDedup = field(default_factory=WarningDedup)
+    check_ticket: int = -1
+    check_pending: bool = False
 
 
 class Simulation:
@@ -255,6 +269,8 @@ class Simulation:
             p_near=config.handoff.beacon_p_near,
             ramp_start_frac=1.0,
         )
+        # Streams are seeded by their name, so making them up front moves no draw.
+        self._delivery_streams = {kind: self.engine.stream(f"radio.{kind.value}.delivery") for kind in LinkKind}
         self._prune_interval_ms = max(1, config.fixed_edge_retention_ms // 4)
         self._ran = False
 
@@ -340,8 +356,7 @@ class Simulation:
     ) -> None:
         """Draw loss/latency for an in-range send, log it, and schedule the delivery event."""
         now = self.engine.now
-        rng = self.engine.stream(f"radio.{model.kind.value}.delivery")
-        outcome = sample_delivery(distance_m, model, rng, obstruction, profile)
+        outcome = sample_delivery(distance_m, model, self._delivery_streams[model.kind], obstruction, profile)
         t_recv = None if outcome is None else now + outcome.latency_ms  # None: lost on the channel
         self.packets.append(PacketRecord(now, t_recv, tx, rx, model.kind, kind))
         if t_recv is not None:
@@ -403,22 +418,51 @@ class Simulation:
         self.engine.at(now + cfg.beacon_interval_ms, "beacon", "rsus", self._beacon_round)
 
     def _on_beacon(self, agent: _VehicleAgent) -> None:
+        """Refresh the vehicle's liveness; arm its check if none is pending.
+
+        Every beacon reserves a ticket, where a per-beacon check would have
+        been scheduled, so every other event keeps its place in the order.
+        """
         now = self.engine.now
-        cfg = self.config.handoff
-        event = ho.on_beacon(agent.handoff, cfg, now)
+        ticket = self.engine.ticket()
+        if agent.handoff.last_beacon_at != now:
+            agent.check_ticket = ticket
+        event = ho.on_beacon(agent.handoff, self.config.handoff, now)
         if event is not None:
             self.handoff_events.append(event)
+        if not agent.check_pending:
+            self._arm_check(agent)
+
+    def _arm_check(self, agent: _VehicleAgent) -> None:
+        agent.check_pending = True
         self.engine.at(
-            now + cfg.timeout_ms,
+            agent.handoff.last_beacon_at + self.config.handoff.timeout_ms,
             "app-timer",
             f"handoff-check:{agent.vehicle_id}",
-            lambda a=agent: self._handoff_check(a),
+            lambda: self._handoff_check(agent),
+            ticket=agent.check_ticket,
         )
 
     def _handoff_check(self, agent: _VehicleAgent) -> None:
-        event = ho.on_tick(agent.handoff, self.config.handoff, self.engine.now)
+        """The vehicle's one liveness check, at its last beacon millisecond plus the timeout.
+
+        With one check per beacon, the check of beacon b at ``t_b + timeout``
+        hands off only if no beacon came after ``t_b`` and it is the first of
+        the checks due then (the later ones find the cellular link active).
+        So only the first check of the latest beacon millisecond can act, and
+        the pending check sits exactly there, under that beacon's ticket: it
+        keeps that check's place against same-millisecond beacons and the
+        telemetry round. When a later beacon has come, it re-arms there.
+        """
+        now = self.engine.now
+        cfg = self.config.handoff
+        event = ho.on_tick(agent.handoff, cfg, now)
         if event is not None:
             self.handoff_events.append(event)
+        if agent.handoff.last_beacon_at + cfg.timeout_ms > now:
+            self._arm_check(agent)
+        else:
+            agent.check_pending = False
 
     def _bsm_round(self) -> None:
         now = self.engine.now

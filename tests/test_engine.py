@@ -27,6 +27,35 @@ def test_event_at_now_fires_before_later_events():
     assert log == ["now", "later"]
 
 
+def test_reserved_ticket_sorts_where_it_was_reserved():
+    eng = Engine()
+    log = []
+    eng.schedule(make_event(100, "before", log))
+    ticket = eng.ticket()
+    eng.schedule(make_event(100, "after", log))
+    eng.schedule(make_event(50, "early", log))
+    late = make_event(100, "ticketed", log)
+    late.seq = ticket
+    assert eng.schedule(late) == ticket
+    eng.run_until(100)
+    assert log == ["early", "before", "ticketed", "after"]
+
+
+def test_tickets_never_collide_with_scheduled_events():
+    eng = Engine()
+    seqs = []
+    tickets = []
+    for i in range(12):
+        if i % 3 == 1:
+            tickets.append(eng.ticket())
+        else:
+            seqs.append(eng.at(10, "app-timer", f"e{i}", lambda: None))
+    for ticket in tickets:
+        seqs.append(eng.at(10, "app-timer", "ticketed", lambda: None, ticket=ticket))
+    assert sorted(seqs) == list(range(12))
+    assert eng.at(10, "app-timer", "next", lambda: None) == 12
+
+
 def test_schedule_in_past_rejected():
     eng = Engine()
     eng.schedule(make_event(10, "x", []))

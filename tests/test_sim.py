@@ -9,6 +9,7 @@ from statistics import fmean
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cvsim import handoff as ho
 from cvsim.apps import WINDOW_MS, Verdict
 from cvsim.config import load_scenario, parse_scenario
 from cvsim.core import GeoPoint, distance
@@ -432,3 +433,109 @@ def test_return_leg_hands_off_through_an_outbound_rsu():
     assert arc_gap > 1500.0 > config.links[LinkKind.DSRC].range_m
     hops = [p for p in result.packets if p.kind == "bsm" and p.rx == "out" and p.delivered]
     assert hops and all(p.t_send >= entry.t for p in hops)
+
+
+# -- one pending handoff check per vehicle against one per beacon ---------------
+
+
+class _PerBeaconSimulation(Simulation):
+    """The reference: one ``handoff-check`` scheduled per delivered beacon."""
+
+    def _on_beacon(self, agent):
+        now = self.engine.now
+        cfg = self.config.handoff
+        event = ho.on_beacon(agent.handoff, cfg, now)
+        if event is not None:
+            self.handoff_events.append(event)
+        self.engine.at(
+            now + cfg.timeout_ms,
+            "app-timer",
+            f"handoff-check:{agent.vehicle_id}",
+            lambda a=agent: self._per_beacon_check(a),
+        )
+
+    def _per_beacon_check(self, agent):
+        event = ho.on_tick(agent.handoff, self.config.handoff, self.engine.now)
+        if event is not None:
+            self.handoff_events.append(event)
+
+
+@st.composite
+def handoff_cases(draw):
+    heading = draw(st.floats(0.0, 360.0))
+    legs = [(heading, draw(st.floats(300.0, 1500.0)))]
+    if draw(st.booleans()):
+        legs.append((heading + draw(TURNS), draw(st.floats(100.0, 800.0))))
+    rsus = [
+        (f"r{i}", draw(FRACTION), draw(st.sampled_from([0.0, 0.0, 0.25])))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    # A twin RSU and a twin vehicle put several beacons, and several
+    # vehicles' checks, in one millisecond.
+    rsus.append(("twin", draw(st.sampled_from(rsus))[1], 0.0))
+    vehicles = draw(st.lists(FRACTION, min_size=1, max_size=2))
+    vehicles.append(draw(st.sampled_from(vehicles)))
+    config = index_scenario(
+        legs, rsus, vehicles,
+        range_m=draw(st.sampled_from([60.0, 150.0, 300.0])),
+        t_end_s=draw(st.sampled_from([6.0, 12.0])),
+        speed_mph=draw(st.sampled_from([10.0, 30.0, 60.0])),
+    )
+    return with_beacons(
+        config,
+        latency_mean_ms=draw(st.integers(1, 260)),
+        latency_jitter_ms=draw(st.sampled_from([0, 0, 3, 20, 90])),
+        beacon_p_near=draw(st.sampled_from([0.0, 0.3, 0.6, 0.9])),
+        miss_threshold=draw(st.integers(1, 4)),
+        beacon_interval_ms=draw(st.sampled_from([20, 40, 50, 100, 130, 200])),
+        association_delay_ms=draw(st.sampled_from([0, 0, 100, 1500])),
+    )
+
+
+def with_beacons(config, latency_mean_ms, latency_jitter_ms, **handoff):
+    """``config`` with these DSRC latencies and ``handoff`` settings."""
+    dsrc = replace(config.links[LinkKind.DSRC], latency_mean_ms=latency_mean_ms, latency_jitter_ms=latency_jitter_ms)
+    return replace(config, links={**config.links, LinkKind.DSRC: dsrc}, handoff=replace(config.handoff, **handoff))
+
+
+def run_traced(cls, config):
+    sink = io.StringIO()
+    result = cls(config, trace=sink).run()
+    trace = [line for line in sink.getvalue().splitlines() if ",handoff-check:" not in line]
+    return result, trace
+
+
+def assert_matches_per_beacon(config):
+    """Same handoffs, packets and event order (checks aside) as a check per beacon."""
+    result, trace = run_traced(Simulation, config)
+    expected, expected_trace = run_traced(_PerBeaconSimulation, config)
+    assert result.handoff_events == expected.handoff_events
+    assert result.packets == expected.packets
+    assert trace == expected_trace
+    assert result.summary.events_processed <= expected.summary.events_processed
+    return expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(handoff_cases())
+def test_one_pending_check_per_vehicle_matches_one_per_beacon(config):
+    """Ties are the point: a zero jitter lands a vehicle's check in the same
+    millisecond as a later beacon round's deliveries, and a latency of 40 ms
+    past a beacon phase lands beacons on the telemetry round."""
+    assert_matches_per_beacon(config)
+
+
+def test_checks_due_in_one_millisecond_keep_the_per_beacon_order():
+    """Twin RSUs give each vehicle two beacons per round, and jitter spreads
+    them: when two vehicles' checks fall due in one millisecond, the handoffs
+    are listed in the order of each vehicle's first beacon of its last beacon
+    millisecond, as with a check per beacon."""
+    config = index_scenario(
+        [(0.0, 1000.0)], [("r0", 0.5, 0.0), ("r1", 0.5, 0.0)], [0.45, 0.5],
+        range_m=60.0, t_end_s=12.0, speed_mph=10.0,
+    )
+    config = with_beacons(
+        config, latency_mean_ms=2, latency_jitter_ms=20, beacon_p_near=0.3, miss_threshold=1, beacon_interval_ms=130
+    )
+    expected = assert_matches_per_beacon(config)
+    assert len(expected.handoff_events) > 100
