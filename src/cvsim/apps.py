@@ -78,19 +78,6 @@ def decide_avoidance(
     )
 
 
-class WarningDedup:
-    """First packet per source vehicle decides; later copies are ignored."""
-
-    def __init__(self) -> None:
-        self._seen: set[str] = set()
-
-    def first(self, warning: WarningMessage) -> bool:
-        if warning.source_vehicle in self._seen:
-            return False
-        self._seen.add(warning.source_vehicle)
-        return True
-
-
 @dataclass(frozen=True)
 class QueueDecision:
     rsu: str

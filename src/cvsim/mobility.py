@@ -133,7 +133,6 @@ class VehicleState:
     id: str
     s: float
     speed: float
-    connected: bool
     cruise_speed: float
     accel: float = 0.0
     stop_latched: bool = False

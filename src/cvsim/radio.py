@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import InvalidParameterError
 
@@ -22,13 +22,6 @@ class LinkKind(enum.Enum):
     DSRC = "dsrc"
     LTE = "lte"
     WIFI = "wifi"
-
-
-class LatencyProfile(enum.Enum):
-    """Which measured latency a packet class follows on a given link."""
-
-    DATA = "data"
-    WARNING = "warning"
 
 
 @dataclass(frozen=True)
@@ -67,10 +60,15 @@ class LinkModel:
             return None
         return self.range_m * (1.0 - obstruction)
 
-    def mean_for(self, profile: LatencyProfile) -> int:
-        if profile is LatencyProfile.WARNING and self.warning_latency_mean_ms is not None:
-            return self.warning_latency_mean_ms
-        return self.latency_mean_ms
+    def for_warnings(self) -> LinkModel:
+        """The model sudden-stop warnings ride: this link with the warning latency as its mean.
+
+        A link with no warning mean carries warnings at its data mean. The
+        kind is kept, so warnings draw from the link's one delivery stream.
+        """
+        if self.warning_latency_mean_ms is None:
+            return self
+        return replace(self, latency_mean_ms=self.warning_latency_mean_ms)
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,6 @@ def sample_delivery(
     model: LinkModel,
     rng: random.Random,
     obstruction: float = 0.0,
-    profile: LatencyProfile = LatencyProfile.DATA,
 ) -> Delivered | None:
     """Draw one delivery outcome; ``None`` means the packet was lost.
 
@@ -117,34 +114,23 @@ def sample_delivery(
     draw = rng.random()
     if draw < p_loss:
         return None
-    mean = model.mean_for(profile)
+    mean = model.latency_mean_ms
     jitter = model.latency_jitter_ms
     latency = rng.randint(mean - jitter, mean + jitter) if jitter > 0 else mean
     return Delivered(latency_ms=max(1, latency))
 
 
-@dataclass(frozen=True)
-class PathLossParams:
-    """Log-distance path loss knobs for coverage reporting.
-
-    Defaults are physically plausible for a 5.9 GHz roadside install but are
-    calibration inputs, not measured truth.
-    """
-
-    tx_power_dbm: float = 20.0
-    pl0_db: float = 47.0
-    exponent: float = 2.4
-    d0_m: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.d0_m <= 0:
-            raise InvalidParameterError(f"d0_m must be positive, got {self.d0_m}")
+# Log-distance path loss for the coverage report: physically plausible for a
+# 5.9 GHz roadside install, but calibration inputs, not measured truth. The
+# reference distance is 1 m.
+TX_POWER_DBM = 20.0
+PL0_DB = 47.0
+PATH_LOSS_EXPONENT = 2.4
 
 
-def rssi_dbm(distance_m: float, params: PathLossParams = PathLossParams()) -> float:
-    """Received power under log-distance path loss; below d0 clamps to d0."""
-    d = max(distance_m, params.d0_m)
-    return params.tx_power_dbm - params.pl0_db - 10.0 * params.exponent * math.log10(d / params.d0_m)
+def rssi_dbm(distance_m: float) -> float:
+    """Received power under log-distance path loss; below 1 m clamps to 1 m."""
+    return TX_POWER_DBM - PL0_DB - 10.0 * PATH_LOSS_EXPONENT * math.log10(max(distance_m, 1.0))
 
 
 # Latency defaults mirror the deployed-system measurements the scenarios

@@ -17,8 +17,9 @@ from typing import Iterable
 
 from .apps import QueueDecision, accuracy, eval_bucket
 from .core import m_to_ft, mps_to_mph, round_half_away
-from .radio import LinkKind
-from .sim import RunResult, SYSTEM_NODE_ID
+from .config import SYSTEM_NODE_ID, ScenarioConfig
+from .radio import LinkKind, loss_probability, rssi_dbm
+from .sim import RunResult
 
 EXCHANGE_ROWS = (
     ("mobile_fixed", "Mobile Edge (CV) - Fixed Edge", LinkKind.DSRC, "bsm", "Basic safety messages"),
@@ -182,10 +183,29 @@ def write_handoffs_csv(result: RunResult, path: Path) -> None:
     write_csv(path, ["t_ms", "vehicle", "from", "to"], rows)
 
 
+def coverage_rows(config: ScenarioConfig) -> list[tuple[str, float, float, float]]:
+    """The short-range link swept out from each RSU in 10 m steps: (rsu, distance_m, rssi_dbm, p_loss).
+
+    Empty when the short-range link is unbounded.
+    """
+    rows = []
+    model = config.links[config.handoff.short_range]
+    if model.range_m is None:
+        return rows
+    # No corridor point lies farther than the corridor's length from an RSU.
+    reach = min(model.range_m, config.corridor.length_m)
+    for spec in config.corridor.rsus:
+        d = 0.0
+        while d <= reach:
+            rows.append((spec.rsu_id, d, rssi_dbm(d), loss_probability(d, model, spec.obstruction)))
+            d += 10.0
+    return rows
+
+
 def write_coverage_csv(result: RunResult, path: Path) -> None:
     rows = [
-        [r.rsu, fnum(r.distance_m), fnum(round(r.rssi_dbm, 3)), fnum(round(r.p_loss, 6))]
-        for r in result.coverage
+        [rsu, fnum(d), fnum(round(rssi, 3)), fnum(round(p_loss, 6))]
+        for rsu, d, rssi, p_loss in coverage_rows(result.config)
     ]
     write_csv(path, ["rsu", "distance_m", "rssi_dbm", "p_loss"], rows)
 

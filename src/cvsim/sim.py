@@ -52,7 +52,6 @@ from .apps import (
     AvoidanceDecision,
     QueueDecision,
     VehicleSummary,
-    WarningDedup,
     WarningMessage,
     accuracy,
     decide_avoidance,
@@ -65,9 +64,7 @@ from .config import SYSTEM_NODE_ID, Directive, ScenarioConfig, VehicleSpawn
 from .core import Bsm, GeoPoint, distance, ecef
 from .engine import Engine, SimSummary
 from .mobility import TrafficWorld, VehicleState
-from .radio import (
-    BACKHAUL, LatencyProfile, LinkKind, LinkModel, in_range, loss_probability, rssi_dbm, sample_delivery,
-)
+from .radio import BACKHAUL, LinkKind, LinkModel, in_range, sample_delivery
 
 BEACON_PHASE_MS = 10
 BSM_PHASE_MS = 50
@@ -101,14 +98,6 @@ class QueueEval:
     truth: bool
 
 
-@dataclass(frozen=True)
-class CoverageRow:
-    rsu: str
-    distance_m: float
-    rssi_dbm: float
-    p_loss: float
-
-
 @dataclass
 class RunResult:
     config: ScenarioConfig
@@ -118,7 +107,6 @@ class RunResult:
     avoidance_decisions: list[AvoidanceDecision]
     queue_evals: list[QueueEval]
     archives: dict[str, Archive]
-    coverage: list[CoverageRow]
     beacons_out_of_range: int  # beacons beyond the receiver's effective range; not in ``packets``
 
     def queue_accuracy(self) -> float | None:
@@ -219,14 +207,16 @@ class _RsuIndex:
 class _VehicleAgent:
     """A connected vehicle, with the bookkeeping of its one pending liveness check.
 
-    ``check_ticket`` is the engine ticket of the first beacon delivered in the
-    millisecond ``handoff.last_beacon_at``; ``check_pending`` says whether a
+    ``warned_by`` holds the source of every warning the vehicle has decided
+    on; only the first copy from a source decides. ``check_ticket`` is the
+    engine ticket of the first beacon delivered in the millisecond
+    ``handoff.last_beacon_at``; ``check_pending`` says whether a
     ``handoff-check`` is queued.
     """
 
     vehicle_id: str
     handoff: ho.HandoffState
-    dedup: WarningDedup = field(default_factory=WarningDedup)
+    warned_by: set[str] = field(default_factory=set)
     check_ticket: int = -1
     check_pending: bool = False
 
@@ -269,6 +259,9 @@ class Simulation:
             p_near=config.handoff.beacon_p_near,
             ramp_start_frac=1.0,
         )
+        # Sudden-stop warnings ride each link at their own measured latency.
+        self._dsrc_warning_model = self.links[LinkKind.DSRC].for_warnings()
+        self._lte_warning_model = self.links[LinkKind.LTE].for_warnings()
         # Streams are seeded by their name, so making them up front moves no draw.
         self._delivery_streams = {kind: self.engine.stream(f"radio.{kind.value}.delivery") for kind in LinkKind}
         self._prune_interval_ms = max(1, config.fixed_edge_retention_ms // 4)
@@ -290,7 +283,6 @@ class Simulation:
                 id=spawn.vehicle_id,
                 s=spawn.s_m,
                 speed=spawn.speed_mps,
-                connected=spawn.connected,
                 cruise_speed=spawn.speed_mps,
             )
         )
@@ -332,14 +324,13 @@ class Simulation:
         deliver,
         distance_m: float = 0.0,
         obstruction: float = 0.0,
-        profile: LatencyProfile = LatencyProfile.DATA,
     ) -> None:
         """Range-gate, then transmit; an out-of-range send is logged as lost.
 
         The distance and obstruction default to 0, which is all an unbounded link needs.
         """
         if in_range(distance_m, model, obstruction):
-            self._transmit(kind, tx, rx, model, deliver, distance_m, obstruction, profile)
+            self._transmit(kind, tx, rx, model, deliver, distance_m, obstruction)
         else:
             self.packets.append(PacketRecord(self.engine.now, None, tx, rx, model.kind, kind))
 
@@ -352,11 +343,10 @@ class Simulation:
         deliver,
         distance_m: float,
         obstruction: float,
-        profile: LatencyProfile = LatencyProfile.DATA,
     ) -> None:
         """Draw loss/latency for an in-range send, log it, and schedule the delivery event."""
         now = self.engine.now
-        outcome = sample_delivery(distance_m, model, self._delivery_streams[model.kind], obstruction, profile)
+        outcome = sample_delivery(distance_m, model, self._delivery_streams[model.kind], obstruction)
         t_recv = None if outcome is None else now + outcome.latency_ms  # None: lost on the channel
         self.packets.append(PacketRecord(now, t_recv, tx, rx, model.kind, kind))
         if t_recv is not None:
@@ -512,7 +502,6 @@ class Simulation:
             source_vehicle=vehicle_id, t_emit=now, pos=self.world.position_geo(vehicle_id)
         )
         src_pos = warning.pos
-        dsrc = self.links[LinkKind.DSRC]
         for vid, agent in self.agents.items():
             if vid == vehicle_id:
                 continue
@@ -521,9 +510,8 @@ class Simulation:
                 kind="warning",
                 tx=vehicle_id,
                 rx=vid,
-                model=dsrc,
+                model=self._dsrc_warning_model,
                 distance_m=d,
-                profile=LatencyProfile.WARNING,
                 deliver=lambda a=agent, w=warning: self._handle_warning(a, w, LinkKind.DSRC),
             )
         # Region-wide relay rides cellular into the backend broker; fan-out to
@@ -533,8 +521,7 @@ class Simulation:
             kind="warning",
             tx=vehicle_id,
             rx=SYSTEM_NODE_ID,
-            model=self.links[LinkKind.LTE],
-            profile=LatencyProfile.WARNING,
+            model=self._lte_warning_model,
             deliver=lambda: self._publish(self.backend, self._warning_topic, warning.to_doc(), vehicle_id),
         )
 
@@ -549,8 +536,9 @@ class Simulation:
     def _handle_warning(self, agent: _VehicleAgent, warning: WarningMessage, link: LinkKind) -> None:
         if warning.source_vehicle == agent.vehicle_id:
             return  # own warning echoed back through the region topic
-        if not agent.dedup.first(warning):
-            return
+        if warning.source_vehicle in agent.warned_by:
+            return  # a later copy of a warning already decided on
+        agent.warned_by.add(warning.source_vehicle)
         state = self.world.vehicles[agent.vehicle_id]
         decision = decide_avoidance(
             vehicle=agent.vehicle_id,
@@ -601,36 +589,12 @@ class Simulation:
             node.archive.prune(now)
         self.engine.at(now + self._prune_interval_ms, "app-timer", "archive-prune", self._prune_archives)
 
-    # -- coverage -------------------------------------------------------------
-
-    def _coverage_rows(self) -> list[CoverageRow]:
-        rows = []
-        model = self.links[self.config.handoff.short_range]
-        if model.range_m is None:
-            return rows
-        # No corridor point lies farther than the corridor's length from an RSU.
-        reach = min(model.range_m, self.corridor.length_m)
-        for node in self.rsus:
-            d = 0.0
-            while d <= reach:
-                rows.append(
-                    CoverageRow(
-                        rsu=node.node_id,
-                        distance_m=d,
-                        rssi_dbm=rssi_dbm(d),
-                        p_loss=loss_probability(d, model, node.obstruction),
-                    )
-                )
-                d += 10.0
-        return rows
-
     # -- main entry -------------------------------------------------------------
 
-    def run(self, t_end_ms: int | None = None) -> RunResult:
+    def run(self) -> RunResult:
         if self._ran:
             raise RuntimeError("Simulation objects are single-use; build a new one")
         self._ran = True
-        t_end = self.config.t_end_ms if t_end_ms is None else t_end_ms
         self._apply_due_directives()
         self.engine.at(self.tick_ms, "mobility-tick", "world", self._mobility_tick)
         if self.rsus:
@@ -640,7 +604,7 @@ class Simulation:
             self.engine.at(WINDOW_MS, "detector-tick", "rsus", self._detector_tick)
         if self.rsus:
             self.engine.at(self._prune_interval_ms, "app-timer", "archive-prune", self._prune_archives)
-        summary = self.engine.run_until(t_end)
+        summary = self.engine.run_until(self.config.t_end_ms)
         return RunResult(
             config=self.config,
             summary=summary,
@@ -649,10 +613,9 @@ class Simulation:
             avoidance_decisions=self.avoidance_decisions,
             queue_evals=self.queue_evals,
             archives={node.node_id: node.archive for node in (self.backend, *self.rsus)},
-            coverage=self._coverage_rows(),
             beacons_out_of_range=self.beacons_out_of_range,
         )
 
 
-def run_scenario(config: ScenarioConfig, t_end_ms: int | None = None, trace: TextIO | None = None) -> RunResult:
-    return Simulation(config, trace=trace).run(t_end_ms=t_end_ms)
+def run_scenario(config: ScenarioConfig, trace: TextIO | None = None) -> RunResult:
+    return Simulation(config, trace=trace).run()

@@ -7,7 +7,6 @@ from cvsim.apps import (
     WINDOW_MS,
     UndefinedAccuracyError,
     Verdict,
-    WarningDedup,
     WarningMessage,
     accuracy,
     decide_avoidance,
@@ -77,15 +76,6 @@ def test_avoidance_stationary_receiver_always_safe():
     )
     assert d.d_min_m == 0.0 and d.verdict is Verdict.SAFE
     assert not d.within_safety_latency  # 3000 ms > 200 ms
-
-
-def test_warning_dedup_first_only():
-    dedup = WarningDedup()
-    w = warning()
-    assert dedup.first(w)
-    assert not dedup.first(w)
-    assert not dedup.first(warning(t_emit=9999))  # same (source, reason)
-    assert dedup.first(warning(src="other"))
 
 
 def window(speeds_by_vehicle, t=5000, gap_m=3.0, base_s=600.0):

@@ -1,5 +1,6 @@
 import importlib.resources
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -383,7 +384,7 @@ def test_mutated_bundled_scenario_parses_or_raises_config_error(name, data):
     except ConfigError:
         return
     try:
-        run_scenario(cfg, t_end_ms=min(cfg.t_end_ms, RUN_MS))
+        run_scenario(replace(cfg, t_end_ms=min(cfg.t_end_ms, RUN_MS)))
     except SimulationAborted as exc:
         assert isinstance(exc.cause, OvertakeError), exc
 

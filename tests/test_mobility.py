@@ -18,8 +18,8 @@ def make_world(**kwargs):
                         constants=CONSTANTS, **kwargs)
 
 
-def cruise(vid, s, speed_mps, connected=True):
-    return VehicleState(id=vid, s=s, speed=speed_mps, connected=connected, cruise_speed=speed_mps)
+def cruise(vid, s, speed_mps):
+    return VehicleState(id=vid, s=s, speed=speed_mps, cruise_speed=speed_mps)
 
 
 def test_constant_speed_advances_exactly():
@@ -142,7 +142,7 @@ def test_ground_truth_examples():
     world = make_world(corridor_kwargs={"signals": (("sig1", 400.0),)})
     # five stopped vehicles, 3 m bumper gaps
     for i in range(5):
-        world.spawn(cruise(f"v{i}", 397.0 - 3.0 * i, 0.0, connected=(i % 2 == 0)))
+        world.spawn(cruise(f"v{i}", 397.0 - 3.0 * i, 0.0))
     assert world.ground_truth_queue((0.0, world.corridor.length_m)) is True
 
     # free flow at 15 m/s

@@ -1,14 +1,16 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from cvsim.core import InvalidParameterError
 from cvsim.radio import (
+    PATH_LOSS_EXPONENT,
+    PL0_DB,
+    TX_POWER_DBM,
     Delivered,
-    LatencyProfile,
     LinkKind,
     LinkModel,
-    PathLossParams,
     default_link_models,
     in_range,
     loss_probability,
@@ -82,13 +84,43 @@ def test_latency_uniform_within_jitter_and_clamped_positive():
     assert seen == set(range(1, 8))
 
 
-def test_warning_profile_selects_warning_mean():
+def test_warning_model_takes_the_warning_mean():
     model = LinkModel(
         kind=LinkKind.DSRC, range_m=300.0, latency_mean_ms=4, warning_latency_mean_ms=88
     )
     rng = random.Random(6)
-    assert sample_delivery(1.0, model, rng, profile=LatencyProfile.WARNING).latency_ms == 88
-    assert sample_delivery(1.0, model, rng, profile=LatencyProfile.DATA).latency_ms == 4
+    assert sample_delivery(1.0, model.for_warnings(), rng).latency_ms == 88
+    assert sample_delivery(1.0, model, rng).latency_ms == 4
+
+
+def test_warning_model_keeps_kind_range_loss_and_jitter():
+    model = LinkModel(
+        kind=LinkKind.DSRC, range_m=300.0, latency_mean_ms=4, latency_jitter_ms=2,
+        warning_latency_mean_ms=88, p_near=0.2, ramp_start_frac=0.5,
+    )
+    warning = model.for_warnings()
+    assert warning == replace(model, latency_mean_ms=88)
+    assert warning.kind is LinkKind.DSRC
+    # Same stream, same draws: every loss agrees, and each latency is shifted by the mean difference.
+    data_rng, warning_rng = random.Random(9), random.Random(9)
+    outcomes = []
+    for i in range(2_000):
+        d = 0.15 * i  # 0 to 300 m, through the loss ramp
+        data = sample_delivery(d, model, data_rng)
+        warned = sample_delivery(d, warning, warning_rng)
+        assert (data is None) == (warned is None)
+        if data is not None:
+            assert warned.latency_ms == data.latency_ms + 84
+            outcomes.append(warned.latency_ms)
+    assert set(outcomes) == set(range(86, 91))
+    assert len(outcomes) < 2_000  # some were lost
+
+
+def test_link_without_warning_mean_carries_warnings_at_its_data_mean():
+    wifi = default_link_models(speed_tier_mph=20)[LinkKind.WIFI]
+    assert wifi.warning_latency_mean_ms is None
+    assert wifi.for_warnings() is wifi
+    assert sample_delivery(1.0, wifi.for_warnings(), random.Random(6)).latency_ms == 6
 
 
 def test_empirical_loss_rate_tracks_p_loss():
@@ -104,11 +136,13 @@ def test_empirical_loss_rate_tracks_p_loss():
 
 
 def test_rssi_reference_point_and_decade_slope():
-    params = PathLossParams(tx_power_dbm=20.0, pl0_db=47.0, exponent=2.0, d0_m=1.0)
-    assert rssi_dbm(1.0, params) == pytest.approx(20.0 - 47.0)
-    assert rssi_dbm(10.0, params) == pytest.approx(rssi_dbm(1.0, params) - 20.0)
-    # below the reference distance, clamps to the reference value
-    assert rssi_dbm(0.01, params) == rssi_dbm(1.0, params)
+    assert (TX_POWER_DBM, PL0_DB, PATH_LOSS_EXPONENT) == (20.0, 47.0, 2.4)
+    assert rssi_dbm(1.0) == pytest.approx(20.0 - 47.0)
+    # 10 x 2.4 dB per decade of distance
+    assert rssi_dbm(10.0) == pytest.approx(rssi_dbm(1.0) - 24.0)
+    assert rssi_dbm(100.0) == pytest.approx(rssi_dbm(10.0) - 24.0)
+    # below the 1 m reference distance, clamps to the reference value
+    assert rssi_dbm(0.01) == rssi_dbm(1.0)
 
 
 def test_rssi_strictly_decreasing():

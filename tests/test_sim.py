@@ -15,7 +15,7 @@ from cvsim.config import load_scenario, parse_scenario
 from cvsim.core import GeoPoint, distance
 from cvsim.mobility import DEG_TO_M, Corridor
 from cvsim.radio import LinkKind, in_range
-from cvsim.report import exchange_delays, link_stats
+from cvsim.report import coverage_rows, exchange_delays, link_stats
 from cvsim.sim import SYSTEM_NODE_ID, Simulation, run_scenario
 
 
@@ -35,6 +35,38 @@ def test_warning_not_duplicated_when_both_paths_deliver(scenario_runs):
     # only the first copy may produce a decision.
     result = scenario_runs("collision_avoidance_20mph")
     assert len([d for d in result.avoidance_decisions if d.vehicle == "cv2"]) == 1
+
+
+def test_each_warning_source_decides_once_at_a_receiver():
+    # Two vehicles ahead of rx hard-brake a second apart, both inside its
+    # short-range reach: each warning reaches rx over short-range radio and
+    # again through the cellular relay, and only the first copy of each decides.
+    text = """\
+name: two_warnings
+t_end_s: 8.0
+speed_tier_mph: 20
+corridor:
+  polyline:
+    - [40.0, -75.0]
+    - [40.010792, -75.0]
+detection:
+  enabled: false
+vehicles:
+  - {id: a, s_m: 600.0, speed_mph: 20.0}
+  - {id: b, s_m: 500.0, speed_mph: 20.0}
+  - {id: rx, s_m: 407.0, speed_mph: 20.0}
+script:
+  - {at_s: 2.0, action: hard_brake, vehicle: a}
+  - {at_s: 3.0, action: hard_brake, vehicle: b}
+"""
+    result = run_scenario(parse_scenario(text))
+    assert result.archives[SYSTEM_NODE_ID].count("warning/region/#") == 2  # both relays reached the backend
+    short_range = [p for p in result.packets if p.kind == "warning" and p.rx == "rx" and p.delivered]
+    assert len(short_range) == 2
+    decisions = [d for d in result.avoidance_decisions if d.vehicle == "rx"]
+    # t_recv - latency_ms is the emit time, which names the source here.
+    assert sorted(d.t_recv - d.latency_ms for d in decisions) == [2000, 3000]
+    assert {d.link_used for d in decisions} == {LinkKind.DSRC}
 
 
 def test_source_ignores_its_own_relayed_warning(scenario_runs):
@@ -242,8 +274,9 @@ def test_corridor_coverage_three_passes(scenario_runs):
     exits = [e for e in result.handoff_events if e.to_link is LinkKind.LTE]
     assert len(entries) == 3 and len(exits) == 3
     # middle node is obstructed: its coverage window is the shortest
-    assert len(result.coverage) > 0
-    assert any(row.rsu == "rsu2" and row.p_loss == 1.0 and row.distance_m < 300 for row in result.coverage)
+    rows = coverage_rows(result.config)
+    assert len(rows) > 0
+    assert any(rsu == "rsu2" and p_loss == 1.0 and d < 300 for rsu, d, _, p_loss in rows)
 
 
 def test_loss_statistics_deterministic(scenario_runs):
@@ -280,7 +313,7 @@ def bundled_text(name):
 
 def test_wifi_access_override_leaves_the_backhaul_at_6_ms():
     text = bundled_text("queue_full_penetration") + "links:\n  wifi:\n    latency_mean_ms: 20\n"
-    result = run_scenario(parse_scenario(text), t_end_ms=5_000)
+    result = run_scenario(replace(parse_scenario(text), t_end_ms=5_000))
     assert exchange_delays(result)["system_fixed"] == 6.0
     forwarded = [p for p in result.packets if p.kind in ("bsm_forward", "queue_status")]
     assert forwarded and all(p.link is LinkKind.WIFI and p.latency_ms == 6 for p in forwarded)
@@ -289,16 +322,17 @@ def test_wifi_access_override_leaves_the_backhaul_at_6_ms():
 @pytest.mark.parametrize("range_m", ["1.0e+12", "5000.0"])
 def test_coverage_sweep_stops_at_the_corridor_length(range_m):
     text = bundled_text("corridor_coverage").replace("p_near: 0.05\n", f"p_near: 0.05\n    range_m: {range_m}\n")
-    result = run_scenario(parse_scenario(text), t_end_ms=1_000)
-    length = result.config.corridor.length_m
+    config = parse_scenario(text)
+    rows = coverage_rows(config)
+    length = config.corridor.length_m
     for rsu in ("rsu1", "rsu2", "rsu3"):
-        distances = [row.distance_m for row in result.coverage if row.rsu == rsu]
+        distances = [d for row_rsu, d, _, _ in rows if row_rsu == rsu]
         assert distances[-1] <= length < distances[-1] + 10.0
 
 
 def test_hard_brake_at_its_spawn_millisecond_runs():
     text = bundled_text("collision_avoidance_20mph").replace("at_s: 2.0", "at_s: 0.0")
-    result = run_scenario(parse_scenario(text), t_end_ms=3_000)
+    result = run_scenario(replace(parse_scenario(text), t_end_ms=3_000))
     assert {d.vehicle for d in result.avoidance_decisions} == {"cv2", "cv3"}
 
 
@@ -390,7 +424,7 @@ class _CountingSimulation(Simulation):
     beacon_pairs = 0
 
     def _beacon_round(self):
-        connected = sum(v.connected for v in self.world.vehicles.values())
+        connected = sum(s.connected and s.vehicle_id in self.world.vehicles for s in self.config.vehicles)
         self.beacon_pairs += len(self.rsus) * connected
         super()._beacon_round()
 
