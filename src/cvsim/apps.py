@@ -40,6 +40,10 @@ class WarningMessage:
             "reason": "hard_brake",
         }
 
+    @classmethod
+    def from_doc(cls, doc: dict) -> "WarningMessage":
+        return cls(source_vehicle=doc["source_vehicle"], t_emit=doc["t_emit"], pos=GeoPoint(doc["lat"], doc["lon"]))
+
 
 @dataclass(frozen=True)
 class AvoidanceDecision:
@@ -112,6 +116,10 @@ class VehicleSummary:
     pos: GeoPoint  # of its latest message; the first of equal-``t`` ones
     reports: int
 
+    def to_doc(self) -> dict:
+        """The vehicle's entry in an RSU's processed data, which is keyed by vehicle id."""
+        return {"mean_speed": self.mean_speed, "lat": self.pos.lat, "lon": self.pos.lon, "reports": self.reports}
+
 
 def window_by_vehicle(bsms: Iterable[Bsm], t: int) -> list[VehicleSummary]:
     """Summaries of the messages with ``t - WINDOW_MS < bsm.t <= t``, per vehicle in first-seen order."""
@@ -155,14 +163,10 @@ def detect_queue(
     )
 
 
-class UndefinedAccuracyError(ValueError):
-    """Accuracy of an empty decision series is undefined."""
-
-
-def accuracy(decided: Iterable[bool], truth: Iterable[bool]) -> float:
-    """Fraction of aligned one-second evaluations where detector equals truth."""
+def accuracy(decided: Iterable[bool], truth: Iterable[bool]) -> float | None:
+    """Fraction of aligned one-second evaluations where detector equals truth; ``None`` for none."""
     pairs = list(zip(list(decided), list(truth), strict=True))
     if not pairs:
-        raise UndefinedAccuracyError("no evaluations to compare")
+        return None
     hits = sum(1 for d, g in pairs if d == g)
     return hits / len(pairs)

@@ -14,6 +14,11 @@ from dataclasses import dataclass, field
 from .broker import _match_levels, split_filter, split_topic
 
 
+def canonical_line(doc: dict) -> str:
+    """``doc`` as one compact JSON line with sorted keys: the form of every exported document."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 class InvalidRangeError(ValueError):
     """Query range with t0 > t1."""
 
@@ -86,5 +91,5 @@ class Archive:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for r in self._records:
                 doc = {"seq": r.seq, "topic": r.topic, "t": r.t, "origin": r.origin, "payload": r.payload}
-                fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+                fh.write(canonical_line(doc))
         return len(self._records)

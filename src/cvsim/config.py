@@ -29,6 +29,14 @@ from .handoff import BeaconConfig
 
 # The backend node's id in every archive, topic origin and packet log; no RSU may take it.
 SYSTEM_NODE_ID = "system"
+# Every topic a run publishes is one of these templates filled with a vehicle,
+# RSU or region name; the report counts archives by the two patterns.
+BSM_RAW_TOPIC = "bsm/raw/{}"
+BSM_PROCESSED_TOPIC = "bsm/processed/{}"
+QUEUE_STATUS_TOPIC = "queue/status/{}"
+WARNING_TOPIC = "warning/region/{}"
+BSM_RAW_PATTERN = BSM_RAW_TOPIC.format("#")
+QUEUE_STATUS_PATTERN = QUEUE_STATUS_TOPIC.format("#")
 # Spawn speeds above this (about 224 mph, beyond any road vehicle) are rejected.
 MAX_SPEED_MPS = 100.0
 
@@ -163,15 +171,13 @@ class _Section:
             return {}
         return {name: seconds_to_ms(seconds, key, positive, self.source, self.line(key))}
 
-    def check_topic(self, key: str, value: str, topic: str) -> None:
-        """Reject ``value``, read under ``key``, unless ``topic`` is a valid broker topic.
-
-        ``topic`` is the longest topic a run builds from ``value``.
-        """
-        try:
-            split_topic(topic)
-        except TopicError as exc:
-            raise self.error(f"{key} {value!r} cannot form a topic: {exc}", key)
+    def check_topic(self, key: str, value: str, *templates: str) -> None:
+        """Reject ``value``, read under ``key``, unless it fills every topic template into a valid topic."""
+        for template in templates:
+            try:
+                split_topic(template.format(value))
+            except TopicError as exc:
+                raise self.error(f"{key} {value!r} cannot form a topic: {exc}", key)
 
     def build(self, make, *args, **kwargs):
         """``make(*args, **kwargs)`` once no unknown key is left; its ValueError anchors here."""
@@ -313,7 +319,7 @@ def _parse_corridor(section: _Section) -> Corridor:
             s_m=s.get("s_m", float, required=True),
             **s.present({"obstruction": float}),
         )
-        s.check_topic("id", rsu.rsu_id, f"bsm/processed/{rsu.rsu_id}")
+        s.check_topic("id", rsu.rsu_id, BSM_PROCESSED_TOPIC, QUEUE_STATUS_TOPIC)
         if rsu.rsu_id == SYSTEM_NODE_ID:
             raise s.error(f"RSU id {SYSTEM_NODE_ID!r} is reserved for the backend node", "id")
         if any(r.rsu_id == rsu.rsu_id for r in rsus):
@@ -366,7 +372,7 @@ def _parse_handoff(section: _Section | None) -> BeaconConfig:
 
 def _parse_spawn_fields(s: _Section, spawn_t_ms: int, corridor_length_m: float) -> VehicleSpawn:
     vid = s.get("id", str, required=True)
-    s.check_topic("id", vid, f"bsm/raw/{vid}")
+    s.check_topic("id", vid, BSM_RAW_TOPIC)
     if s.has("s_m") and s.has("s_ft"):
         raise s.error("give s_m or s_ft, not both", "s_ft")
     if s.has("s_m"):
@@ -400,8 +406,15 @@ def _parse_spawn_fields(s: _Section, spawn_t_ms: int, corridor_length_m: float) 
     )
 
 
+def _register_spawn(spawn_ms: dict[str, int], spawn: VehicleSpawn, s: _Section) -> None:
+    """Record ``spawn`` in ``spawn_ms``, the spawn time of every vehicle id; a repeated id is an error."""
+    if spawn.vehicle_id in spawn_ms:
+        raise s.error(f"duplicate vehicle id {spawn.vehicle_id!r}")
+    spawn_ms[spawn.vehicle_id] = spawn.spawn_t_ms
+
+
 def _parse_script(
-    root: _Section, vehicles: list[VehicleSpawn], signal_ids: set[str], corridor_length_m: float
+    root: _Section, spawn_ms: dict[str, int], signal_ids: set[str], corridor_length_m: float
 ) -> list[Directive]:
     parsed: list[tuple[Directive, _Section]] = []
     for item, path in root.seq("script"):
@@ -430,12 +443,9 @@ def _parse_script(
             )
         s.reject_unknown()
         parsed.append((directive, s))
-    spawn_ms = {v.vehicle_id: v.spawn_t_ms for v in vehicles}
     for d, s in parsed:
         if d.spawn is not None:
-            if d.spawn.vehicle_id in spawn_ms:
-                raise s.error(f"duplicate vehicle id {d.spawn.vehicle_id!r}")
-            spawn_ms[d.spawn.vehicle_id] = d.spawn.spawn_t_ms
+            _register_spawn(spawn_ms, d.spawn, s)
     for d, s in parsed:
         if d.action == "hard_brake" and d.vehicle not in spawn_ms:
             raise s.error(f"hard_brake targets unknown vehicle {d.vehicle!r}")
@@ -459,7 +469,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     seed = root.get("seed", int, default=0)
     t_end_ms = root.get_ms("t_end_s", positive=True, default=None)
     region = root.get("region", str, default="corridor")
-    root.check_topic("region", region, f"warning/region/{region}")
+    root.check_topic("region", region, WARNING_TOPIC)
     speed_tier = root.get("speed_tier_mph", int, default=20)
     try:
         links = default_link_models(speed_tier)
@@ -499,17 +509,15 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         asec.reject_unknown()
 
     vehicles = []
-    seen_ids: set[str] = set()
+    spawn_ms: dict[str, int] = {}
     for item, path in root.seq("vehicles"):
         s = root.item_section(item, path)
         spawn = _parse_spawn_fields(s, s.get_ms("spawn_t_s", positive=False, default=0.0), corridor.length_m)
         s.reject_unknown()
-        if spawn.vehicle_id in seen_ids:
-            raise s.error(f"duplicate vehicle id {spawn.vehicle_id!r}")
-        seen_ids.add(spawn.vehicle_id)
+        _register_spawn(spawn_ms, spawn, s)
         vehicles.append(spawn)
 
-    script = _parse_script(root, vehicles, {s.signal_id for s in corridor.signals}, corridor.length_m)
+    script = _parse_script(root, spawn_ms, {s.signal_id for s in corridor.signals}, corridor.length_m)
 
     root.reject_unknown()
     return ScenarioConfig(

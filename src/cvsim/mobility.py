@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import GeoPoint, SimConstants, min_safety_distance
+from .core import EARTH_RADIUS_M, GeoPoint, SimConstants, min_safety_distance
 
-DEG_TO_M = math.pi / 180.0 * 6_371_000.0
+DEG_TO_M = math.pi / 180.0 * EARTH_RADIUS_M
 QUEUE_MIN_VEHICLES = 2  # the fewest slow vehicles ground truth may call a queue
 
 

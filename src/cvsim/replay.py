@@ -8,9 +8,9 @@ function of its one-second window, replaying an export reproduces the live
 run's decisions exactly.
 
 Ordering positions along the road needs geometry. When a scenario is supplied
-the corridor projection is used (identical to the live run); otherwise
-positions are ordered by projection onto the trace's own dominant axis, which
-matches the live ordering for straight corridors.
+its corridor orders them, as in the live run; otherwise a straight corridor
+through the trace's bounding box does, ordered by the same ``Corridor.project``
+a live run uses, which matches the live ordering for straight corridors.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from pathlib import Path
 from typing import Callable
 
 from .apps import WINDOW_MS, QueueDecision, accuracy, detect_queue, eval_bucket, window_by_vehicle
-from .core import Bsm, GeoPoint, SimConstants
-from .mobility import DEG_TO_M, Corridor
+from .core import Bsm, GeoPoint, SimConstants, distance
+from .mobility import Corridor
 from .report import write_queue_csv
 
 REPLAY_RSU_ID = "replay"
@@ -88,27 +88,19 @@ def parse_trace(path: str | Path, t_end_ms: int | None = None) -> list[TraceReco
 
 
 def axis_order_key(records: list[TraceRecord]) -> Callable[[GeoPoint], float]:
-    """Projection onto the trace's dominant straight axis (fallback ordering)."""
-    points = [r.bsm.pos for r in records]
-    lat0 = min(p.lat for p in points)
-    lat1 = max(p.lat for p in points)
-    lon0 = min(p.lon for p in points)
-    lon1 = max(p.lon for p in points)
+    """``Corridor.project`` along the longer side of the trace's bounding box, from its south-west corner.
+
+    North wins a tie; a box whose longer side measures 0 m (one point) keys every position alike.
+    """
+    lats = [r.bsm.pos.lat for r in records]
+    lons = [r.bsm.pos.lon for r in records]
+    lat0, lat1, lon0, lon1 = min(lats), max(lats), min(lons), max(lons)
     coslat = math.cos(math.radians((lat0 + lat1) / 2.0))
-    if (lat1 - lat0) >= (lon1 - lon0) * coslat:
-        ax, ay = lon0 * coslat * DEG_TO_M, lat0 * DEG_TO_M
-        bx, by = lon0 * coslat * DEG_TO_M, lat1 * DEG_TO_M
-    else:
-        ax, ay = lon0 * coslat * DEG_TO_M, lat0 * DEG_TO_M
-        bx, by = lon1 * coslat * DEG_TO_M, lat0 * DEG_TO_M
-    vx, vy = bx - ax, by - ay
-    norm = math.hypot(vx, vy) or 1.0
-
-    def key(p: GeoPoint) -> float:
-        px, py = p.lon * coslat * DEG_TO_M, p.lat * DEG_TO_M
-        return ((px - ax) * vx + (py - ay) * vy) / norm
-
-    return key
+    start = GeoPoint(lat0, lon0)
+    end = GeoPoint(lat1, lon0) if lat1 - lat0 >= (lon1 - lon0) * coslat else GeoPoint(lat0, lon1)
+    if distance(start, end) == 0.0:
+        return lambda p: 0.0
+    return Corridor([start, end]).project
 
 
 def replay_trace(
@@ -142,7 +134,7 @@ def replay_trace(
         truths.append(flags[-1] if flags else None)
     # Score whichever seconds carry truth annotations (all of them, normally).
     known = [(d.queued, g) for d, g in zip(decisions, truths) if g is not None]
-    acc = accuracy([q for q, _ in known], [g for _, g in known]) if known else None
+    acc = accuracy([q for q, _ in known], [g for _, g in known])
     return ReplayResult(decisions=decisions, truth=truths, accuracy=acc)
 
 

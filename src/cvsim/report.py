@@ -10,14 +10,14 @@ byte-identical artifacts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from .apps import QueueDecision, accuracy, eval_bucket
+from .archive import canonical_line
 from .core import m_to_ft, mps_to_mph, round_half_away
-from .config import SYSTEM_NODE_ID, ScenarioConfig
+from .config import BSM_RAW_PATTERN, QUEUE_STATUS_PATTERN, SYSTEM_NODE_ID, ScenarioConfig
 from .radio import LinkKind, loss_probability, rssi_dbm
 from .sim import RunResult
 
@@ -126,7 +126,7 @@ def compute_figures(result: RunResult) -> ReportFigures:
         for rsu, (decided, truth) in sorted(by_rsu.items())
     ]
     archives = [
-        ArchiveTally(node_id, len(a), a.appended_total, a.count("bsm/raw/#"), a.count("queue/status/#"))
+        ArchiveTally(node_id, len(a), a.appended_total, a.count(BSM_RAW_PATTERN), a.count(QUEUE_STATUS_PATTERN))
         for node_id, a in sorted(result.archives.items())
     ]
     return ReportFigures(link_stats(result), exchange_delays(result), queues, archives)
@@ -220,7 +220,7 @@ def write_bsm_trace(result: RunResult, path: Path) -> int:
     truth_at: dict[int, bool] = {}
     for e in result.queue_evals:
         truth_at.setdefault(e.decision.t, e.truth)
-    records = result.archives[SYSTEM_NODE_ID].query(0, result.summary.end_time_ms, "bsm/raw/#")
+    records = result.archives[SYSTEM_NODE_ID].query(0, result.summary.end_time_ms, BSM_RAW_PATTERN)
     n = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for record in records:
@@ -228,7 +228,7 @@ def write_bsm_trace(result: RunResult, path: Path) -> int:
             bucket = eval_bucket(int(doc["t"]))
             if bucket in truth_at:
                 doc["truth"] = truth_at[bucket]
-            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(canonical_line(doc))
             n += 1
     return n
 

@@ -51,7 +51,6 @@ from .apps import (
     WINDOW_MS,
     AvoidanceDecision,
     QueueDecision,
-    VehicleSummary,
     WarningMessage,
     accuracy,
     decide_avoidance,
@@ -60,7 +59,8 @@ from .apps import (
 )
 from .archive import Archive
 from .broker import Broker, BrokerMessage
-from .config import SYSTEM_NODE_ID, Directive, ScenarioConfig, VehicleSpawn
+from .config import BSM_PROCESSED_TOPIC, BSM_RAW_TOPIC, QUEUE_STATUS_TOPIC, SYSTEM_NODE_ID, WARNING_TOPIC
+from .config import Directive, ScenarioConfig, VehicleSpawn
 from .core import Bsm, GeoPoint, distance, ecef
 from .engine import Engine, SimSummary
 from .mobility import TrafficWorld, VehicleState
@@ -110,8 +110,6 @@ class RunResult:
     beacons_out_of_range: int  # beacons beyond the receiver's effective range; not in ``packets``
 
     def queue_accuracy(self) -> float | None:
-        if not self.queue_evals:
-            return None
         return accuracy([e.decision.queued for e in self.queue_evals], [e.truth for e in self.queue_evals])
 
 
@@ -248,7 +246,7 @@ class Simulation:
         self.handoff_events: list[ho.HandoffEvent] = []
         self.avoidance_decisions: list[AvoidanceDecision] = []
         self.queue_evals: list[QueueEval] = []
-        self._warning_topic = f"warning/region/{config.region}"
+        self._warning_topic = WARNING_TOPIC.format(config.region)
         self._pending: list[Directive] = self._build_directives()
         # Beacons are pure range-gated liveness probes: flat loss out to the
         # effective range edge (no distance ramp), so a zero beacon_p_near
@@ -468,7 +466,7 @@ class Simulation:
                     tx=vid,
                     rx=SYSTEM_NODE_ID,
                     model=self.links[link],
-                    deliver=lambda b=bsm, v=vid: self._publish(self.backend, f"bsm/raw/{v}", b.to_doc(), v),
+                    deliver=lambda b=bsm, v=vid: self._publish(self.backend, BSM_RAW_TOPIC.format(v), b.to_doc(), v),
                 )
             else:
                 target = self._rsu_index.nearest(bsm.pos)
@@ -491,7 +489,7 @@ class Simulation:
     def _rsu_ingest_bsm(self, node: _RsuNode, bsm: Bsm) -> None:
         if self.config.detection.enabled:
             node.window.append(bsm)
-        self._forward(node, "bsm_forward", f"bsm/raw/{bsm.vehicle_id}", bsm.to_doc())
+        self._forward(node, "bsm_forward", BSM_RAW_TOPIC.format(bsm.vehicle_id), bsm.to_doc())
 
     def _emit_warning(self, vehicle_id: str) -> None:
         agent = self.agents.get(vehicle_id)
@@ -526,12 +524,7 @@ class Simulation:
         )
 
     def _on_warning_via_broker(self, agent: _VehicleAgent, msg: BrokerMessage) -> None:
-        warning = WarningMessage(
-            source_vehicle=msg.payload["source_vehicle"],
-            t_emit=msg.payload["t_emit"],
-            pos=GeoPoint(msg.payload["lat"], msg.payload["lon"]),
-        )
-        self._handle_warning(agent, warning, LinkKind.LTE)
+        self._handle_warning(agent, WarningMessage.from_doc(msg.payload), LinkKind.LTE)
 
     def _handle_warning(self, agent: _VehicleAgent, warning: WarningMessage, link: LinkKind) -> None:
         if warning.source_vehicle == agent.vehicle_id:
@@ -569,19 +562,13 @@ class Simulation:
                 constants=self.constants,
             )
             self.queue_evals.append(QueueEval(decision=decision, truth=truth))
-            self._publish_processed(node, now, vehicles)
-            self._forward(node, "queue_status", f"queue/status/{node.node_id}", decision.to_doc())
+            docs = {v.vehicle_id: v.to_doc() for v in sorted(vehicles, key=lambda v: v.vehicle_id)}
+            processed = {"t": now, "rsu": node.node_id, "vehicles": docs}
+            self._publish(node, BSM_PROCESSED_TOPIC.format(node.node_id), processed, node.node_id)
+            self._forward(node, "queue_status", QUEUE_STATUS_TOPIC.format(node.node_id), decision.to_doc())
             # Every message held was sent at or before ``now``, so no later window holds it.
             node.window = []
         self.engine.at(now + WINDOW_MS, "detector-tick", "rsus", self._detector_tick)
-
-    def _publish_processed(self, node: _RsuNode, now: int, vehicles: list[VehicleSummary]) -> None:
-        docs = {
-            v.vehicle_id: {"mean_speed": v.mean_speed, "lat": v.pos.lat, "lon": v.pos.lon, "reports": v.reports}
-            for v in sorted(vehicles, key=lambda v: v.vehicle_id)
-        }
-        payload = {"t": now, "rsu": node.node_id, "vehicles": docs}
-        self._publish(node, f"bsm/processed/{node.node_id}", payload, node.node_id)
 
     def _prune_archives(self) -> None:
         now = self.engine.now

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from cvsim.apps import (
     WINDOW_MS,
-    UndefinedAccuracyError,
     Verdict,
+    VehicleSummary,
     WarningMessage,
     accuracy,
     decide_avoidance,
@@ -186,7 +186,17 @@ def test_accuracy_basics():
     assert accuracy([True, False, True], [True, False, True]) == 1.0
     assert accuracy([False, False], [True, True]) == 0.0
     assert accuracy([True, False, False, True], [True, True, False, False]) == 0.5
-    with pytest.raises(UndefinedAccuracyError):
-        accuracy([], [])
+    assert accuracy([], []) is None  # no evaluations, no accuracy
     with pytest.raises(ValueError):
         accuracy([True], [True, False])  # misaligned series
+
+
+def test_warning_document_round_trips():
+    warning = WarningMessage(source_vehicle="cv1", t_emit=1200, pos=GeoPoint(40.001, -75.0))
+    assert warning.to_doc()["reason"] == "hard_brake"
+    assert WarningMessage.from_doc(warning.to_doc()) == warning
+
+
+def test_vehicle_summary_document_leaves_the_id_to_its_key():
+    summary = VehicleSummary("cv1", 2.5, GeoPoint(40.001, -75.0), 10)
+    assert summary.to_doc() == {"mean_speed": 2.5, "lat": 40.001, "lon": -75.0, "reports": 10}

@@ -5,11 +5,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unittest.mock import patch
+
 from cvsim.apps import eval_bucket
 from cvsim.config import load_scenario
-from cvsim.replay import MAX_TRACE_T_MS, TraceError, axis_order_key, parse_trace, replay_trace
+from cvsim.replay import MAX_TRACE_T_MS, TraceError, TraceRecord, axis_order_key, parse_trace, replay_trace
 from cvsim.report import write_bsm_trace
-from cvsim.core import GeoPoint
+from cvsim.core import EARTH_RADIUS_M, Bsm, GeoPoint
 
 GOLDEN_MIXED_TRACE = Path(__file__).parent / "data" / "golden_mixed_40s.ndjson"
 # Frozen from the committed trace by the independent brute-force recount
@@ -106,9 +108,6 @@ def test_golden_mixed_trace_accuracy_frozen():
 
 
 def test_axis_order_key_handles_east_west_roads():
-    from cvsim.core import Bsm
-    from cvsim.replay import TraceRecord
-
     records = [
         TraceRecord(Bsm(t=100 * i + 50, vehicle_id="v", pos=GeoPoint(40.0, -75.0 + i * 0.001), speed=1.0), None)
         for i in range(5)
@@ -116,6 +115,74 @@ def test_axis_order_key_handles_east_west_roads():
     key = axis_order_key(records)
     values = [key(r.bsm.pos) for r in records]
     assert values == sorted(values)
+
+
+# -- hypothesis property: the fallback ordering -------------------------------
+
+DEG_TO_M = math.pi / 180.0 * EARTH_RADIUS_M
+
+
+def reference_axis_key(records):
+    """The fallback ordering as an explicit equirectangular projection onto the
+    dominant axis of the trace's bounding box, written out independently of
+    ``Corridor``."""
+    points = [r.bsm.pos for r in records]
+    lat0, lat1 = min(p.lat for p in points), max(p.lat for p in points)
+    lon0, lon1 = min(p.lon for p in points), max(p.lon for p in points)
+    coslat = math.cos(math.radians((lat0 + lat1) / 2.0))
+    ax, ay = lon0 * coslat * DEG_TO_M, lat0 * DEG_TO_M
+    if (lat1 - lat0) >= (lon1 - lon0) * coslat:
+        bx, by = ax, lat1 * DEG_TO_M
+    else:
+        bx, by = lon1 * coslat * DEG_TO_M, ay
+    vx, vy = bx - ax, by - ay
+    norm = math.hypot(vx, vy) or 1.0
+
+    def key(p):
+        px, py = p.lon * coslat * DEG_TO_M, p.lat * DEG_TO_M
+        return ((px - ax) * vx + (py - ay) * vy) / norm
+
+    return key
+
+
+# Axis-aligned roads come up often: on them only the dominant axis orders the
+# vehicles, so a projection onto the other axis shows.
+AXES = st.sampled_from([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
+BEARINGS = st.floats(0.0, 2 * math.pi).map(lambda a: (math.cos(a), math.sin(a)))
+# Offsets and speeds from small sets, so vehicles share spots and stand still.
+VEHICLES = st.lists(
+    st.tuples(st.sampled_from([0.0, 2.0, 5.0, 5.0, 12.5, 40.0, 150.0]), st.sampled_from([0.0, 0.0, 0.4, 1.5, 8.0])),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    origin=st.tuples(st.floats(-60.0, 60.0), st.floats(-170.0, 170.0)),
+    direction=st.one_of(AXES, BEARINGS),
+    vehicles=VEHICLES,
+    order=st.randoms(use_true_random=False),
+    seconds=st.integers(1, 3),
+)
+def test_fallback_ordering_decides_as_the_axis_projection(origin, direction, vehicles, order, seconds):
+    """Replay without a scenario decides exactly as the reference projection
+    does, over straight traces of any bearing, in shuffled report order."""
+    lat0, lon0 = origin
+    north, east = direction
+    reporting = list(enumerate(vehicles))
+    order.shuffle(reporting)
+    records = []
+    for t in range(50, seconds * 1000, 100):
+        for i, (offset_m, speed) in reporting:
+            d = offset_m + speed * t / 1000.0
+            pos = GeoPoint(lat0 + d * north / DEG_TO_M, lon0 + d * east / (DEG_TO_M * math.cos(math.radians(lat0))))
+            records.append(TraceRecord(Bsm(t=t, vehicle_id=f"v{i}", pos=pos, speed=speed), None))
+    with patch("cvsim.replay.axis_order_key", reference_axis_key):
+        expected = replay_trace(records)
+    result = replay_trace(records)
+    assert result.decisions == expected.decisions
+    assert len(result.decisions) == seconds and result.accuracy is None
 
 
 # -- hypothesis property: the trace parser's boundary -------------------------
