@@ -147,7 +147,10 @@ class _Section:
             return default
         value = self.data[key]
         if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise self.error(f"{key!r} must be float, got an integer too large for one", key)
         if kind is int and isinstance(value, bool):
             raise self.error(f"{key!r} must be an integer, got a boolean", key)
         if not isinstance(value, kind):
@@ -298,13 +301,15 @@ def _parse_constants(section: _Section | None) -> SimConstants:
 def _parse_corridor(section: _Section) -> Corridor:
     points = []
     for item, path in section.seq("polyline", required=True):
+        line = section.lines.get(path)
         if not (isinstance(item, list) and len(item) == 2):
-            raise ConfigError("polyline entries must be [lat, lon] pairs", section.source,
-                              section.lines.get(path))
+            raise ConfigError("polyline entries must be [lat, lon] pairs", section.source, line)
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in item):
+            raise ConfigError(f"polyline coordinates must be numbers, got {item!r}", section.source, line)
         try:
             points.append(GeoPoint(float(item[0]), float(item[1])))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad polyline point: {exc}", section.source, section.lines.get(path))
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad polyline point: {exc}", section.source, line)
     signals = []
     for item, path in section.seq("signals"):
         s = section.item_section(item, path)

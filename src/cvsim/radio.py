@@ -52,6 +52,10 @@ class LinkModel:
             )
         if self.latency_jitter_ms < 0:
             raise InvalidParameterError("latency_jitter_ms must be non-negative")
+        for name in ("latency_mean_ms", "warning_latency_mean_ms"):
+            mean = getattr(self, name)
+            if mean is not None and mean < 1:
+                raise InvalidParameterError(f"{name} must be at least 1 ms, got {mean}")
 
     def effective_range(self, obstruction: float = 0.0) -> float | None:
         if not 0.0 <= obstruction <= 1.0:

@@ -75,7 +75,7 @@ def parse_trace(path: str | Path, t_end_ms: int | None = None) -> list[TraceReco
                 raise TraceError(source, lineno, f"missing fields: {sorted(missing)}")
             try:
                 bsm = Bsm.from_doc(doc)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise TraceError(source, lineno, f"bad message fields: {exc}")
             if bsm.t > t_max:
                 limit = "the replay ceiling" if t_max == MAX_TRACE_T_MS else "the scenario's t_end"

@@ -6,6 +6,10 @@ one computation, the text from the unrounded values. All files are UTF-8 with
 LF endings and contain nothing run-dependent beyond the simulation itself (no
 wall-clock timestamps), so a scenario re-run with the same seed writes
 byte-identical artifacts.
+
+A send counts as delivered only when it arrived by the end of the run; one
+still on its way then is ``in_flight``, so a delivered count is what the
+receivers got. Both JSON-line exports write ``archive.canonical_line``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .archive import canonical_line
 from .core import m_to_ft, mps_to_mph, round_half_away
 from .config import BSM_RAW_PATTERN, QUEUE_STATUS_PATTERN, SYSTEM_NODE_ID, ScenarioConfig
 from .radio import LinkKind, loss_probability, rssi_dbm
-from .sim import RunResult
+from .sim import PacketRecord, RunResult
 
 EXCHANGE_ROWS = (
     ("mobile_fixed", "Mobile Edge (CV) - Fixed Edge", LinkKind.DSRC, "bsm", "Basic safety messages"),
@@ -41,17 +45,24 @@ class LinkStats:
     link: LinkKind
     sent: int
     delivered: int
+    in_flight: int
     lost: int
     loss_pct: float | None
     avg_latency_ms: float | None
     max_latency_ms: int | None
 
 
-def link_stats(result: RunResult) -> list[LinkStats]:
-    """Per link kind with traffic: sends, deliveries, losses and delivered latency.
+def _arrived_latencies(packets: Iterable[PacketRecord], end_ms: int) -> list[int]:
+    """The latencies of the sends that arrived by ``end_ms``; a later delivery is still in flight."""
+    return [p.t_recv - p.t_send for p in packets if p.t_recv is not None and p.t_recv <= end_ms]
 
-    Out-of-range beacons are counted, not logged: ``result.beacons_out_of_range``
-    adds to the short-range link's sent and lost.
+
+def link_stats(result: RunResult) -> list[LinkStats]:
+    """Per link kind with traffic: sends split into delivered, in flight and lost, and delivered latency.
+
+    ``delivered + in_flight + lost == sent``, and the latencies are those of
+    the delivered sends. Out-of-range beacons are counted, not logged:
+    ``result.beacons_out_of_range`` adds to the short-range link's sent and lost.
     """
     stats = []
     for link in LinkKind:
@@ -61,15 +72,17 @@ def link_stats(result: RunResult) -> list[LinkStats]:
             sent += result.beacons_out_of_range
         if not sent:
             continue
-        delivered = [p for p in pkts if p.delivered]
-        latencies = [p.latency_ms for p in delivered]
+        latencies = _arrived_latencies(pkts, result.summary.end_time_ms)
+        in_flight = sum(1 for p in pkts if p.delivered) - len(latencies)
+        lost = sent - len(latencies) - in_flight
         stats.append(
             LinkStats(
                 link=link,
                 sent=sent,
-                delivered=len(delivered),
-                lost=sent - len(delivered),
-                loss_pct=100.0 * (sent - len(delivered)) / sent,
+                delivered=len(latencies),
+                in_flight=in_flight,
+                lost=lost,
+                loss_pct=100.0 * lost / sent,
                 avg_latency_ms=sum(latencies) / len(latencies) if latencies else None,
                 max_latency_ms=max(latencies) if latencies else None,
             )
@@ -78,11 +91,11 @@ def link_stats(result: RunResult) -> list[LinkStats]:
 
 
 def exchange_delays(result: RunResult) -> dict[str, float | None]:
+    """The mean latency of each ``EXCHANGE_ROWS`` exchange, over its sends delivered by the end."""
     out: dict[str, float | None] = {}
     for key, _, link, kind, _ in EXCHANGE_ROWS:
-        latencies = [
-            p.latency_ms for p in result.packets if p.link is link and p.kind == kind and p.delivered
-        ]
+        sends = (p for p in result.packets if p.link is link and p.kind == kind)
+        latencies = _arrived_latencies(sends, result.summary.end_time_ms)
         out[key] = sum(latencies) / len(latencies) if latencies else None
     return out
 
@@ -247,6 +260,7 @@ def report_rows(result: RunResult, figures: ReportFigures) -> list[tuple[str, st
         sec = f"link.{s.link.value}"
         rows.append((sec, "sent", str(s.sent)))
         rows.append((sec, "delivered", str(s.delivered)))
+        rows.append((sec, "in_flight", str(s.in_flight)))
         rows.append((sec, "lost", str(s.lost)))
         rows.append((sec, "loss_pct", fnum(round(s.loss_pct, 4))))
         rows.append((sec, "avg_latency_ms", fnum(s.avg_latency_ms)))
@@ -291,13 +305,14 @@ def render_text_report(result: RunResult, figures: ReportFigures) -> str:
         f"events: {result.summary.events_processed}",
         "",
         "== link statistics ==",
-        f"{'link':8} {'sent':>8} {'delivered':>10} {'lost':>6} {'loss%':>8} {'avg ms':>9} {'max ms':>7}",
+        f"{'link':8} {'sent':>8} {'delivered':>10} {'in flight':>10} {'lost':>6} "
+        f"{'loss%':>8} {'avg ms':>9} {'max ms':>7}",
     ]
     for s in figures.links:
         avg = "-" if s.avg_latency_ms is None else f"{s.avg_latency_ms:.2f}"
         mx = "-" if s.max_latency_ms is None else str(s.max_latency_ms)
         lines.append(
-            f"{s.link.value:8} {s.sent:>8} {s.delivered:>10} {s.lost:>6} "
+            f"{s.link.value:8} {s.sent:>8} {s.delivered:>10} {s.in_flight:>10} {s.lost:>6} "
             f"{s.loss_pct:>8.2f} {avg:>9} {mx:>7}"
         )
     lines += ["", "== data exchange delay =="]

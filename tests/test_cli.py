@@ -109,6 +109,13 @@ POLYLINE = "corridor:\n  polyline:\n    - [40.0, -75.0]\n    - [40.01, -75.0]\n"
         ("t_end_s: 1.0\nregion: \"a+b\"\n", 3, "region 'a+b' cannot form a topic"),
         ("t_end_s: 1.0\nregion: a//b\n", 3, "region 'a//b' cannot form a topic"),
         ("t_end_s: !foo 1.0\n", 2, "cannot read '1.0' as !foo"),
+        (
+            "t_end_s: 1.0\nlinks:\n  dsrc: {latency_mean_ms: 0, warning_latency_ms: -500}\n",
+            4,
+            "latency_mean_ms must be at least 1 ms, got 0",
+        ),
+        ("t_end_s: 1.0\nlinks:\n  lte:\n    warning_latency_ms: -500\n", 4, "warning_latency_mean_ms must be at least 1 ms"),
+        ("t_end_s: 1.0\nlinks:\n  wifi:\n    warning_latency_ms: 0\n", 4, "warning_latency_mean_ms must be at least 1 ms"),
     ],
 )
 def test_boundary_values_exit_2_at_parse_time(tmp_path, capsys, body, line, key):
@@ -118,6 +125,17 @@ def test_boundary_values_exit_2_at_parse_time(tmp_path, capsys, body, line, key)
     assert rc == 2
     err = capsys.readouterr().err
     assert f"bad.yaml:{line}" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("point", ['["40.01", -75.0]', "[40.01, true]"])
+def test_polyline_coordinate_that_is_not_a_number_exit_2(tmp_path, capsys, point):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("name: x\nt_end_s: 1.0\n" + POLYLINE.replace("[40.01, -75.0]", point))
+    rc = main(["--scenario", str(bad), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad.yaml:6" in err and "polyline coordinates must be numbers" in err
     assert not (tmp_path / "out").exists()
 
 

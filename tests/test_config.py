@@ -331,8 +331,9 @@ def test_vehicle_id_and_region_with_slashes_run():
 
 # -- hypothesis property: the parser's boundary -------------------------------
 
-# YAML spellings that PyYAML resolves to floats/ints: nan, inf, -inf, -1, 0, 1e-9, 1e12.
-BOUNDARY_VALUES = (".nan", ".inf", "-.inf", "-1", "0", "1.0e-9", "1.0e+12")
+# YAML spellings that PyYAML resolves to floats/ints: nan, inf, -inf, -1, 0, 1e-9, 1e12;
+# then a quoted number, which is a string, and a boolean.
+BOUNDARY_VALUES = (".nan", ".inf", "-.inf", "-1", "0", "1.0e-9", "1.0e+12", '"40.0"', "true")
 # Names that no topic can hold, and the backend's reserved id. Each base's own
 # names are drawn too, so a name can also take a sibling's id.
 NAME_KEYS = {"id", "vehicle", "signal", "region"}
@@ -360,29 +361,57 @@ def mutable_spans(text):
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 README_BLOCKS = re.findall(r"```yaml\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+# Every link key of every link kind; a hard brake sends warnings over DSRC and LTE.
+LINKS_BASE = """\
+name: links
+t_end_s: 4.0
+corridor:
+  polyline:
+    - [40.0, -75.0]
+    - [40.005, -75.0]
+  rsus:
+    - {id: rsu1, s_m: 100.0}
+links:
+  dsrc: {range_m: 300.0, latency_mean_ms: 4, latency_jitter_ms: 1, warning_latency_ms: 88, p_near: 0.1, ramp_start_frac: 0.8}
+  lte: {latency_mean_ms: 50, latency_jitter_ms: 2, warning_latency_ms: 2590, p_near: 0.0}
+  wifi: {range_m: 200.0, latency_mean_ms: 6, latency_jitter_ms: 0, warning_latency_ms: 30, p_near: 0.0, ramp_start_frac: 0.5}
+vehicles:
+  - {id: cv1, s_m: 120.0, speed_mph: 20.0}
+  - {id: cv2, s_m: 60.0, speed_mph: 20.0}
+  - {id: cv3, s_m: 0.0, speed_mph: 20.0}
+script:
+  - {at_s: 1.0, action: hard_brake, vehicle: cv1}
+"""
 BASE_TEXTS = {
     name: (importlib.resources.files("cvsim") / "scenarios" / f"{name}.yaml").read_text(encoding="utf-8")
     for name in bundled_scenario_names()
-} | {"README": README_BLOCKS[0]}
+} | {"README": README_BLOCKS[0], "links": LINKS_BASE}
 SPANS = {name: mutable_spans(text) for name, text in BASE_TEXTS.items()}
 
 
 @settings(max_examples=400, deadline=None)
 @given(name=st.sampled_from(sorted(BASE_TEXTS)), data=st.data())
 def test_mutated_bundled_scenario_parses_or_raises_config_error(name, data):
-    """A bundled scenario or the README example with one number or name changed
-    is rejected with a ConfigError, or runs its first seconds.
+    """A bundled scenario, the README example or the links base with one number
+    or name changed is rejected with a ConfigError, or runs its first seconds.
 
-    A run may abort only with the ``OvertakeError`` of two vehicles that meet.
+    A scenario that parses has numeric coordinates and latency means of at
+    least 1 ms. A run may abort only with the ``OvertakeError`` of two
+    vehicles that meet.
     """
     text = BASE_TEXTS[name]
     start, end, kind = data.draw(st.sampled_from(SPANS[name]))
     names = tuple(text[s:e] for s, e, k in SPANS[name] if k == "name")
     value = data.draw(st.sampled_from(BOUNDARY_VALUES if kind == "number" else NAME_VALUES + names))
+    mutated = text[:start] + value + text[end:]
     try:
-        cfg = parse_scenario(text[:start] + value + text[end:], source=f"{name}.yaml")
+        cfg = parse_scenario(mutated, source=f"{name}.yaml")
     except ConfigError:
         return
+    polyline = yaml.safe_load(mutated)["corridor"]["polyline"]
+    assert all(type(x) in (int, float) for point in polyline for x in point), polyline
+    for link in cfg.links.values():
+        assert link.latency_mean_ms >= 1 and (link.warning_latency_mean_ms or 1) >= 1, link
     try:
         run_scenario(replace(cfg, t_end_ms=min(cfg.t_end_ms, RUN_MS)))
     except SimulationAborted as exc:
@@ -411,6 +440,56 @@ def test_bad_link_range_rejected_with_line(kind, value):
     with pytest.raises(ConfigError) as err:
         parse_scenario(MINIMAL + f"links:\n  {kind}:\n    range_m: {value}\n", source="case.yaml")
     assert "case.yaml:12" in str(err.value) and "range_m" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["dsrc", "lte", "wifi"])
+@pytest.mark.parametrize(
+    "key,value,field",
+    [
+        ("latency_mean_ms", "0", "latency_mean_ms"),
+        ("latency_mean_ms", "-3", "latency_mean_ms"),
+        ("warning_latency_ms", "0", "warning_latency_mean_ms"),
+        ("warning_latency_ms", "-500", "warning_latency_mean_ms"),
+    ],
+)
+def test_latency_mean_below_one_ms_rejected_with_line(kind, key, value, field):
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(MINIMAL + f"links:\n  {kind}:\n    {key}: {value}\n", source="case.yaml")
+    assert "case.yaml:12" in str(err.value) and f"{field} must be at least 1 ms, got {value}" in str(err.value)
+
+
+def test_one_millisecond_latency_means_parse():
+    cfg = parse_scenario(MINIMAL + "links:\n  dsrc:\n    latency_mean_ms: 1\n    warning_latency_ms: 1\n")
+    assert cfg.links[LinkKind.DSRC].latency_mean_ms == cfg.links[LinkKind.DSRC].warning_latency_mean_ms == 1
+
+
+@pytest.mark.parametrize(
+    "point,message",
+    [
+        ('["40.005", -75.0]', "polyline coordinates must be numbers, got ['40.005', -75.0]"),
+        ("[40.005, '-75.0']", "polyline coordinates must be numbers, got [40.005, '-75.0']"),
+        ("[true, -75.0]", "polyline coordinates must be numbers, got [True, -75.0]"),
+        ("[40.005, null]", "polyline coordinates must be numbers, got [40.005, None]"),
+        (f"[1{'0' * 400}, -75]", "bad polyline point: int too large to convert to float"),
+        ("[95, -75]", "bad polyline point: latitude out of range"),
+    ],
+)
+def test_polyline_coordinate_that_is_not_a_number_rejected_at_its_entry(point, message):
+    text = MINIMAL.replace("    - [40.005, -75.0]\n", f"    - {point}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(text, source="case.yaml")
+    assert "case.yaml:6" in str(err.value) and message in str(err.value)
+
+
+def test_integer_polyline_coordinates_parse():
+    cfg = parse_scenario(MINIMAL.replace("[40.0, -75.0]", "[40, -75]"))
+    assert cfg.corridor.polyline[0].lat == 40.0 and cfg.corridor.polyline[0].lon == -75.0
+
+
+def test_integer_too_large_for_a_float_rejected_at_its_line():
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(MINIMAL.replace("s_m: 10.0", f"s_m: 1{'0' * 400}"), source="case.yaml")
+    assert "case.yaml:9" in str(err.value) and "'s_m' must be float, got an integer too large for one" in str(err.value)
 
 
 def test_link_range_override_applies_once_and_only_to_its_kind():

@@ -174,3 +174,11 @@ def test_link_model_validation():
         LinkModel(kind=LinkKind.DSRC, p_near=1.0)
     with pytest.raises(InvalidParameterError):
         LinkModel(kind=LinkKind.DSRC, ramp_start_frac=1.5)
+
+
+@pytest.mark.parametrize("value", [0, -1, -500])
+@pytest.mark.parametrize("field", ["latency_mean_ms", "warning_latency_mean_ms"])
+def test_latency_mean_below_one_ms_rejected(field, value):
+    with pytest.raises(InvalidParameterError, match=f"{field} must be at least 1 ms, got {value}"):
+        LinkModel(kind=LinkKind.DSRC, **{field: value})
+    assert getattr(LinkModel(kind=LinkKind.DSRC, **{field: 1}), field) == 1

@@ -193,7 +193,7 @@ TRACE_FIELDS = ("t", "vehicle_id", "lat", "lon", "speed", "heading", "truth")
 # The integers probe the replay ceiling and the golden scenario's 40 s t_end.
 BAD_JSON_VALUES = (
     "NaN", "Infinity", "-Infinity", "1e400", "-1", "1.5", "true", '"x"', "null", "[]",
-    "40000", "40001", str(MAX_TRACE_T_MS), str(MAX_TRACE_T_MS + 1), "1000000000000",
+    "40000", "40001", str(MAX_TRACE_T_MS), str(MAX_TRACE_T_MS + 1), "1000000000000", "1" + "0" * 400,
 )
 
 
@@ -250,6 +250,17 @@ def test_trace_time_past_its_limit_rejected_with_line(tmp_path, t, t_end_ms, mes
     with pytest.raises(TraceError) as err:
         parse_trace(path, t_end_ms=t_end_ms)
     assert f"{path}:2" in str(err.value) and message in str(err.value)
+
+
+@pytest.mark.parametrize("field", ["lat", "lon", "speed", "heading"])
+def test_integer_too_large_for_a_float_rejected_with_line(tmp_path, field):
+    path = tmp_path / "big.ndjson"
+    doc = json.loads(GOLDEN_LINES[1])
+    doc[field] = 10**400
+    path.write_text(GOLDEN_LINES[0] + "\n" + json.dumps(doc) + "\n")
+    with pytest.raises(TraceError) as err:
+        parse_trace(path)
+    assert f"{path}:2" in str(err.value) and "int too large to convert to float" in str(err.value)
 
 
 def test_trace_time_at_its_limit_parses(tmp_path):

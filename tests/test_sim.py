@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cvsim import handoff as ho
 from cvsim.apps import WINDOW_MS, Verdict
-from cvsim.config import load_scenario, parse_scenario
+from cvsim.config import bundled_scenario_names, load_scenario, parse_scenario
 from cvsim.core import GeoPoint, distance
 from cvsim.mobility import DEG_TO_M, Corridor
 from cvsim.radio import LinkKind, in_range
@@ -309,6 +309,27 @@ def test_bsm_timestamps_monotone_per_vehicle(scenario_runs):
 
 def bundled_text(name):
     return (importlib.resources.files("cvsim") / "scenarios" / f"{name}.yaml").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_every_send_is_delivered_in_flight_or_lost(scenario_runs, name):
+    """A delivery due after the run's end is in flight, not delivered, so the
+    backend archived exactly the deliveries to it that arrived by the end."""
+    result = scenario_runs(name)
+    end = result.summary.end_time_ms
+    for s in link_stats(result):
+        assert s.delivered + s.in_flight + s.lost == s.sent
+        late = [p for p in result.packets if p.link is s.link and p.delivered and p.t_recv > end]
+        assert s.in_flight == len(late)
+    arrived = [p for p in result.packets if p.rx == SYSTEM_NODE_ID and p.delivered and p.t_recv <= end]
+    assert result.archives[SYSTEM_NODE_ID].appended_total == len(arrived)
+
+
+def test_final_second_queue_status_is_in_flight(scenario_runs):
+    stats = {s.link: s for s in link_stats(scenario_runs("corridor_coverage"))}
+    assert (stats[LinkKind.WIFI].sent, stats[LinkKind.WIFI].delivered, stats[LinkKind.WIFI].in_flight) == (1591, 1588, 3)
+    assert stats[LinkKind.WIFI].lost == 0 and stats[LinkKind.WIFI].avg_latency_ms == 6.0
+    assert exchange_delays(scenario_runs("corridor_coverage"))["system_fixed"] == 6.0
 
 
 def test_wifi_access_override_leaves_the_backhaul_at_6_ms():
