@@ -1,11 +1,10 @@
 import json
 import math
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
-
-from unittest.mock import patch
 
 from cvsim.apps import eval_bucket
 from cvsim.config import load_scenario
