@@ -7,6 +7,18 @@ representable, and event ordering never depends on float rounding. Ties on
 given seed. ``Engine.ticket`` reserves the next place in that order for an
 event scheduled later: it sorts as if it had been scheduled at the
 reservation, ahead of every same-time event scheduled after it.
+
+``Engine.deliver`` gathers the radio deliveries one handler sends for one
+millisecond into a single event. The batch takes the seq its first delivery
+would have had, and it stays open only while the handler issues no other seq
+(no ``at`` or ``schedule`` without a ticket, no ``ticket()``) and no event is
+popped. So every seq between its first and last member would have gone to the
+handler's own deliveries, and no event queued before the batch runs can sort
+between two members. The one event that can is made while it runs: a member
+that schedules an event for the current millisecond under a ticket older than
+the batch. The batch then yields: its remaining members become a new batch
+under its own seq, after that event. So running the members in order is
+exactly one event per delivery.
 """
 
 from __future__ import annotations
@@ -15,9 +27,11 @@ import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable, TextIO
+from functools import partial
+from typing import Callable, Iterator, TextIO
 
 EventFn = Callable[[], None]
+DELIVERY_KIND = "radio-delivery"
 
 
 class SchedulingInPastError(ValueError):
@@ -42,8 +56,9 @@ class Event:
 
     ``kind`` is one of the simulator's event families (mobility-tick, beacon,
     radio-delivery, app-timer, detector-tick); ``subject`` names the entity
-    involved and feeds the optional event trace. ``seq`` is its place in the
-    insertion order: -1 until scheduled, or a ticket reserved beforehand.
+    involved, or for a delivery batch the packet kind, and feeds the optional
+    event trace. ``seq`` is its place in the insertion order: -1 until
+    scheduled, or a ticket reserved beforehand.
     """
 
     fire_at: int
@@ -84,6 +99,12 @@ class Engine:
         self._queue: list[tuple[int, int, Event]] = []
         self._streams: dict[str, random.Random] = {}
         self._trace = trace
+        # Open delivery batches by fire_at; they hold while ``_seq`` is still
+        # ``_batch_end``, the seq just after the latest batch opened.
+        self._batches: dict[int, list[EventFn]] = {}
+        self._batch_end = -1
+        # The batch now running: its seq, its subject and its members yet to run.
+        self._running: tuple[int, str, Iterator[EventFn]] | None = None
 
     @property
     def now(self) -> int:
@@ -116,11 +137,61 @@ class Engine:
         if event.seq < 0:
             event.seq = self._seq
             self._seq += 1
+        elif self._running is not None and event.fire_at == self._now:
+            self._yield_batch(event.seq)
         heapq.heappush(self._queue, (event.fire_at, event.seq, event))
         return event.seq
 
     def at(self, fire_at: int, kind: str, subject: str, fn: EventFn, ticket: int = -1) -> int:
         return self.schedule(Event(fire_at=fire_at, kind=kind, subject=subject, fn=fn, seq=ticket))
+
+    def deliver(self, fire_at: int, subject: str, fn: EventFn) -> None:
+        """Schedule a radio delivery, joining the firing handler's open batch for ``fire_at``.
+
+        A new batch is one ``DELIVERY_KIND`` event, scheduled through
+        ``schedule`` and named by the subject of its first delivery; it runs
+        its members in the order they were sent. Scheduling that takes a new
+        seq closes every open batch, and so does popping the next event.
+        """
+        if self._seq == self._batch_end:
+            members = self._batches.get(fire_at)
+            if members is not None:
+                members.append(fn)
+                return
+        else:
+            self._batches.clear()
+        members = [fn]
+        seq = self._seq
+        self._seq = seq + 1
+        self.schedule(self._batch(fire_at, subject, members, seq))
+        self._batches[fire_at] = members
+        self._batch_end = self._seq
+
+    def _batch(self, fire_at: int, subject: str, members: list[EventFn], seq: int) -> Event:
+        # The callback holds the batch's seq and subject, not the event, so a
+        # fired batch is freed at once rather than by the cycle collector.
+        return Event(fire_at, DELIVERY_KIND, subject, partial(self._run_batch, seq, subject, members), seq)
+
+    def _run_batch(self, seq: int, subject: str, members: list[EventFn]) -> None:
+        rest = iter(members)
+        self._running = (seq, subject, rest)
+        try:
+            for fn in rest:
+                fn()
+        finally:
+            self._running = None
+
+    def _yield_batch(self, ticket: int) -> None:
+        """If ``ticket`` sorts ahead of the running batch, move its remaining members to a new batch.
+
+        The new batch takes the running batch's seq, so it runs right after
+        the ticketed event and ahead of everything the old batch was ahead of.
+        """
+        seq, subject, rest = self._running
+        if ticket < seq:
+            members = list(rest)  # empties the iterator, so the running loop ends
+            if members:
+                self.schedule(self._batch(self._now, subject, members, seq))
 
     def run_until(self, t_end: int) -> SimSummary:
         """Process every event with fire_at <= t_end, in (fire_at, seq) order.
@@ -133,6 +204,7 @@ class Engine:
         processed = 0
         while self._queue and self._queue[0][0] <= t_end:
             _, _, event = heapq.heappop(self._queue)
+            self._batch_end = -1
             self._now = event.fire_at
             if self._trace is not None:
                 self._trace.write(f"{event.fire_at},{event.kind},{event.subject}\n")

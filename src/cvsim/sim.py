@@ -342,13 +342,16 @@ class Simulation:
         distance_m: float,
         obstruction: float,
     ) -> None:
-        """Draw loss/latency for an in-range send, log it, and schedule the delivery event."""
+        """Draw loss/latency for an in-range send, log it, and schedule its delivery.
+
+        Deliveries one handler sends for the same millisecond share one engine event.
+        """
         now = self.engine.now
         outcome = sample_delivery(distance_m, model, self._delivery_streams[model.kind], obstruction)
         t_recv = None if outcome is None else now + outcome.latency_ms  # None: lost on the channel
         self.packets.append(PacketRecord(now, t_recv, tx, rx, model.kind, kind))
         if t_recv is not None:
-            self.engine.at(t_recv, "radio-delivery", f"{kind}:{tx}->{rx}", deliver)
+            self.engine.deliver(t_recv, kind, deliver)
 
     # -- recurring events ---------------------------------------------------
 

@@ -1,8 +1,9 @@
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cvsim.engine import Engine, Event, SchedulingInPastError, SimulationAborted, derive_stream_seed
+from cvsim.engine import DELIVERY_KIND, Engine, Event, SchedulingInPastError, SimulationAborted, derive_stream_seed
 
 
 def make_event(t, tag, log):
@@ -163,3 +164,163 @@ def test_run_until_backwards_rejected():
     eng.run_until(100)
     with pytest.raises(SchedulingInPastError):
         eng.run_until(50)
+
+
+# -- delivery batches against one event per delivery ------------------------------
+
+
+def test_deliveries_of_one_handler_share_one_event_per_millisecond():
+    sink = io.StringIO()
+    eng = Engine(trace=sink)
+    log = []
+    for t, tag in ((5, "a"), (7, "b"), (5, "c"), (7, "d")):
+        eng.deliver(t, "bsm", lambda tag=tag: log.append(tag))
+    summary = eng.run_until(10)
+    assert log == ["a", "c", "b", "d"]
+    assert summary.events_processed == 2
+    assert sink.getvalue().splitlines() == ["5,radio-delivery,bsm", "7,radio-delivery,bsm"]
+
+
+def test_next_handler_opens_a_new_batch():
+    eng = Engine()
+    log = []
+
+    def handler(tag):
+        eng.deliver(9, tag, lambda: log.append(tag))
+
+    eng.at(1, "app-timer", "first", lambda: handler("a"))
+    eng.at(2, "app-timer", "second", lambda: handler("b"))
+    assert eng.run_until(10).events_processed == 4
+    assert log == ["a", "b"]
+
+
+def test_ticket_between_deliveries_splits_the_batch():
+    eng = Engine()
+    log = []
+    eng.deliver(5, "bsm", lambda: log.append("a"))
+    ticket = eng.ticket()
+    eng.deliver(5, "bsm", lambda: log.append("b"))
+    eng.at(5, "app-timer", "ticketed", lambda: log.append("ticketed"), ticket=ticket)
+    assert eng.run_until(10).events_processed == 3
+    assert log == ["a", "ticketed", "b"]
+
+
+def test_direct_schedule_between_deliveries_splits_the_batch():
+    eng = Engine()
+    log = []
+    eng.deliver(5, "bsm", lambda: log.append("a"))
+    eng.schedule(make_event(5, "x", log))
+    eng.deliver(5, "bsm", lambda: log.append("b"))
+    assert eng.run_until(10).events_processed == 3
+    assert log == ["a", "x", "b"]
+
+
+def test_raising_member_aborts_naming_the_batch_event():
+    eng = Engine()
+    log = []
+    eng.deliver(5, "beacon", lambda: log.append("ok"))
+    eng.deliver(5, "beacon", lambda: 1 / 0)
+    eng.deliver(5, "beacon", lambda: log.append("never"))
+    with pytest.raises(SimulationAborted) as exc_info:
+        eng.run_until(10)
+    event = exc_info.value.event
+    assert (event.fire_at, event.kind, event.subject) == (5, DELIVERY_KIND, "beacon")
+    assert isinstance(exc_info.value.cause, ZeroDivisionError)
+    assert log == ["ok"]
+
+
+def test_delivery_in_the_past_rejected_and_leaves_no_batch():
+    eng = Engine()
+    log = []
+    eng.at(5, "app-timer", "t", lambda: None)
+    eng.run_until(5)
+    for _ in range(2):  # the second try finds no batch the first left open
+        with pytest.raises(SchedulingInPastError):
+            eng.deliver(4, "bsm", lambda: log.append("past"))
+    eng.deliver(6, "bsm", lambda: log.append("ok"))
+    eng.run_until(10)
+    assert log == ["ok"]
+
+
+def test_member_ticketed_for_now_under_an_older_ticket_runs_before_the_rest():
+    """An event a member schedules for the batch's millisecond under a ticket
+    reserved before the batch sorts ahead of the later members, as it would
+    ahead of their own events; the rest of the batch yields to it."""
+    sink = io.StringIO()
+    eng = Engine(trace=sink)
+    log = []
+    ticket = eng.ticket()
+
+    def first():
+        log.append("a")
+        eng.at(eng.now, "app-timer", "ticketed", lambda: log.append("ticketed"), ticket=ticket)
+
+    eng.deliver(5, "bsm", first)
+    eng.deliver(5, "bsm", lambda: log.append("b"))
+    eng.deliver(5, "bsm", lambda: log.append("c"))
+    eng.at(5, "app-timer", "later", lambda: log.append("later"))
+    assert eng.run_until(10).events_processed == 4
+    assert log == ["a", "ticketed", "b", "c", "later"]
+    assert sink.getvalue().splitlines() == [
+        "5,radio-delivery,bsm", "5,app-timer,ticketed", "5,radio-delivery,bsm", "5,app-timer,later",
+    ]
+
+
+class _PerDeliveryEngine(Engine):
+    """The reference: every delivery is its own event."""
+
+    def deliver(self, fire_at, subject, fn):
+        self.at(fire_at, DELIVERY_KIND, subject, fn)
+
+
+# Delays after the firing handler's now; 0 lands on now itself.
+DELAYS = st.sampled_from([0, 0, 1, 1, 2, 3, 7])
+OPS = ("at", "ticketed", "ticketed", "ticket", "ticket", "schedule", "deliver", "deliver", "deliver")
+
+
+@st.composite
+def programs(draw, depth=3):
+    """A handler's program: steps of (op, delay, the program of the callback scheduled)."""
+    steps = []
+    for _ in range(draw(st.integers(0, 5 if depth else 0))):
+        op = draw(st.sampled_from(OPS))
+        children = () if op == "ticket" else draw(programs(depth - 1))
+        steps.append((op, draw(DELAYS), children))
+    return tuple(steps)
+
+
+def run_program(eng, program):
+    """Run ``program`` from outside any handler; every callback logs its label, then runs its own."""
+    log = []
+    held = []  # reserved tickets, used oldest first by the ticketed steps
+
+    def run_steps(steps, path):
+        for i, (op, delay, children) in enumerate(steps):
+            label = f"{path}.{i}"
+            if op == "ticket":
+                held.append(eng.ticket())
+                continue
+
+            def fn(label=label, children=children):
+                log.append(label)
+                run_steps(children, label)
+
+            t = eng.now + delay
+            if op == "deliver":
+                eng.deliver(t, label, fn)
+            elif op == "schedule":
+                eng.schedule(Event(fire_at=t, kind="app-timer", subject=label, fn=fn))
+            else:
+                eng.at(t, "app-timer", label, fn, ticket=held.pop(0) if op == "ticketed" and held else -1)
+
+    run_steps(program, "r")
+    return log, eng.run_until(100).events_processed
+
+
+@settings(max_examples=300, deadline=None)
+@given(programs())
+def test_batched_deliveries_fire_as_one_event_per_delivery(program):
+    log, events = run_program(Engine(), program)
+    expected, expected_events = run_program(_PerDeliveryEngine(), program)
+    assert log == expected
+    assert events <= expected_events

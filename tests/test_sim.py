@@ -11,12 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from cvsim import handoff as ho
 from cvsim.apps import WINDOW_MS, Verdict
-from cvsim.config import bundled_scenario_names, load_scenario, parse_scenario
+from cvsim.config import Directive, bundled_scenario_names, load_scenario, parse_scenario
 from cvsim.core import GeoPoint, distance
 from cvsim.mobility import DEG_TO_M, Corridor
-from cvsim.radio import LinkKind, in_range
+from cvsim.radio import LinkKind, in_range, sample_delivery
 from cvsim.report import coverage_rows, exchange_delays, link_stats
-from cvsim.sim import SYSTEM_NODE_ID, Simulation, run_scenario
+from cvsim.sim import SYSTEM_NODE_ID, PacketRecord, Simulation, run_scenario
 
 
 def test_collision_scenario_decisions(scenario_runs):
@@ -594,3 +594,66 @@ def test_checks_due_in_one_millisecond_keep_the_per_beacon_order():
     )
     expected = assert_matches_per_beacon(config)
     assert len(expected.handoff_events) > 100
+
+
+# -- delivery batches against one event per delivered packet ----------------------
+
+
+class _PerPacketSimulation(Simulation):
+    """The reference: one ``radio-delivery`` event per delivered packet."""
+
+    def _transmit(self, kind, tx, rx, model, deliver, distance_m, obstruction):
+        now = self.engine.now
+        outcome = sample_delivery(distance_m, model, self._delivery_streams[model.kind], obstruction)
+        t_recv = None if outcome is None else now + outcome.latency_ms
+        self.packets.append(PacketRecord(now, t_recv, tx, rx, model.kind, kind))
+        if t_recv is not None:
+            self.engine.at(t_recv, "radio-delivery", f"{kind}:{tx}->{rx}", deliver)
+
+
+def outcomes(result):
+    """Everything a run decides and stores: only its event count is left out."""
+    archives = {
+        node: (archive.appended_total, archive.query(0, result.summary.end_time_ms))
+        for node, archive in result.archives.items()
+    }
+    return (
+        result.packets, result.handoff_events, result.avoidance_decisions, result.queue_evals,
+        archives, result.beacons_out_of_range, result.summary.end_time_ms,
+    )
+
+
+def assert_matches_per_packet(result, expected):
+    assert outcomes(result) == outcomes(expected)
+    assert result.summary.events_processed <= expected.summary.events_processed
+
+
+@st.composite
+def per_packet_cases(draw):
+    """A handoff case, with the detector on or off, and maybe a vehicle braking hard."""
+    config = draw(handoff_cases())
+    config = replace(config, detection=replace(config.detection, enabled=draw(st.booleans())))
+    if draw(st.booleans()):
+        brake = Directive(at_ms=draw(st.integers(0, config.t_end_ms)), action="hard_brake", vehicle="v0")
+        config = replace(config, script=[brake])
+    return config
+
+
+@settings(max_examples=40, deadline=None)
+@given(per_packet_cases())
+def test_batched_deliveries_match_one_event_per_packet(config):
+    """Jittered and late deliveries and twin RSUs: batches run exactly where
+    one event per packet would, so the rest of the event trace is the same."""
+    traces = []
+    results = []
+    for cls in (Simulation, _PerPacketSimulation):
+        sink = io.StringIO()
+        results.append(cls(config, trace=sink).run())
+        traces.append([line for line in sink.getvalue().splitlines() if ",radio-delivery," not in line])
+    assert_matches_per_packet(*results)
+    assert traces[0] == traces[1]
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_bundled_scenarios_match_one_event_per_packet(scenario_runs, name):
+    assert_matches_per_packet(scenario_runs(name), _PerPacketSimulation(load_scenario(name)).run())
