@@ -21,7 +21,7 @@ from pathlib import Path
 import yaml
 
 from .broker import TopicError, split_topic
-from .core import GeoPoint, SimConstants, ft_to_m, mph_to_mps, mps_to_mph
+from .core import MAX_SPEED_MPS, GeoPoint, SimConstants, ft_to_m, mph_to_mps, mps_to_mph
 from .mobility import QUEUE_MIN_VEHICLES, Corridor, MobilityConfig, RsuSpec, SignalSpec
 from .radio import LinkKind, LinkModel, default_link_models
 from .handoff import BeaconConfig
@@ -37,8 +37,6 @@ QUEUE_STATUS_TOPIC = "queue/status/{}"
 WARNING_TOPIC = "warning/region/{}"
 BSM_RAW_PATTERN = BSM_RAW_TOPIC.format("#")
 QUEUE_STATUS_PATTERN = QUEUE_STATUS_TOPIC.format("#")
-# Spawn speeds above this (about 224 mph, beyond any road vehicle) are rejected.
-MAX_SPEED_MPS = 100.0
 
 
 class ConfigError(ValueError):

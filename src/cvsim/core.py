@@ -13,6 +13,8 @@ from dataclasses import dataclass
 MPH_TO_MPS = 0.44704
 FT_TO_M = 0.3048
 EARTH_RADIUS_M = 6_371_000.0
+# Spawn speeds above this (about 224 mph, beyond any road vehicle) are rejected.
+MAX_SPEED_MPS = 100.0
 
 
 class InvalidParameterError(ValueError):
@@ -111,7 +113,10 @@ class Bsm:
 
 @dataclass(frozen=True)
 class SimConstants:
-    """Scenario-wide physical constants, all strictly positive.
+    """Scenario-wide physical constants, all positive and finite.
+
+    The deceleration must also give a braking distance from ``MAX_SPEED_MPS``
+    that is finite in feet, the unit every decision reports it in.
 
     Defaults: 10 Hz messaging, 5 mph / 20 ft queue thresholds, 11.2 ft/s^2
     braking deceleration, 200 ms safety latency budget.
@@ -132,8 +137,12 @@ class SimConstants:
             "safety_latency_req_ms",
         ):
             value = getattr(self, name)
-            if not value > 0:
-                raise InvalidParameterError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:  # also false for NaN
+                raise InvalidParameterError(f"{name} must be positive and finite, got {value}")
+        if not math.isfinite(m_to_ft(min_safety_distance(MAX_SPEED_MPS, self.decel_mps2))):
+            raise InvalidParameterError(
+                f"decel_mps2 {self.decel_mps2} gives no finite braking distance from {MAX_SPEED_MPS:g} m/s"
+            )
 
 
 def distance(a: GeoPoint, b: GeoPoint) -> float:

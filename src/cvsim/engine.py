@@ -8,17 +8,19 @@ given seed. ``Engine.ticket`` reserves the next place in that order for an
 event scheduled later: it sorts as if it had been scheduled at the
 reservation, ahead of every same-time event scheduled after it.
 
+``Engine.schedule`` keeps one ordering rule: every event must sort after the
+event now running (or the last one run). Only a ticketed event can break it,
+by being scheduled for the current millisecond under a ticket no newer than
+the running event's seq; ``SchedulingInPastError`` rejects it.
+
 ``Engine.deliver`` gathers the radio deliveries one handler sends for one
 millisecond into a single event. The batch takes the seq its first delivery
 would have had, and it stays open only while the handler issues no other seq
 (no ``at`` or ``schedule`` without a ticket, no ``ticket()``) and no event is
 popped. So every seq between its first and last member would have gone to the
-handler's own deliveries, and no event queued before the batch runs can sort
-between two members. The one event that can is made while it runs: a member
-that schedules an event for the current millisecond under a ticket older than
-the batch. The batch then yields: its remaining members become a new batch
-under its own seq, after that event. So running the members in order is
-exactly one event per delivery.
+handler's own deliveries, no event queued before the batch runs can sort
+between two members, and by the rule above none scheduled while it runs can
+either. Running the members in order is exactly one event per delivery.
 """
 
 from __future__ import annotations
@@ -27,15 +29,14 @@ import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Iterator, TextIO
+from typing import Callable, TextIO
 
 EventFn = Callable[[], None]
 DELIVERY_KIND = "radio-delivery"
 
 
 class SchedulingInPastError(ValueError):
-    """An event was scheduled before the current simulation clock."""
+    """An event was scheduled to sort before the running event, or ``run_until`` went back."""
 
 
 class SimulationAborted(RuntimeError):
@@ -85,6 +86,16 @@ def derive_stream_seed(seed: int, stream_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+class _Batch(list):
+    """The deliveries of one batch; calling it runs them in the order they were sent."""
+
+    __slots__ = ()
+
+    def __call__(self) -> None:
+        for fn in self:
+            fn()
+
+
 class Engine:
     """Single-threaded event loop owning the clock and all RNG streams.
 
@@ -95,16 +106,17 @@ class Engine:
     def __init__(self, seed: int = 0, trace: TextIO | None = None):
         self.seed = seed
         self._now = 0
+        # The seq of the event now running, or of the last one run while the
+        # clock is still at its ``fire_at``; -1 once the clock has moved past it.
+        self._now_seq = -1
         self._seq = 0
         self._queue: list[tuple[int, int, Event]] = []
         self._streams: dict[str, random.Random] = {}
         self._trace = trace
         # Open delivery batches by fire_at; they hold while ``_seq`` is still
         # ``_batch_end``, the seq just after the latest batch opened.
-        self._batches: dict[int, list[EventFn]] = {}
+        self._batches: dict[int, _Batch] = {}
         self._batch_end = -1
-        # The batch now running: its seq, its subject and its members yet to run.
-        self._running: tuple[int, str, Iterator[EventFn]] | None = None
 
     @property
     def now(self) -> int:
@@ -128,17 +140,19 @@ class Engine:
         """Enqueue ``event``; returns its ticket (insertion sequence number).
 
         An event whose ``seq`` is already set keeps it: it must be a ticket
-        from ``ticket()``, each used once.
+        from ``ticket()``, each used once. An event whose ``(fire_at, seq)``
+        does not sort after the running event's (or the last one run's)
+        raises ``SchedulingInPastError``: a ``fire_at`` before now, or one at
+        now under a ticket no newer than the running event's.
         """
-        if event.fire_at < self._now:
-            raise SchedulingInPastError(
-                f"fire_at={event.fire_at} is before now={self._now}"
-            )
         if event.seq < 0:
             event.seq = self._seq
             self._seq += 1
-        elif self._running is not None and event.fire_at == self._now:
-            self._yield_batch(event.seq)
+        if (event.fire_at, event.seq) <= (self._now, self._now_seq):
+            raise SchedulingInPastError(
+                f"event at fire_at={event.fire_at}, seq={event.seq} does not sort after "
+                f"now={self._now}, seq={self._now_seq}"
+            )
         heapq.heappush(self._queue, (event.fire_at, event.seq, event))
         return event.seq
 
@@ -149,49 +163,21 @@ class Engine:
         """Schedule a radio delivery, joining the firing handler's open batch for ``fire_at``.
 
         A new batch is one ``DELIVERY_KIND`` event, scheduled through
-        ``schedule`` and named by the subject of its first delivery; it runs
-        its members in the order they were sent. Scheduling that takes a new
-        seq closes every open batch, and so does popping the next event.
+        ``schedule`` and named by the subject of its first delivery; its
+        ``fn`` is the batch itself. Scheduling that takes a new seq closes
+        every open batch, and so does popping the next event.
         """
         if self._seq == self._batch_end:
-            members = self._batches.get(fire_at)
-            if members is not None:
-                members.append(fn)
+            batch = self._batches.get(fire_at)
+            if batch is not None:
+                batch.append(fn)
                 return
         else:
             self._batches.clear()
-        members = [fn]
-        seq = self._seq
-        self._seq = seq + 1
-        self.schedule(self._batch(fire_at, subject, members, seq))
-        self._batches[fire_at] = members
+        batch = _Batch((fn,))
+        self.schedule(Event(fire_at, DELIVERY_KIND, subject, batch))
+        self._batches[fire_at] = batch
         self._batch_end = self._seq
-
-    def _batch(self, fire_at: int, subject: str, members: list[EventFn], seq: int) -> Event:
-        # The callback holds the batch's seq and subject, not the event, so a
-        # fired batch is freed at once rather than by the cycle collector.
-        return Event(fire_at, DELIVERY_KIND, subject, partial(self._run_batch, seq, subject, members), seq)
-
-    def _run_batch(self, seq: int, subject: str, members: list[EventFn]) -> None:
-        rest = iter(members)
-        self._running = (seq, subject, rest)
-        try:
-            for fn in rest:
-                fn()
-        finally:
-            self._running = None
-
-    def _yield_batch(self, ticket: int) -> None:
-        """If ``ticket`` sorts ahead of the running batch, move its remaining members to a new batch.
-
-        The new batch takes the running batch's seq, so it runs right after
-        the ticketed event and ahead of everything the old batch was ahead of.
-        """
-        seq, subject, rest = self._running
-        if ticket < seq:
-            members = list(rest)  # empties the iterator, so the running loop ends
-            if members:
-                self.schedule(self._batch(self._now, subject, members, seq))
 
     def run_until(self, t_end: int) -> SimSummary:
         """Process every event with fire_at <= t_end, in (fire_at, seq) order.
@@ -206,6 +192,7 @@ class Engine:
             _, _, event = heapq.heappop(self._queue)
             self._batch_end = -1
             self._now = event.fire_at
+            self._now_seq = event.seq
             if self._trace is not None:
                 self._trace.write(f"{event.fire_at},{event.kind},{event.subject}\n")
             try:
@@ -213,7 +200,8 @@ class Engine:
             except Exception as exc:
                 raise SimulationAborted(event, exc) from exc
             processed += 1
-        self._now = t_end
+        if t_end > self._now:
+            self._now, self._now_seq = t_end, -1
         return SimSummary(events_processed=processed, end_time_ms=self._now)
 
     def pending(self) -> int:

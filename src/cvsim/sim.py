@@ -19,16 +19,19 @@ Layer wiring:
 * the backend node is the same kind of node with an unbounded archive: it
   stores everything it receives and hosts the region-wide warning topic that
   relays sudden-stop warnings to subscribed vehicles beyond short-range reach.
-* each connected vehicle has at most one pending liveness check
-  (``handoff-check``), due at its last beacon plus the miss timeout; when a
-  later beacon has come by then, the check re-arms at that beacon's deadline
-  under the engine ticket the beacon reserved, so it fires exactly where a
-  check per beacon would have (RFC 6298 section 5's one restartable timer).
+* a connected vehicle has one pending liveness check (``handoff-check``)
+  exactly while it is on the short-range link, due at its last beacon plus
+  the miss timeout: the handoff onto that link arms it, and a check that
+  hands nothing off re-arms at the latest beacon's deadline under the engine
+  ticket that beacon reserved, so it fires exactly where a check per beacon
+  would have (RFC 6298 section 5's one restartable timer).
 
 Recurring activities are phase-offset inside each 100 ms period (kinematics at
-+0, beacons at +10, telemetry at +50, detector on the whole second) so that no
-two cadences ever contend for the same millisecond, which keeps event order --
-and therefore every artifact byte -- a pure function of (scenario, seed).
++0, beacons at +10, telemetry at +50, detector on the whole second), so at the
+default cadences no two share a millisecond; where other cadences do
+(``beacon_interval_ms: 20`` puts a beacon round at 50 ms, beside the telemetry
+round), insertion order decides. Either way event order -- and therefore every
+artifact byte -- is a pure function of (scenario, seed).
 The detector fires before the same-instant kinematics tick, so a decision at
 second k and the ground-truth sample beside it both see the world exactly as
 the newest telemetry in its window reported it.
@@ -208,15 +211,14 @@ class _VehicleAgent:
     ``warned_by`` holds the source of every warning the vehicle has decided
     on; only the first copy from a source decides. ``check_ticket`` is the
     engine ticket of the first beacon delivered in the millisecond
-    ``handoff.last_beacon_at``; ``check_pending`` says whether a
-    ``handoff-check`` is queued.
+    ``handoff.last_beacon_at``. A ``handoff-check`` is queued exactly while
+    the short-range link is active.
     """
 
     vehicle_id: str
     handoff: ho.HandoffState
     warned_by: set[str] = field(default_factory=set)
     check_ticket: int = -1
-    check_pending: bool = False
 
 
 class Simulation:
@@ -409,23 +411,20 @@ class Simulation:
         self.engine.at(now + cfg.beacon_interval_ms, "beacon", "rsus", self._beacon_round)
 
     def _on_beacon(self, agent: _VehicleAgent) -> None:
-        """Refresh the vehicle's liveness; arm its check if none is pending.
+        """Refresh the vehicle's liveness; arm its check on the handoff onto the short-range link.
 
-        Every beacon reserves a ticket, where a per-beacon check would have
-        been scheduled, so every other event keeps its place in the order.
+        The first beacon of a millisecond reserves a ticket, where a
+        per-beacon check would have been scheduled; only that check could act.
         """
         now = self.engine.now
-        ticket = self.engine.ticket()
         if agent.handoff.last_beacon_at != now:
-            agent.check_ticket = ticket
+            agent.check_ticket = self.engine.ticket()
         event = ho.on_beacon(agent.handoff, self.config.handoff, now)
         if event is not None:
             self.handoff_events.append(event)
-        if not agent.check_pending:
             self._arm_check(agent)
 
     def _arm_check(self, agent: _VehicleAgent) -> None:
-        agent.check_pending = True
         self.engine.at(
             agent.handoff.last_beacon_at + self.config.handoff.timeout_ms,
             "app-timer",
@@ -443,17 +442,14 @@ class Simulation:
         So only the first check of the latest beacon millisecond can act, and
         the pending check sits exactly there, under that beacon's ticket: it
         keeps that check's place against same-millisecond beacons and the
-        telemetry round. When a later beacon has come, it re-arms there.
+        telemetry round. When a later beacon has come, the check hands
+        nothing off and re-arms there.
         """
-        now = self.engine.now
-        cfg = self.config.handoff
-        event = ho.on_tick(agent.handoff, cfg, now)
-        if event is not None:
-            self.handoff_events.append(event)
-        if agent.handoff.last_beacon_at + cfg.timeout_ms > now:
+        event = ho.on_tick(agent.handoff, self.config.handoff, self.engine.now)
+        if event is None:
             self._arm_check(agent)
         else:
-            agent.check_pending = False
+            self.handoff_events.append(event)
 
     def _bsm_round(self) -> None:
         now = self.engine.now

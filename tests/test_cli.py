@@ -116,6 +116,14 @@ POLYLINE = "corridor:\n  polyline:\n    - [40.0, -75.0]\n    - [40.01, -75.0]\n"
         ),
         ("t_end_s: 1.0\nlinks:\n  lte:\n    warning_latency_ms: -500\n", 4, "warning_latency_mean_ms must be at least 1 ms"),
         ("t_end_s: 1.0\nlinks:\n  wifi:\n    warning_latency_ms: 0\n", 4, "warning_latency_mean_ms must be at least 1 ms"),
+        ("t_end_s: 1.0\nconstants:\n  decel_fps2: 1.0e-320\n", 3, "no finite braking distance from 100 m/s"),
+        ("t_end_s: 1.0\nconstants:\n  decel_fps2: .inf\n", 3, "decel_mps2 must be positive and finite, got inf"),
+        ("t_end_s: 1.0\nconstants:\n  queue_gap_threshold_ft: .inf\n", 3, "queue_gap_threshold_m must be positive and finite"),
+        (
+            "t_end_s: 1.0\nconstants:\n  queue_speed_threshold_mph: .inf\n",
+            3,
+            "queue_speed_threshold_mps must be positive and finite",
+        ),
     ],
 )
 def test_boundary_values_exit_2_at_parse_time(tmp_path, capsys, body, line, key):

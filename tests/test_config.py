@@ -1,4 +1,5 @@
 import importlib.resources
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -8,7 +9,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from cvsim.config import MAX_SPEED_MPS, ConfigError, bundled_scenario_names, load_scenario, parse_scenario
-from cvsim.core import ft_to_m, mph_to_mps
+from cvsim.core import ft_to_m, m_to_ft, min_safety_distance, mph_to_mps
 from cvsim.engine import SimulationAborted
 from cvsim.mobility import OvertakeError
 from cvsim.radio import LinkKind
@@ -331,9 +332,9 @@ def test_vehicle_id_and_region_with_slashes_run():
 
 # -- hypothesis property: the parser's boundary -------------------------------
 
-# YAML spellings that PyYAML resolves to floats/ints: nan, inf, -inf, -1, 0, 1e-9, 1e12;
-# then a quoted number, which is a string, and a boolean.
-BOUNDARY_VALUES = (".nan", ".inf", "-.inf", "-1", "0", "1.0e-9", "1.0e+12", '"40.0"', "true")
+# YAML spellings that PyYAML resolves to floats/ints: nan, inf, -inf, -1, 0, 1e-9, a
+# subnormal 1e-320, 1e12; then a quoted number, which is a string, and a boolean.
+BOUNDARY_VALUES = (".nan", ".inf", "-.inf", "-1", "0", "1.0e-9", "1.0e-320", "1.0e+12", '"40.0"', "true")
 # Names that no topic can hold, and the backend's reserved id. Each base's own
 # names are drawn too, so a name can also take a sibling's id.
 NAME_KEYS = {"id", "vehicle", "signal", "region"}
@@ -395,9 +396,10 @@ def test_mutated_bundled_scenario_parses_or_raises_config_error(name, data):
     """A bundled scenario, the README example or the links base with one number
     or name changed is rejected with a ConfigError, or runs its first seconds.
 
-    A scenario that parses has numeric coordinates and latency means of at
-    least 1 ms. A run may abort only with the ``OvertakeError`` of two
-    vehicles that meet.
+    A scenario that parses has numeric coordinates, latency means of at
+    least 1 ms, finite constants and a braking distance from the top speed
+    that is finite in feet. A run may abort only with the ``OvertakeError``
+    of two vehicles that meet.
     """
     text = BASE_TEXTS[name]
     start, end, kind = data.draw(st.sampled_from(SPANS[name]))
@@ -412,6 +414,9 @@ def test_mutated_bundled_scenario_parses_or_raises_config_error(name, data):
     assert all(type(x) in (int, float) for point in polyline for x in point), polyline
     for link in cfg.links.values():
         assert link.latency_mean_ms >= 1 and (link.warning_latency_mean_ms or 1) >= 1, link
+    constants = cfg.constants
+    assert all(math.isfinite(value) for value in vars(constants).values()), constants
+    assert math.isfinite(m_to_ft(min_safety_distance(MAX_SPEED_MPS, constants.decel_mps2))), constants
     try:
         run_scenario(replace(cfg, t_end_ms=min(cfg.t_end_ms, RUN_MS)))
     except SimulationAborted as exc:

@@ -242,28 +242,85 @@ def test_delivery_in_the_past_rejected_and_leaves_no_batch():
     assert log == ["ok"]
 
 
-def test_member_ticketed_for_now_under_an_older_ticket_runs_before_the_rest():
+def test_member_ticketed_for_now_under_an_older_ticket_is_rejected():
     """An event a member schedules for the batch's millisecond under a ticket
-    reserved before the batch sorts ahead of the later members, as it would
-    ahead of their own events; the rest of the batch yields to it."""
+    reserved before the batch would sort before the running batch: the run
+    aborts naming the batch, after the members before it and before the rest."""
     sink = io.StringIO()
     eng = Engine(trace=sink)
     log = []
     ticket = eng.ticket()
 
-    def first():
-        log.append("a")
+    def second():
+        log.append("b")
+        eng.at(eng.now, "app-timer", "ticketed", lambda: log.append("ticketed"), ticket=ticket)
+        log.append("never")
+
+    eng.deliver(5, "bsm", lambda: log.append("a"))
+    eng.deliver(5, "bsm", second)
+    eng.deliver(5, "bsm", lambda: log.append("c"))
+    with pytest.raises(SimulationAborted) as exc_info:
+        eng.run_until(10)
+    event = exc_info.value.event
+    assert (event.fire_at, event.kind, event.subject) == (5, DELIVERY_KIND, "bsm")
+    assert isinstance(exc_info.value.cause, SchedulingInPastError)
+    assert log == ["a", "b"]
+    assert sink.getvalue().splitlines() == ["5,radio-delivery,bsm"]
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["older-ticket", "own-ticket"])
+def test_handler_ticketed_for_now_under_an_older_or_its_own_ticket_is_rejected(reuse):
+    """A plain handler breaks the rule the same way; under its own ticket it
+    would run again and again in one millisecond."""
+    eng = Engine()
+    log = []
+    older, own = eng.ticket(), eng.ticket()
+
+    def handler():
+        log.append("handler")
+        eng.at(eng.now, "app-timer", "again", handler, ticket=own if reuse else older)
+        log.append("never")
+
+    eng.at(5, "app-timer", "handler", handler, ticket=own)
+    with pytest.raises(SimulationAborted) as exc_info:
+        eng.run_until(10)
+    assert exc_info.value.event.subject == "handler"
+    assert isinstance(exc_info.value.cause, SchedulingInPastError)
+    assert log == ["handler"]
+
+
+def test_ticket_newer_than_the_running_event_is_accepted_for_now():
+    """A ticket reserved after the running event was scheduled sorts after it,
+    so the ticketed event runs in the same millisecond, ahead of every event
+    scheduled after the reservation."""
+    eng = Engine()
+    log = []
+
+    def handler():
+        log.append("handler")
         eng.at(eng.now, "app-timer", "ticketed", lambda: log.append("ticketed"), ticket=ticket)
 
-    eng.deliver(5, "bsm", first)
-    eng.deliver(5, "bsm", lambda: log.append("b"))
-    eng.deliver(5, "bsm", lambda: log.append("c"))
+    eng.at(5, "app-timer", "handler", handler)
+    ticket = eng.ticket()
     eng.at(5, "app-timer", "later", lambda: log.append("later"))
-    assert eng.run_until(10).events_processed == 4
-    assert log == ["a", "ticketed", "b", "c", "later"]
-    assert sink.getvalue().splitlines() == [
-        "5,radio-delivery,bsm", "5,app-timer,ticketed", "5,radio-delivery,bsm", "5,app-timer,later",
-    ]
+    assert eng.run_until(10).events_processed == 3
+    assert log == ["handler", "ticketed", "later"]
+
+
+def test_ticket_older_than_the_last_event_run_is_rejected_at_its_millisecond():
+    """Between runs the rule holds against the last event run while the clock
+    stays at its millisecond, and lapses once the clock has moved past it."""
+    eng = Engine()
+    old, stale = eng.ticket(), eng.ticket()
+    eng.at(5, "app-timer", "x", lambda: None)
+    eng.run_until(5)
+    with pytest.raises(SchedulingInPastError):
+        eng.at(5, "app-timer", "ticketed", lambda: None, ticket=old)
+    eng.run_until(6)
+    log = []
+    eng.at(6, "app-timer", "ticketed", lambda: log.append("ticketed"), ticket=stale)
+    eng.run_until(6)
+    assert log == ["ticketed"]
 
 
 class _PerDeliveryEngine(Engine):
@@ -314,13 +371,22 @@ def run_program(eng, program):
                 eng.at(t, "app-timer", label, fn, ticket=held.pop(0) if op == "ticketed" and held else -1)
 
     run_steps(program, "r")
-    return log, eng.run_until(100).events_processed
+    try:
+        return log, eng.run_until(100).events_processed
+    except SimulationAborted as exc:
+        assert isinstance(exc.cause, SchedulingInPastError)
+        return log, None
 
 
 @settings(max_examples=300, deadline=None)
 @given(programs())
 def test_batched_deliveries_fire_as_one_event_per_delivery(program):
+    """The same callbacks in the same order, and the same outcome: both
+    engines reject a ticketed event that sorts before the running one (events
+    ``None``), or both finish, the batched one with no more events."""
     log, events = run_program(Engine(), program)
     expected, expected_events = run_program(_PerDeliveryEngine(), program)
     assert log == expected
-    assert events <= expected_events
+    assert (events is None) == (expected_events is None)
+    if events is not None:
+        assert events <= expected_events

@@ -3,6 +3,7 @@
 import importlib.resources
 import io
 import math
+from collections import Counter
 from dataclasses import replace
 from statistics import fmean
 
@@ -578,6 +579,19 @@ def test_one_pending_check_per_vehicle_matches_one_per_beacon(config):
     millisecond as a later beacon round's deliveries, and a latency of 40 ms
     past a beacon phase lands beacons on the telemetry round."""
     assert_matches_per_beacon(config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(handoff_cases())
+def test_a_check_is_queued_exactly_while_on_the_short_range_link(config):
+    """At the end of a run, each connected vehicle has one queued
+    ``handoff-check`` if its short-range link is active, and none otherwise."""
+    sim = Simulation(config)
+    sim.run()
+    queued = Counter(event.subject for _, _, event in sim.engine._queue)
+    for vid, agent in sim.agents.items():
+        expected = 1 if agent.handoff.short_range_active(config.handoff) else 0
+        assert queued[f"handoff-check:{vid}"] == expected, vid
 
 
 def test_checks_due_in_one_millisecond_keep_the_per_beacon_order():
