@@ -6,12 +6,11 @@ none). Delivery semantics: exactly-once per matching subscriber (deduplicated
 across overlapping filters), per-publisher FIFO, no retained messages. Channel
 loss belongs to the radio layer, never here.
 
-Each filter is split and validated once, at subscribe time, and stored in a
-trie keyed by topic level. A node holds its exact next levels, its '+' next
-level, the subscriptions that end there and those whose trailing '#' sits
-there. A publish splits its topic once and walks the trie level by level, so
-its cost grows with the topic's depth and the number of matching
-subscriptions, not with the number of subscriptions held.
+Each filter is split and validated once, at subscribe time. A filter without
+'+' or '#' can match only the topic spelled the same, so it is kept in a bucket
+under that string and a publish finds it with one lookup. A wildcard filter
+keeps its split levels and every publish tests it with ``_match_levels``, the
+one matcher that ``matches`` and the archive's queries use too.
 """
 
 from __future__ import annotations
@@ -94,21 +93,7 @@ class _Subscription:
     client: str
     pattern: str
     callback: Callable[[BrokerMessage], None]
-
-
-class _Node:
-    """One filter level in the subscription trie."""
-
-    __slots__ = ("children", "plus", "subs", "multi")
-
-    def __init__(self) -> None:
-        self.children: dict[str, _Node] = {}  # exact next levels
-        self.plus: _Node | None = None  # the '+' next level
-        self.subs: dict[int, _Subscription] = {}  # filters that end here
-        self.multi: dict[int, _Subscription] = {}  # filters whose trailing '#' sits here
-
-    def empty(self) -> bool:
-        return not (self.children or self.plus or self.subs or self.multi)
+    levels: list[str]  # the split filter
 
 
 @dataclass
@@ -123,7 +108,8 @@ class Broker:
     _subs: dict[int, _Subscription] = field(default_factory=dict)
     _by_key: dict[tuple[str, str], int] = field(default_factory=dict)
     _next_id: int = 1
-    _root: _Node = field(default_factory=_Node)
+    _exact: dict[str, dict[int, _Subscription]] = field(default_factory=dict)  # keyed by filter = topic
+    _wild: dict[int, _Subscription] = field(default_factory=dict)
     taps: list[Callable[[BrokerMessage], None]] = field(default_factory=list)
 
     def add_tap(self, tap: Callable[[BrokerMessage], None]) -> None:
@@ -140,21 +126,13 @@ class Broker:
             return existing
         sub_id = self._next_id
         self._next_id += 1
-        sub = _Subscription(sub_id, client, pattern, callback)
+        sub = _Subscription(sub_id, client, pattern, callback, levels)
         self._subs[sub_id] = sub
         self._by_key[key] = sub_id
-        node = self._root
-        for level in levels:
-            if level == MULTI:
-                node.multi[sub_id] = sub
-                return sub_id
-            if level == SINGLE:
-                if node.plus is None:
-                    node.plus = _Node()
-                node = node.plus
-            else:
-                node = node.children.setdefault(level, _Node())
-        node.subs[sub_id] = sub
+        if SINGLE in levels or MULTI in levels:
+            self._wild[sub_id] = sub
+        else:
+            self._exact.setdefault(pattern, {})[sub_id] = sub
         return sub_id
 
     def unsubscribe(self, sub_id: int) -> None:
@@ -162,25 +140,11 @@ class Broker:
         if sub is None:
             raise KeyError(f"unknown subscription id {sub_id}")
         del self._by_key[(sub.client, sub.pattern)]
-        path = [self._root]
-        levels = sub.pattern.split("/")
-        for level in levels:
-            if level == MULTI:
-                del path[-1].multi[sub_id]
-                break
-            node = path[-1]
-            path.append(node.plus if level == SINGLE else node.children[level])
-        else:
-            del path[-1].subs[sub_id]
-        # Drop the nodes left empty, deepest first; the root always stays.
-        for depth in range(len(path) - 1, 0, -1):
-            if not path[depth].empty():
-                break
-            parent, level = path[depth - 1], levels[depth - 1]
-            if level == SINGLE:
-                parent.plus = None
-            else:
-                del parent.children[level]
+        if self._wild.pop(sub_id, None) is None:
+            bucket = self._exact[sub.pattern]
+            del bucket[sub_id]
+            if not bucket:
+                del self._exact[sub.pattern]
 
     def publish(self, msg: BrokerMessage) -> int:
         """Deliver to every subscriber with at least one matching filter.
@@ -193,21 +157,10 @@ class Broker:
         levels = split_topic(msg.topic)
         for tap in self.taps:
             tap(msg)
-        found: dict[int, _Subscription] = {}
-        nodes = [self._root]
-        for level in levels:
-            deeper = []
-            for node in nodes:
-                found.update(node.multi)
-                child = node.children.get(level)
-                if child is not None:
-                    deeper.append(child)
-                if node.plus is not None:
-                    deeper.append(node.plus)
-            nodes = deeper
-        for node in nodes:
-            found.update(node.subs)
-            found.update(node.multi)  # '#' also matches zero levels
+        found = dict(self._exact.get(msg.topic, ()))
+        for sub_id, sub in self._wild.items():
+            if _match_levels(sub.levels, levels):
+                found[sub_id] = sub
         reached: set[str] = set()
         targets: list[_Subscription] = []
         for sub_id in sorted(found):

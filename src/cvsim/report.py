@@ -61,15 +61,13 @@ def link_stats(result: RunResult) -> list[LinkStats]:
     """Per link kind with traffic: sends split into delivered, in flight and lost, and delivered latency.
 
     ``delivered + in_flight + lost == sent``, and the latencies are those of
-    the delivered sends. Out-of-range beacons are counted, not logged:
-    ``result.beacons_out_of_range`` adds to the short-range link's sent and lost.
+    the delivered sends. Out-of-range sends are counted, not logged: each
+    link's ``result.out_of_range`` counts add to its sent and lost.
     """
     stats = []
     for link in LinkKind:
         pkts = [p for p in result.packets if p.link is link]
-        sent = len(pkts)
-        if link is result.config.handoff.short_range:
-            sent += result.beacons_out_of_range
+        sent = len(pkts) + sum(n for (on, _), n in result.out_of_range.items() if on is link)
         if not sent:
             continue
         latencies = _arrived_latencies(pkts, result.summary.end_time_ms)

@@ -10,8 +10,10 @@ Layer wiring:
   through ``Simulation._publish``;
 * roadside nodes publish received telemetry to their local broker, forward the
   same payload over the backhaul, run the queue detector once per second, and
-  broadcast handoff beacons; a beacon that cannot reach a vehicle is counted
-  in ``RunResult.beacons_out_of_range``, not logged as a packet;
+  broadcast handoff beacons;
+* a send, of any kind, whose receiver is beyond the link's effective range is
+  counted in ``RunResult.out_of_range`` by (link, packet kind), not logged as
+  a packet, so a logged packet without ``t_recv`` is a channel loss;
 * a roadside node keeps a window of received telemetry only while the
   detector runs: each tick summarises it once per vehicle
   (``apps.window_by_vehicle``), decides and publishes the processed data from
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import TextIO
 
@@ -110,7 +113,7 @@ class RunResult:
     avoidance_decisions: list[AvoidanceDecision]
     queue_evals: list[QueueEval]
     archives: dict[str, Archive]
-    beacons_out_of_range: int  # beacons beyond the receiver's effective range; not in ``packets``
+    out_of_range: Counter[tuple[LinkKind, str]]  # sends beyond the receiver's range, by (link, kind)
 
     def queue_accuracy(self) -> float | None:
         return accuracy([e.decision.queued for e in self.queue_evals], [e.truth for e in self.queue_evals])
@@ -244,7 +247,7 @@ class Simulation:
 
         self.agents: dict[str, _VehicleAgent] = {}
         self.packets: list[PacketRecord] = []
-        self.beacons_out_of_range = 0
+        self.out_of_range: Counter[tuple[LinkKind, str]] = Counter()
         self.handoff_events: list[ho.HandoffEvent] = []
         self.avoidance_decisions: list[AvoidanceDecision] = []
         self.queue_evals: list[QueueEval] = []
@@ -325,14 +328,14 @@ class Simulation:
         distance_m: float = 0.0,
         obstruction: float = 0.0,
     ) -> None:
-        """Range-gate, then transmit; an out-of-range send is logged as lost.
+        """Range-gate, then transmit; an out-of-range send is counted, not logged.
 
         The distance and obstruction default to 0, which is all an unbounded link needs.
         """
         if in_range(distance_m, model, obstruction):
             self._transmit(kind, tx, rx, model, deliver, distance_m, obstruction)
         else:
-            self.packets.append(PacketRecord(self.engine.now, None, tx, rx, model.kind, kind))
+            self.out_of_range[model.kind, kind] += 1
 
     def _transmit(
         self,
@@ -378,10 +381,10 @@ class Simulation:
     def _beacon_round(self) -> None:
         """Every RSU beacons every spawned connected vehicle, RSU-major, vehicle-minor.
 
-        Only pairs the index cannot rule out are measured. A beacon whose
-        receiver is out of range draws no random number and is counted in
-        ``beacons_out_of_range`` instead of logged, so skipping the pruned
-        pairs leaves every random stream and event where it was.
+        Only pairs the index cannot rule out are measured and sent. An
+        out-of-range send draws no random number and is only counted, so
+        counting the pruned pairs as out of range, unmeasured, leaves every
+        random stream and event where it was.
         """
         now = self.engine.now
         cfg = self.config.handoff
@@ -391,23 +394,19 @@ class Simulation:
             pos = self.world.position_geo(vid)
             for i in self._rsu_index.within(pos, model.range_m):
                 receivers[i].append((vid, pos))
-        sent = 0
         for node, reached in zip(self.rsus, receivers):
             for vid, pos in reached:
-                d = distance(node.pos, pos)
-                if not in_range(d, model, node.obstruction):
-                    continue
-                sent += 1
-                self._transmit(
+                self._send(
                     kind="beacon",
                     tx=node.node_id,
                     rx=vid,
                     model=model,
-                    distance_m=d,
+                    distance_m=distance(node.pos, pos),
                     obstruction=node.obstruction,
                     deliver=lambda a=self.agents[vid]: self._on_beacon(a),
                 )
-        self.beacons_out_of_range += len(self.rsus) * len(self.agents) - sent
+        pruned = len(self.rsus) * len(self.agents) - sum(map(len, receivers))
+        self.out_of_range[model.kind, "beacon"] += pruned
         self.engine.at(now + cfg.beacon_interval_ms, "beacon", "rsus", self._beacon_round)
 
     def _on_beacon(self, agent: _VehicleAgent) -> None:
@@ -599,7 +598,7 @@ class Simulation:
             avoidance_decisions=self.avoidance_decisions,
             queue_evals=self.queue_evals,
             archives={node.node_id: node.archive for node in (self.backend, *self.rsus)},
-            beacons_out_of_range=self.beacons_out_of_range,
+            out_of_range=self.out_of_range,
         )
 
 

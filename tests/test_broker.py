@@ -226,7 +226,7 @@ def test_delivery_soundness_and_dedup(subs, topics):
         assert got == expected
 
 
-# -- trie index vs. a linear scan ------------------------------------------------
+# -- the broker vs. a linear scan --------------------------------------------------
 
 class ScanBroker:
     """Reference broker: a list of live subscriptions scanned with ``matches``."""
@@ -278,7 +278,7 @@ op_strategy = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(ops=st.lists(op_strategy, max_size=40))
-def test_trie_broker_equals_linear_scan(ops):
+def test_broker_equals_linear_scan(ops):
     """Same clients, same callbacks, same order and same count as a linear scan."""
     brokers = (Broker(), ScanBroker())
     logs = ([], [])
@@ -309,10 +309,15 @@ def test_trie_broker_equals_linear_scan(ops):
             assert logs[0] == logs[1]
 
 
-def test_unsubscribe_prunes_the_trie():
+def test_unsubscribe_leaves_nothing_behind():
     broker = Broker()
-    ids = [broker.subscribe("c1", p, lambda m: None) for p in ("a/+/c", "a/#", "#", "+", "a/b")]
-    for sub_id in ids:
+    got = []
+    shared = [broker.subscribe(c, "warning/region/r1", lambda m, c=c: got.append(c)) for c in ("c1", "c2")]
+    wild = [broker.subscribe("c3", p, lambda m: None) for p in ("a/+/c", "a/#", "b/#", "+")]
+    broker.unsubscribe(shared[0])
+    assert broker.publish(msg("warning/region/r1")) == 1
+    assert got == ["c2"]
+    for sub_id in [shared[1], *wild]:
         broker.unsubscribe(sub_id)
-    assert broker._root.empty()
+    assert broker._exact == {} and broker._wild == {}
     assert broker._subs == {} and broker._by_key == {}

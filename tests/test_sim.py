@@ -70,6 +70,14 @@ script:
     assert {d.link_used for d in decisions} == {LinkKind.DSRC}
 
 
+def test_out_of_range_warning_is_counted_not_logged(scenario_runs):
+    # cv1 brakes hard; cv2 is within short-range reach of it, cv3 is not.
+    result = scenario_runs("collision_avoidance_20mph")
+    assert result.out_of_range[LinkKind.DSRC, "warning"] == 1
+    logged = [p.rx for p in result.packets if p.kind == "warning" and p.link is LinkKind.DSRC]
+    assert logged == ["cv2"]
+
+
 def test_source_ignores_its_own_relayed_warning(scenario_runs):
     result = scenario_runs("collision_avoidance_20mph")
     assert all(d.vehicle != "cv1" for d in result.avoidance_decisions)
@@ -434,7 +442,7 @@ def test_rsu_index_agrees_with_measuring_every_rsu(case):
     }
     # A zero beacon_p_near delivers, and so logs, every in-range beacon.
     assert sorted((p.tx, p.rx) for p in result.packets if p.kind == "beacon") == sorted(pairs)
-    assert result.beacons_out_of_range == len(sim.rsus) * len(positions) - len(pairs)
+    assert result.out_of_range == Counter({(LinkKind.DSRC, "beacon"): len(sim.rsus) * len(positions) - len(pairs)})
     for pos in positions.values():
         node, d = sim._rsu_index.nearest(pos)
         assert (d, node.node_id) == min((distance(n.pos, pos), n.node_id) for n in sim.rsus)
@@ -470,12 +478,14 @@ def test_beacons_are_logged_or_counted_once_each():
     for config in cases:
         sim = _CountingSimulation(config)
         result = sim.run()
-        logged = sum(p.kind == "beacon" for p in result.packets)
-        assert logged and result.beacons_out_of_range
-        assert logged + result.beacons_out_of_range == sim.beacon_pairs
         short_range = config.handoff.short_range
+        logged = sum(p.kind == "beacon" for p in result.packets)
+        counted = result.out_of_range[short_range, "beacon"]
+        assert logged and counted
+        assert logged + counted == sim.beacon_pairs
         stats = next(s for s in link_stats(result) if s.link is short_range)
-        assert stats.sent == sum(p.link is short_range for p in result.packets) + result.beacons_out_of_range
+        counted_on_link = sum(n for (link, _), n in result.out_of_range.items() if link is short_range)
+        assert stats.sent == sum(p.link is short_range for p in result.packets) + counted_on_link
 
 
 def test_return_leg_hands_off_through_an_outbound_rsu():
@@ -633,7 +643,7 @@ def outcomes(result):
     }
     return (
         result.packets, result.handoff_events, result.avoidance_decisions, result.queue_evals,
-        archives, result.beacons_out_of_range, result.summary.end_time_ms,
+        archives, result.out_of_range, result.summary.end_time_ms,
     )
 
 
