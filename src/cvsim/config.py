@@ -352,6 +352,10 @@ def _parse_links(section: _Section | None, links: dict[LinkKind, LinkModel]) -> 
     for kind in LinkKind:
         sub = section.sub(kind.value)
         if sub is not None:
+            if kind is LinkKind.LTE:
+                for key in ("range_m", "ramp_start_frac"):
+                    if sub.has(key):
+                        raise sub.error(f"links.lte.{key} has no effect: cellular is unbounded", key)
             params = sub.present(_LINK_KEYS)
             if "warning_latency_ms" in params:
                 params["warning_latency_mean_ms"] = params.pop("warning_latency_ms")
@@ -556,9 +560,14 @@ def load_scenario(path_or_name: str) -> ScenarioConfig:
     path = Path(path_or_name)
     if path.is_file():
         try:
-            text = path.read_text(encoding="utf-8")
+            data = path.read_bytes()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}", source=str(path))
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(f"not UTF-8: {exc.reason} at byte {exc.start}", str(path), line)
         return parse_scenario(text, source=str(path))
     candidate = importlib.resources.files("cvsim") / "scenarios" / f"{path_or_name}.yaml"
     if candidate.is_file():

@@ -5,7 +5,12 @@ message fields (t, vehicle_id, lat, lon, speed, optional heading) plus an
 optional ``truth`` flag carrying the live run's ground truth for the
 evaluation second the message falls into. Because the detector is a pure
 function of its one-second window, replaying an export reproduces the live
-run's decisions exactly.
+run's decisions exactly, under two conditions: every message reaches its RSU
+before the decision that closes its second (the last message of a second
+leaves at x.950 s, so a 50 ms hop lands it in the decision's millisecond,
+after the decision), and every reporting vehicle is on the short-range link
+(the trace is the backend's stream, so it also carries cellular BSMs that no
+RSU received).
 
 Ordering positions along the road needs geometry. When a scenario is supplied
 its corridor orders them, as in the live run; otherwise a straight corridor
@@ -59,9 +64,12 @@ def parse_trace(path: str | Path, t_end_ms: int | None = None) -> list[TraceReco
     t_max = MAX_TRACE_T_MS if t_end_ms is None else min(t_end_ms, MAX_TRACE_T_MS)
     records: list[TraceRecord] = []
     source = str(path)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise TraceError(source, lineno, f"not UTF-8: {exc.reason} at byte {exc.start} of the line")
             if not line:
                 continue
             try:

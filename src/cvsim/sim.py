@@ -3,17 +3,20 @@
 Layer wiring:
 
 * vehicles stream telemetry every messaging period on their active link --
-  short-range to the nearest in-range roadside node, cellular straight to the
-  backend otherwise;
+  short-range to the nearest roadside node, cellular straight to the backend
+  otherwise; a short-range BSM whose nearest node is beyond its effective
+  range is counted as out of range, and no farther node is tried;
 * every edge node, roadside or backend, is one ``_Node``: a broker whose single
   tap appends every message to the node's archive, and every publish goes
   through ``Simulation._publish``;
 * roadside nodes publish received telemetry to their local broker, forward the
   same payload over the backhaul, run the queue detector once per second, and
   broadcast handoff beacons;
-* a send, of any kind, whose receiver is beyond the link's effective range is
-  counted in ``RunResult.out_of_range`` by (link, packet kind), not logged as
-  a packet, so a logged packet without ``t_recv`` is a channel loss;
+* every send, of any kind, is decided in one place, ``Simulation._send``: a
+  receiver beyond the link's effective range makes it counted in
+  ``RunResult.out_of_range`` by (link, packet kind), not logged as a packet,
+  so a logged packet without ``t_recv`` is a channel loss; an in-range send
+  draws its loss and latency, is logged, and goes to ``Engine.deliver``;
 * a roadside node keeps a window of received telemetry only while the
   detector runs: each tick summarises it once per vehicle
   (``apps.window_by_vehicle``), decides and publishes the processed data from
@@ -328,29 +331,16 @@ class Simulation:
         distance_m: float = 0.0,
         obstruction: float = 0.0,
     ) -> None:
-        """Range-gate, then transmit; an out-of-range send is counted, not logged.
+        """Decide one send: range gate, loss and latency draw, packet log, delivery.
 
-        The distance and obstruction default to 0, which is all an unbounded link needs.
+        A send beyond the receiver's effective range is only counted in
+        ``out_of_range``. Deliveries one handler sends for one millisecond
+        share one engine event. The distance and obstruction default to 0,
+        which is all an unbounded link needs.
         """
-        if in_range(distance_m, model, obstruction):
-            self._transmit(kind, tx, rx, model, deliver, distance_m, obstruction)
-        else:
+        if not in_range(distance_m, model, obstruction):
             self.out_of_range[model.kind, kind] += 1
-
-    def _transmit(
-        self,
-        kind: str,
-        tx: str,
-        rx: str,
-        model: LinkModel,
-        deliver,
-        distance_m: float,
-        obstruction: float,
-    ) -> None:
-        """Draw loss/latency for an in-range send, log it, and schedule its delivery.
-
-        Deliveries one handler sends for the same millisecond share one engine event.
-        """
+            return
         now = self.engine.now
         outcome = sample_delivery(distance_m, model, self._delivery_streams[model.kind], obstruction)
         t_recv = None if outcome is None else now + outcome.latency_ms  # None: lost on the channel

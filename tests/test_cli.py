@@ -21,6 +21,11 @@ EXPECTED_ARTIFACTS = {
 }
 
 
+def csv_rows(path):
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_run_writes_all_artifacts(tmp_path, capsys):
     rc = main(["--scenario", "collision_avoidance_20mph", "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -31,7 +36,7 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
 
 def test_run_reports_published_values(tmp_path):
     main(["--scenario", "collision_avoidance_20mph", "--out-dir", str(tmp_path)])
-    rows = list(csv.DictReader((tmp_path / "decisions.csv").open()))
+    rows = csv_rows(tmp_path / "decisions.csv")
     cv2 = next(r for r in rows if r["vehicle"] == "cv2")
     assert cv2["verdict"] == "safe"
     assert cv2["link"] == "dsrc"
@@ -44,7 +49,7 @@ def test_run_reports_published_values(tmp_path):
 
 def test_text_report_is_pure_rendering_of_csv_numbers(tmp_path):
     main(["--scenario", "queue_full_penetration", "--out-dir", str(tmp_path)])
-    report_csv = list(csv.DictReader((tmp_path / "report.csv").open()))
+    report_csv = csv_rows(tmp_path / "report.csv")
     acc_row = next(r for r in report_csv if r["section"] == "queue.rsu1" and r["metric"] == "accuracy")
     assert float(acc_row["value"]) == 1.0
     text = (tmp_path / "report.txt").read_text()
@@ -173,8 +178,8 @@ def test_replay_mode_roundtrip(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "accuracy: 0.131737" in out
-    live_rows = list(csv.DictReader((live_dir / "queue_decisions.csv").open()))
-    replay_rows = list(csv.DictReader((replay_dir / "queue_decisions.csv").open()))
+    live_rows = csv_rows(live_dir / "queue_decisions.csv")
+    replay_rows = csv_rows(replay_dir / "queue_decisions.csv")
     assert len(live_rows) == len(replay_rows)
     for lr, rr in zip(live_rows, replay_rows):
         for col in ("t_ms", "avg_speed_mph", "avg_gap_ft", "queued", "truth"):
@@ -187,6 +192,20 @@ def test_replay_malformed_trace_exit_2(tmp_path, capsys):
     rc = main(["--trace", str(trace), "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     assert ":1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data,line",
+    [(b"\xff\xfe{}\n", 1), (b'{"t": 950, "vehicle_id": "v", "lat": 40.0, "lon": -75.0, "speed": 0.0}\n\n{"t": 9\xe9}\n', 3)],
+)
+def test_replay_trace_that_is_not_utf8_exit_2(tmp_path, capsys, data, line):
+    trace = tmp_path / "t.ndjson"
+    trace.write_bytes(data)
+    rc = main(["--trace", str(trace), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"t.ndjson:{line}: not UTF-8" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_replay_without_truth_omits_accuracy(tmp_path, capsys):
@@ -249,6 +268,21 @@ def test_missing_trace_file_exit_2(tmp_path, capsys):
 def test_unreadable_config_path_exit_2(tmp_path, capsys):
     rc = main(["--scenario", str(tmp_path), "--out-dir", str(tmp_path / "out")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("with_trace", [False, True])
+def test_scenario_that_is_not_utf8_exit_2(tmp_path, capsys, with_trace):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"name: x\n\xff\n" + POLYLINE.encode())
+    args = ["--scenario", str(bad), "--out-dir", str(tmp_path / "out")]
+    if with_trace:
+        trace = tmp_path / "t.ndjson"
+        trace.write_text(json.dumps({"t": 950, "vehicle_id": "v", "lat": 40.0, "lon": -75.0, "speed": 0.0}) + "\n")
+        args += ["--trace", str(trace)]
+    rc = main(args)
+    assert rc == 2
+    assert "bad.yaml:2: not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_runtime_abort_exit_1(tmp_path, capsys):

@@ -447,6 +447,14 @@ def test_bad_link_range_rejected_with_line(kind, value):
     assert "case.yaml:12" in str(err.value) and "range_m" in str(err.value)
 
 
+@pytest.mark.parametrize("key,value", [("range_m", "300.0"), ("ramp_start_frac", "0.8")])
+def test_lte_range_keys_rejected_with_line(key, value):
+    """Every cellular send is made at distance 0, so neither key could ever act."""
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(MINIMAL + f"links:\n  lte:\n    p_near: 0.1\n    {key}: {value}\n", source="case.yaml")
+    assert "case.yaml:14" in str(err.value) and f"links.lte.{key} has no effect: cellular is unbounded" in str(err.value)
+
+
 @pytest.mark.parametrize("kind", ["dsrc", "lte", "wifi"])
 @pytest.mark.parametrize(
     "key,value,field",

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
 
@@ -11,6 +12,8 @@ from cvsim.config import load_scenario
 from cvsim.replay import MAX_TRACE_T_MS, TraceError, TraceRecord, axis_order_key, parse_trace, replay_trace
 from cvsim.report import write_bsm_trace
 from cvsim.core import EARTH_RADIUS_M, Bsm, GeoPoint
+from cvsim.radio import LinkKind
+from cvsim.sim import run_scenario
 
 GOLDEN_MIXED_TRACE = Path(__file__).parent / "data" / "golden_mixed_40s.ndjson"
 # Frozen from the committed trace by the independent brute-force recount
@@ -59,26 +62,38 @@ def test_bad_truth_type_reported(tmp_path):
     assert "truth" in str(err.value)
 
 
+def assert_replay_reproduces_live(result, config, trace_path):
+    write_bsm_trace(result, trace_path)
+    replay = replay_trace(parse_trace(trace_path), constants=config.constants, corridor=config.corridor)
+    live = [e.decision for e in result.queue_evals]
+    assert len(replay.decisions) == len(live) == 167
+    for mine, theirs in zip(replay.decisions, live):
+        assert mine.t == theirs.t
+        assert mine.queued == theirs.queued
+        assert mine.n_cvs == theirs.n_cvs
+        assert mine.avg_speed_mps == theirs.avg_speed_mps
+        assert mine.avg_gap_m == theirs.avg_gap_m
+    # the embedded truth column reproduces the live series
+    assert replay.truth == [e.truth for e in result.queue_evals]
+    assert replay.accuracy == result.queue_accuracy()
+
+
 def test_replay_reproduces_live_decisions_exactly(scenario_runs, tmp_path):
     for name in ("queue_full_penetration", "queue_mixed_penetration"):
-        result = scenario_runs(name)
-        trace_path = tmp_path / f"{name}.ndjson"
-        write_bsm_trace(result, trace_path)
-        config = load_scenario(name)
-        replay = replay_trace(
-            parse_trace(trace_path), constants=config.constants, corridor=config.corridor
-        )
-        live = [e.decision for e in result.queue_evals]
-        assert len(replay.decisions) == len(live) == 167
-        for mine, theirs in zip(replay.decisions, live):
-            assert mine.t == theirs.t
-            assert mine.queued == theirs.queued
-            assert mine.n_cvs == theirs.n_cvs
-            assert mine.avg_speed_mps == theirs.avg_speed_mps
-            assert mine.avg_gap_m == theirs.avg_gap_m
-        # the embedded truth column reproduces the live series
-        assert replay.truth == [e.truth for e in result.queue_evals]
-        assert replay.accuracy == result.queue_accuracy()
+        assert_replay_reproduces_live(scenario_runs(name), load_scenario(name), tmp_path / f"{name}.ndjson")
+
+
+@pytest.mark.parametrize("latency_ms", [4, 25, 49])
+@pytest.mark.parametrize("name", ["queue_full_penetration", "queue_mixed_penetration"])
+def test_replay_reproduces_live_while_every_message_lands_before_its_decision(tmp_path, name, latency_ms):
+    """The last message of a second leaves at x.950 s. Below 50 ms it reaches
+    the RSU before the detector decides at the second's end; at 50 ms it lands
+    in the decision's millisecond, after the decision, and only the replay,
+    which reads the backend's stream, counts it."""
+    config = load_scenario(name)
+    dsrc = replace(config.links[LinkKind.DSRC], latency_mean_ms=latency_ms)
+    config = replace(config, links={**config.links, LinkKind.DSRC: dsrc})
+    assert_replay_reproduces_live(run_scenario(config), config, tmp_path / "trace.ndjson")
 
 
 def test_axis_fallback_matches_corridor_projection_on_straight_road(scenario_runs, tmp_path):

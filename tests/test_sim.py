@@ -14,10 +14,11 @@ from cvsim import handoff as ho
 from cvsim.apps import WINDOW_MS, Verdict
 from cvsim.config import Directive, bundled_scenario_names, load_scenario, parse_scenario
 from cvsim.core import GeoPoint, distance
+from cvsim.engine import DELIVERY_KIND
 from cvsim.mobility import DEG_TO_M, Corridor
-from cvsim.radio import LinkKind, in_range, sample_delivery
+from cvsim.radio import LinkKind, in_range
 from cvsim.report import coverage_rows, exchange_delays, link_stats
-from cvsim.sim import SYSTEM_NODE_ID, PacketRecord, Simulation, run_scenario
+from cvsim.sim import SYSTEM_NODE_ID, Simulation, run_scenario
 
 
 def test_collision_scenario_decisions(scenario_runs):
@@ -624,15 +625,12 @@ def test_checks_due_in_one_millisecond_keep_the_per_beacon_order():
 
 
 class _PerPacketSimulation(Simulation):
-    """The reference: one ``radio-delivery`` event per delivered packet."""
+    """The reference: its engine schedules one ``radio-delivery`` event per delivered packet."""
 
-    def _transmit(self, kind, tx, rx, model, deliver, distance_m, obstruction):
-        now = self.engine.now
-        outcome = sample_delivery(distance_m, model, self._delivery_streams[model.kind], obstruction)
-        t_recv = None if outcome is None else now + outcome.latency_ms
-        self.packets.append(PacketRecord(now, t_recv, tx, rx, model.kind, kind))
-        if t_recv is not None:
-            self.engine.at(t_recv, "radio-delivery", f"{kind}:{tx}->{rx}", deliver)
+    def __init__(self, config, trace=None):
+        super().__init__(config, trace=trace)
+        engine = self.engine
+        engine.deliver = lambda fire_at, subject, fn: engine.at(fire_at, DELIVERY_KIND, subject, fn)
 
 
 def outcomes(result):
