@@ -345,6 +345,14 @@ _LINK_KEYS = {
 }
 
 
+# Keys a link kind could never act on, with the reason: every cellular send is
+# made at distance 0, and sudden-stop warnings ride only DSRC and LTE.
+_INERT_LINK_KEYS = {
+    LinkKind.LTE: {"range_m": "cellular is unbounded", "ramp_start_frac": "cellular is unbounded"},
+    LinkKind.WIFI: {"warning_latency_ms": "warnings ride only dsrc and lte"},
+}
+
+
 def _parse_links(section: _Section | None, links: dict[LinkKind, LinkModel]) -> None:
     """Apply each ``links.<kind>`` override to ``links`` in place."""
     if section is None:
@@ -352,10 +360,9 @@ def _parse_links(section: _Section | None, links: dict[LinkKind, LinkModel]) -> 
     for kind in LinkKind:
         sub = section.sub(kind.value)
         if sub is not None:
-            if kind is LinkKind.LTE:
-                for key in ("range_m", "ramp_start_frac"):
-                    if sub.has(key):
-                        raise sub.error(f"links.lte.{key} has no effect: cellular is unbounded", key)
+            for key, reason in _INERT_LINK_KEYS.get(kind, {}).items():
+                if sub.has(key):
+                    raise sub.error(f"links.{kind.value}.{key} has no effect: {reason}", key)
             params = sub.present(_LINK_KEYS)
             if "warning_latency_ms" in params:
                 params["warning_latency_mean_ms"] = params.pop("warning_latency_ms")

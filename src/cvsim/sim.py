@@ -42,9 +42,11 @@ second k and the ground-truth sample beside it both see the world exactly as
 the newest telemetry in its window reported it.
 
 Roadside nodes are found through ``_RsuIndex``, a sorted projection of their
-positions onto one fixed axis: a beacon round measures only the pairs the
-index cannot rule out, and the nearest-node search stops once no closer node
-can remain. Both give exactly what measuring every node would.
+positions onto one fixed axis. Each vehicle is measured, once per kinematics
+step, against only the nodes the index cannot rule out at the short-range
+link's range (``Simulation._reach``); the beacon round and the telemetry
+round both read that one list, and give exactly what measuring every node
+would.
 """
 
 from __future__ import annotations
@@ -163,7 +165,6 @@ class _RsuIndex:
         # point 0, a bound that prunes nothing but still holds.
         norm = math.dist(far, origin) or 1.0
         self._axis = tuple((f - o) / norm for f, o in zip(far, origin))
-        self._rsus = rsus
         self._order = sorted(range(len(rsus)), key=lambda i: self.key(rsus[i].pos))
         self._keys = [self.key(rsus[i].pos) for i in self._order]
 
@@ -183,31 +184,6 @@ class _RsuIndex:
         lo = bisect_left(self._keys, key - reach_m - INDEX_SLACK_M)
         hi = bisect_right(self._keys, key + reach_m + INDEX_SLACK_M)
         return self._order[lo:hi]
-
-    def nearest(self, pos: GeoPoint) -> tuple[_RsuNode, float] | None:
-        """The RSU of least ``(distance, node_id)`` from ``pos``, and its distance.
-
-        Visits RSUs outward from the key of ``pos`` and stops once the key gaps
-        on both sides exceed the best distance found, so ties are all visited.
-        """
-        keys, key = self._keys, self.key(pos)
-        hi = bisect_left(keys, key)
-        lo = hi - 1
-        best = None  # (distance, node_id, position in the RSU list)
-        while lo >= 0 or hi < len(keys):
-            gap_lo = key - keys[lo] if lo >= 0 else math.inf
-            gap_hi = keys[hi] - key if hi < len(keys) else math.inf
-            if best is not None and min(gap_lo, gap_hi) > best[0] + INDEX_SLACK_M:
-                break
-            if gap_lo <= gap_hi:
-                i, lo = self._order[lo], lo - 1
-            else:
-                i, hi = self._order[hi], hi + 1
-            node = self._rsus[i]
-            candidate = (distance(node.pos, pos), node.node_id, i)
-            if best is None or candidate < best:
-                best = candidate
-        return None if best is None else (self._rsus[best[2]], best[0])
 
 
 @dataclass
@@ -247,6 +223,7 @@ class Simulation:
             for spec in self.corridor.rsus
         ]
         self._rsu_index = _RsuIndex(self.rsus, self.corridor.polyline)
+        self._reached: dict[str, list[tuple[int, float]]] = {}  # _reach until the next step
 
         self.agents: dict[str, _VehicleAgent] = {}
         self.packets: list[PacketRecord] = []
@@ -348,10 +325,25 @@ class Simulation:
         if t_recv is not None:
             self.engine.deliver(t_recv, kind, deliver)
 
+    def _reach(self, vid: str) -> list[tuple[int, float]]:
+        """``(position in self.rsus, distance)`` of each RSU the index keeps for vehicle ``vid``.
+
+        Beacons and short-range BSMs both ride the short-range link, so its
+        range bounds both; obstruction only shrinks it. Each list is kept
+        until ``_mobility_tick`` moves the vehicles.
+        """
+        reached = self._reached.get(vid)
+        if reached is None:
+            pos = self.world.position_geo(vid)
+            within = self._rsu_index.within(pos, self._beacon_model.range_m)
+            reached = self._reached[vid] = [(i, distance(self.rsus[i].pos, pos)) for i in within]
+        return reached
+
     # -- recurring events ---------------------------------------------------
 
     def _mobility_tick(self) -> None:
         self.world.step(self.tick_ms / 1000.0)
+        self._reached.clear()
         self._apply_due_directives()
         self.engine.at(self.engine.now + self.tick_ms, "mobility-tick", "world", self._mobility_tick)
 
@@ -379,19 +371,18 @@ class Simulation:
         now = self.engine.now
         cfg = self.config.handoff
         model = self._beacon_model
-        receivers: list[list[tuple[str, GeoPoint]]] = [[] for _ in self.rsus]
+        receivers: list[list[tuple[str, float]]] = [[] for _ in self.rsus]
         for vid in self.agents:
-            pos = self.world.position_geo(vid)
-            for i in self._rsu_index.within(pos, model.range_m):
-                receivers[i].append((vid, pos))
+            for i, d in self._reach(vid):
+                receivers[i].append((vid, d))
         for node, reached in zip(self.rsus, receivers):
-            for vid, pos in reached:
+            for vid, d in reached:
                 self._send(
                     kind="beacon",
                     tx=node.node_id,
                     rx=vid,
                     model=model,
-                    distance_m=distance(node.pos, pos),
+                    distance_m=d,
                     obstruction=node.obstruction,
                     deliver=lambda a=self.agents[vid]: self._on_beacon(a),
                 )
@@ -443,10 +434,10 @@ class Simulation:
     def _bsm_round(self) -> None:
         now = self.engine.now
         for vid, agent in self.agents.items():
-            state = self.world.vehicles[vid]
-            bsm = Bsm(t=now, vehicle_id=vid, pos=self.world.position_geo(vid), speed=state.speed)
             if not ho.can_transmit(agent.handoff, now):
                 continue  # association gap: hard handoff left no usable link
+            state = self.world.vehicles[vid]
+            bsm = Bsm(t=now, vehicle_id=vid, pos=self.world.position_geo(vid), speed=state.speed)
             link = agent.handoff.active
             if link is LinkKind.LTE:
                 self._send(
@@ -457,10 +448,12 @@ class Simulation:
                     deliver=lambda b=bsm, v=vid: self._publish(self.backend, BSM_RAW_TOPIC.format(v), b.to_doc(), v),
                 )
             else:
-                target = self._rsu_index.nearest(bsm.pos)
-                if target is None:
+                reached = self._reach(vid)
+                if not reached:  # every RSU is beyond the link's range
+                    self.out_of_range[link, "bsm"] += 1
                     continue
-                node, d = target
+                d, _, i = min((d, self.rsus[i].node_id, i) for i, d in reached)
+                node = self.rsus[i]
                 self._send(
                     kind="bsm",
                     tx=vid,

@@ -120,7 +120,7 @@ POLYLINE = "corridor:\n  polyline:\n    - [40.0, -75.0]\n    - [40.01, -75.0]\n"
             "latency_mean_ms must be at least 1 ms, got 0",
         ),
         ("t_end_s: 1.0\nlinks:\n  lte:\n    warning_latency_ms: -500\n", 4, "warning_latency_mean_ms must be at least 1 ms"),
-        ("t_end_s: 1.0\nlinks:\n  wifi:\n    warning_latency_ms: 0\n", 4, "warning_latency_mean_ms must be at least 1 ms"),
+        ("t_end_s: 1.0\nlinks:\n  wifi:\n    warning_latency_ms: 0\n", 5, "links.wifi.warning_latency_ms has no effect"),
         ("t_end_s: 1.0\nconstants:\n  decel_fps2: 1.0e-320\n", 3, "no finite braking distance from 100 m/s"),
         ("t_end_s: 1.0\nconstants:\n  decel_fps2: .inf\n", 3, "decel_mps2 must be positive and finite, got inf"),
         ("t_end_s: 1.0\nconstants:\n  queue_gap_threshold_ft: .inf\n", 3, "queue_gap_threshold_m must be positive and finite"),
@@ -248,15 +248,16 @@ def test_missing_mode_arguments_error():
     assert err.value.code == 2
 
 
-def test_console_entrypoint_runs():
+def test_console_entrypoint_runs(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "cvsim.cli", "--scenario", "collision_avoidance_20mph",
-         "--out-dir", "/tmp/cvsim_cli_test"],
+         "--out-dir", str(tmp_path)],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "events" in proc.stdout
+    assert (tmp_path / "report.csv").is_file()
 
 
 def test_missing_trace_file_exit_2(tmp_path, capsys):

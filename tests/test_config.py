@@ -375,7 +375,7 @@ corridor:
 links:
   dsrc: {range_m: 300.0, latency_mean_ms: 4, latency_jitter_ms: 1, warning_latency_ms: 88, p_near: 0.1, ramp_start_frac: 0.8}
   lte: {latency_mean_ms: 50, latency_jitter_ms: 2, warning_latency_ms: 2590, p_near: 0.0}
-  wifi: {range_m: 200.0, latency_mean_ms: 6, latency_jitter_ms: 0, warning_latency_ms: 30, p_near: 0.0, ramp_start_frac: 0.5}
+  wifi: {range_m: 200.0, latency_mean_ms: 6, latency_jitter_ms: 0, p_near: 0.0, ramp_start_frac: 0.5}
 vehicles:
   - {id: cv1, s_m: 120.0, speed_mph: 20.0}
   - {id: cv2, s_m: 60.0, speed_mph: 20.0}
@@ -455,14 +455,20 @@ def test_lte_range_keys_rejected_with_line(key, value):
     assert "case.yaml:14" in str(err.value) and f"links.lte.{key} has no effect: cellular is unbounded" in str(err.value)
 
 
-@pytest.mark.parametrize("kind", ["dsrc", "lte", "wifi"])
+@pytest.mark.parametrize("value", ["30", "1", "0"])
+def test_wifi_warning_latency_rejected_with_line(value):
+    """Sudden-stop warnings ride only DSRC and LTE, so the key could never act."""
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(MINIMAL + f"links:\n  wifi:\n    p_near: 0.1\n    warning_latency_ms: {value}\n", source="case.yaml")
+    assert "case.yaml:14" in str(err.value)
+    assert "links.wifi.warning_latency_ms has no effect: warnings ride only dsrc and lte" in str(err.value)
+
+
 @pytest.mark.parametrize(
-    "key,value,field",
+    "kind,key,value,field",
     [
-        ("latency_mean_ms", "0", "latency_mean_ms"),
-        ("latency_mean_ms", "-3", "latency_mean_ms"),
-        ("warning_latency_ms", "0", "warning_latency_mean_ms"),
-        ("warning_latency_ms", "-500", "warning_latency_mean_ms"),
+        *((kind, "latency_mean_ms", value, "latency_mean_ms") for kind in ("dsrc", "lte", "wifi") for value in ("0", "-3")),
+        *((kind, "warning_latency_ms", value, "warning_latency_mean_ms") for kind in ("dsrc", "lte") for value in ("0", "-500")),
     ],
 )
 def test_latency_mean_below_one_ms_rejected_with_line(kind, key, value, field):

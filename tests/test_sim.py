@@ -424,29 +424,94 @@ def index_cases(draw):
     return legs, rsus, vehicles, draw(st.sampled_from([50.0, 300.0, 1000.0, None]))
 
 
-@settings(max_examples=150, deadline=None)
-@given(index_cases())
-def test_rsu_index_agrees_with_measuring_every_rsu(case):
+def index_config(case, **kwargs):
+    """The scenario of an ``index_cases`` draw; a ``None`` range makes the short-range link unbounded."""
     legs, rsus, vehicles, range_m = case
-    config = index_scenario(legs, rsus, vehicles, range_m=range_m or 300.0)
+    config = index_scenario(legs, rsus, vehicles, range_m=range_m or 300.0, **kwargs)
     if range_m is None:  # an unbounded short-range link, which only code can build
         dsrc = replace(config.links[LinkKind.DSRC], range_m=None)
         config = replace(config, links={**config.links, LinkKind.DSRC: dsrc})
-    sim = Simulation(config)
-    result = sim.run()  # one beacon round, at 10 ms, before any vehicle moves
+    return config
+
+
+@settings(max_examples=150, deadline=None)
+@given(index_cases())
+def test_rsu_index_agrees_with_measuring_every_rsu(case):
+    sim = Simulation(index_config(case, t_end_s=0.06))
+    result = sim.run()  # a beacon round at 10 ms and a telemetry round at 50 ms, before any vehicle moves
+    dsrc = sim.links[LinkKind.DSRC]
     positions = {vid: sim.world.position_geo(vid) for vid in sim.agents}
     pairs = {
         (node.node_id, vid)
         for node in sim.rsus
         for vid, pos in positions.items()
-        if in_range(distance(node.pos, pos), sim._beacon_model, node.obstruction)
+        if in_range(distance(node.pos, pos), dsrc, node.obstruction)
     }
     # A zero beacon_p_near delivers, and so logs, every in-range beacon.
     assert sorted((p.tx, p.rx) for p in result.packets if p.kind == "beacon") == sorted(pairs)
-    assert result.out_of_range == Counter({(LinkKind.DSRC, "beacon"): len(sim.rsus) * len(positions) - len(pairs)})
-    for pos in positions.values():
-        node, d = sim._rsu_index.nearest(pos)
-        assert (d, node.node_id) == min((distance(n.pos, pos), n.node_id) for n in sim.rsus)
+    for vid, pos in positions.items():
+        reached = dict(sim._reach(vid))
+        assert {sim.rsus[i].node_id for i in reached} >= {rid for rid, v in pairs if v == vid}
+        assert all(d == distance(sim.rsus[i].pos, pos) for i, d in reached.items())
+    # A vehicle that heard a beacon sends its BSM to the RSU of least
+    # (distance, id), or counts it if that RSU is beyond its reach.
+    bsms, beyond = [], 0
+    for vid, agent in sim.agents.items():
+        if agent.handoff.active is LinkKind.DSRC:
+            d, rid, obstruction = min((distance(n.pos, positions[vid]), n.node_id, n.obstruction) for n in sim.rsus)
+            if in_range(d, dsrc, obstruction):
+                bsms.append((vid, rid))
+            else:
+                beyond += 1
+    sent = [(p.tx, p.rx) for p in result.packets if p.kind == "bsm" and p.link is LinkKind.DSRC]
+    assert sorted(sent) == sorted(bsms)
+    assert result.out_of_range == Counter(
+        {(LinkKind.DSRC, "beacon"): len(sim.rsus) * len(positions) - len(pairs), (LinkKind.DSRC, "bsm"): beyond}
+    )
+
+
+class _MeasureEveryRsuSimulation(Simulation):
+    """The reference: each lookup measures the vehicle against every RSU, with no index and no memo."""
+
+    def _reach(self, vid):
+        pos = self.world.position_geo(vid)
+        return [(i, distance(node.pos, pos)) for i, node in enumerate(self.rsus)]
+
+
+def assert_matches_measuring_every_rsu(config):
+    """Same packets, counts, handoffs and event trace as measuring every RSU at every lookup."""
+    result, trace = run_traced(Simulation, config)
+    expected, expected_trace = run_traced(_MeasureEveryRsuSimulation, config)
+    assert result.packets == expected.packets
+    assert result.out_of_range == expected.out_of_range
+    assert result.handoff_events == expected.handoff_events
+    assert trace == expected_trace
+    return result
+
+
+@settings(max_examples=100, deadline=None)
+@given(index_cases(), st.sampled_from([0.0, 30.0, 60.0]))
+def test_one_lookup_per_step_matches_measuring_every_rsu(case, speed_mph):
+    """Unbounded range, twin RSUs tied on distance and roads folded back on themselves."""
+    assert_matches_measuring_every_rsu(index_config(case, t_end_s=2.0, speed_mph=speed_mph))
+
+
+def test_bsms_go_to_the_twin_rsu_of_least_id():
+    """Twin RSUs tie on distance; the one later in the RSU list has the lesser id."""
+    config = index_scenario([(0.0, 1000.0)], [("rb", 0.5, 0.0), ("ra", 0.5, 0.0)], [0.45], t_end_s=1.0)
+    result = assert_matches_measuring_every_rsu(config)
+    assert {p.rx for p in result.packets if p.kind == "bsm"} == {"ra"}
+
+
+def test_bsms_beyond_every_rsu_before_the_miss_timeout_are_counted():
+    """A vehicle driving away from the only RSU stays on the short-range link
+    until its miss timeout: its BSMs beyond the 60 m range are counted, not
+    sent or drawn."""
+    config = index_scenario([(0.0, 1000.0)], [("r0", 0.1, 0.0)], [0.05], range_m=60.0, t_end_s=8.0, speed_mph=60.0)
+    result = assert_matches_measuring_every_rsu(config)
+    exit_t = next(e.t for e in result.handoff_events if e.to_link is LinkKind.LTE)
+    last_sent = max(p.t_send for p in result.packets if p.kind == "bsm" and p.link is LinkKind.DSRC)
+    assert result.out_of_range[LinkKind.DSRC, "bsm"] == len(range(last_sent + 100, exit_t, 100)) > 0
 
 
 class _CountingSimulation(Simulation):
@@ -565,17 +630,18 @@ def with_beacons(config, latency_mean_ms, latency_jitter_ms, **handoff):
     return replace(config, links={**config.links, LinkKind.DSRC: dsrc}, handoff=replace(config.handoff, **handoff))
 
 
-def run_traced(cls, config):
+def run_traced(cls, config, drop=None):
+    """The run of ``cls`` on ``config`` and its event trace, without the lines holding ``drop``."""
     sink = io.StringIO()
     result = cls(config, trace=sink).run()
-    trace = [line for line in sink.getvalue().splitlines() if ",handoff-check:" not in line]
+    trace = [line for line in sink.getvalue().splitlines() if drop is None or drop not in line]
     return result, trace
 
 
 def assert_matches_per_beacon(config):
     """Same handoffs, packets and event order (checks aside) as a check per beacon."""
-    result, trace = run_traced(Simulation, config)
-    expected, expected_trace = run_traced(_PerBeaconSimulation, config)
+    result, trace = run_traced(Simulation, config, drop=",handoff-check:")
+    expected, expected_trace = run_traced(_PerBeaconSimulation, config, drop=",handoff-check:")
     assert result.handoff_events == expected.handoff_events
     assert result.packets == expected.packets
     assert trace == expected_trace
@@ -590,6 +656,13 @@ def test_one_pending_check_per_vehicle_matches_one_per_beacon(config):
     millisecond as a later beacon round's deliveries, and a latency of 40 ms
     past a beacon phase lands beacons on the telemetry round."""
     assert_matches_per_beacon(config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(handoff_cases())
+def test_one_lookup_per_step_matches_measuring_every_rsu_through_handoffs(config):
+    """Beacon intervals of 20 to 200 ms, association gaps, and 60 mph at 60 m range."""
+    assert_matches_measuring_every_rsu(config)
 
 
 @settings(max_examples=60, deadline=None)
@@ -666,14 +739,11 @@ def per_packet_cases(draw):
 def test_batched_deliveries_match_one_event_per_packet(config):
     """Jittered and late deliveries and twin RSUs: batches run exactly where
     one event per packet would, so the rest of the event trace is the same."""
-    traces = []
-    results = []
-    for cls in (Simulation, _PerPacketSimulation):
-        sink = io.StringIO()
-        results.append(cls(config, trace=sink).run())
-        traces.append([line for line in sink.getvalue().splitlines() if ",radio-delivery," not in line])
-    assert_matches_per_packet(*results)
-    assert traces[0] == traces[1]
+    (result, trace), (expected, expected_trace) = (
+        run_traced(cls, config, drop=",radio-delivery,") for cls in (Simulation, _PerPacketSimulation)
+    )
+    assert_matches_per_packet(result, expected)
+    assert trace == expected_trace
 
 
 @pytest.mark.parametrize("name", bundled_scenario_names())
