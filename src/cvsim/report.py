@@ -9,7 +9,8 @@ byte-identical artifacts.
 
 A send counts as delivered only when it arrived by the end of the run; one
 still on its way then is ``in_flight``, so a delivered count is what the
-receivers got. Both JSON-line exports write ``archive.canonical_line``.
+receivers got. ``archive.ndjson`` and ``trace.ndjson`` are written in one
+pass over the backend's records, each payload encoded once for both lines.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .apps import QueueDecision, accuracy, eval_bucket
-from .archive import canonical_line
+from .archive import Record, canonical_json, record_line, spliced_line
 from .core import m_to_ft, mps_to_mph, round_half_away
 from .config import BSM_RAW_PATTERN, QUEUE_STATUS_PATTERN, SYSTEM_NODE_ID, ScenarioConfig
 from .radio import LinkKind, loss_probability, rssi_dbm
@@ -221,27 +222,68 @@ def write_coverage_csv(result: RunResult, path: Path) -> None:
     write_csv(path, ["rsu", "distance_m", "rssi_dbm", "p_loss"], rows)
 
 
-def write_bsm_trace(result: RunResult, path: Path) -> int:
-    """Export the backend's telemetry stream for offline replay.
+_TRUTH_JSON = {truth: canonical_json(truth) for truth in (False, True)}
 
-    One JSON object per line with the raw message fields, plus the live
-    ground-truth flag for the one-second evaluation its timestamp falls into
-    (omitted when the run had no detector or the bucket was never evaluated).
+
+@dataclass(frozen=True)
+class _BsmTrace:
+    """Which backend records the BSM trace holds, and the line each one gets."""
+
+    topics: set[str]  # the backend's bsm/raw topics
+    end_ms: int
+    truth_at: dict[int, tuple[bool, str]]  # eval bucket -> the live truth and its JSON
+
+    @classmethod
+    def of(cls, result: RunResult) -> _BsmTrace:
+        truth_at: dict[int, tuple[bool, str]] = {}
+        for e in result.queue_evals:
+            if e.decision.t not in truth_at:
+                truth_at[e.decision.t] = (e.truth, _TRUTH_JSON[e.truth])
+        topics = result.archives[SYSTEM_NODE_ID].topics(BSM_RAW_PATTERN)
+        return cls(topics, result.summary.end_time_ms, truth_at)
+
+    def holds(self, record: Record) -> bool:
+        return record.topic in self.topics and 0 <= record.t <= self.end_ms
+
+    def line(self, record: Record, payload_json: str) -> str:
+        truth = self.truth_at.get(eval_bucket(int(record.payload["t"])))
+        if truth is None:
+            return payload_json + "\n"
+        return spliced_line(record.payload, payload_json, "truth", *truth)
+
+
+def write_bsm_trace(result: RunResult, path: Path) -> int:
+    """Export the backend's telemetry stream for offline replay; returns the line count.
+
+    One line per backend ``bsm/raw`` record up to the end of the run, in
+    (t, seq) order: the message's payload, plus ``truth``, the live ground
+    truth of the one-second evaluation its timestamp falls into (omitted when
+    the run had no detector or the bucket was never evaluated). The payload
+    is encoded once and ``truth`` spliced into it (``archive.spliced_line``);
+    ``write_artifacts`` writes the same lines in its one pass.
     """
-    truth_at: dict[int, bool] = {}
-    for e in result.queue_evals:
-        truth_at.setdefault(e.decision.t, e.truth)
-    records = result.archives[SYSTEM_NODE_ID].query(0, result.summary.end_time_ms, BSM_RAW_PATTERN)
+    trace = _BsmTrace.of(result)
     n = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            doc = dict(record.payload)
-            bucket = eval_bucket(int(doc["t"]))
-            if bucket in truth_at:
-                doc["truth"] = truth_at[bucket]
-            fh.write(canonical_line(doc))
-            n += 1
+        for record in result.archives[SYSTEM_NODE_ID]:
+            if trace.holds(record):
+                fh.write(trace.line(record, canonical_json(record.payload)))
+                n += 1
     return n
+
+
+def _write_backend_exports(result: RunResult, archive_path: Path, trace_path: Path) -> None:
+    """``archive.ndjson`` and ``trace.ndjson`` in one pass, each backend payload encoded once."""
+    trace = _BsmTrace.of(result)
+    with (
+        open(archive_path, "w", encoding="utf-8", newline="\n") as archive_fh,
+        open(trace_path, "w", encoding="utf-8", newline="\n") as trace_fh,
+    ):
+        for record in result.archives[SYSTEM_NODE_ID]:
+            payload_json = canonical_json(record.payload)
+            archive_fh.write(record_line(record, payload_json))
+            if trace.holds(record):
+                trace_fh.write(trace.line(record, payload_json))
 
 
 def report_rows(result: RunResult, figures: ReportFigures) -> list[tuple[str, str, str]]:
@@ -375,10 +417,7 @@ def write_artifacts(result: RunResult, out_dir: Path, fmt: str = "both") -> dict
         path = out_dir / name
         writer(result, path)
         written[name] = path
-    path = out_dir / "archive.ndjson"
-    result.archives[SYSTEM_NODE_ID].export_ndjson(str(path))
-    written["archive.ndjson"] = path
-    path = out_dir / "trace.ndjson"
-    write_bsm_trace(result, path)
-    written["trace.ndjson"] = path
+    written["archive.ndjson"] = out_dir / "archive.ndjson"
+    written["trace.ndjson"] = out_dir / "trace.ndjson"
+    _write_backend_exports(result, written["archive.ndjson"], written["trace.ndjson"])
     return written

@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from cvsim.config import bundled_scenario_names
-from cvsim.report import write_artifacts
+from cvsim.config import SYSTEM_NODE_ID
+from cvsim.report import write_artifacts, write_bsm_trace
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "perfbench" / "digests.json").read_text())["paper_scenarios"]
@@ -41,6 +42,18 @@ def test_every_bundled_scenario_has_digests():
 def test_artifacts_match_golden_digests(name, scenario_runs, tmp_path):
     write_artifacts(scenario_runs(name), tmp_path)
     assert_golden(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_one_pass_exports_equal_the_single_file_writers(name, scenario_runs, tmp_path):
+    result = scenario_runs(name)
+    write_artifacts(result, tmp_path / "one-pass")
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    result.archives[SYSTEM_NODE_ID].export_ndjson(str(alone / "archive.ndjson"))
+    write_bsm_trace(result, alone / "trace.ndjson")
+    for artifact in ("archive.ndjson", "trace.ndjson"):
+        assert (tmp_path / "one-pass" / artifact).read_bytes() == (alone / artifact).read_bytes(), artifact
 
 
 def test_byte_identical_across_processes_and_hash_seeds(tmp_path):
