@@ -8,6 +8,12 @@ Nothing is encoded on append. An export encodes each record's payload once
 (``canonical_json``) and builds the record's line around that encoding
 (``record_line``; ``spliced_line`` adds one key). Keys are sorted, so
 identical runs export byte-identical files.
+
+A ``Record`` is a ``typing.NamedTuple``: immutable once appended, compared as
+a tuple, and cheap to build, since the backend makes one per message it
+receives. It holds what a broker tap handed over, so it validates nothing;
+``core.Bsm`` and ``core.GeoPoint`` stay validated dataclasses for input read
+from scenario and trace files.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from bisect import bisect, bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .broker import _match_levels, split_filter, split_topic
 
@@ -35,8 +41,7 @@ class InvalidRangeError(ValueError):
     """Query range with t0 > t1."""
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     """One archived document; immutable once appended."""
 
     seq: int
@@ -101,7 +106,7 @@ class Archive:
     def append(self, topic: str, t: int, payload: dict, origin: str) -> int:
         """Append a record; returns its sequence number, the count appended before it."""
         seq = self.appended_total
-        record = Record(seq=seq, topic=topic, t=t, payload=payload, origin=origin)
+        record = Record(seq, topic, t, payload, origin)
         records = self._records
         if records and t < records[-1].t:
             # The event loop appends in time order; an earlier t still lands in (t, seq) order.

@@ -16,7 +16,7 @@ one matcher that ``matches`` and the archive's queries use too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 MAX_TOPIC_BYTES = 256
 SINGLE = "+"
@@ -79,8 +79,9 @@ def matches(pattern: str, topic: str) -> bool:
     return _match_levels(split_filter(pattern), split_topic(topic))
 
 
-@dataclass(frozen=True)
-class BrokerMessage:
+class BrokerMessage(NamedTuple):
+    """One published message, as every tap and subscriber sees it."""
+
     topic: str
     payload: dict
     publisher: str

@@ -14,6 +14,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .core import InvalidParameterError
 
@@ -75,8 +76,9 @@ class LinkModel:
         return replace(self, latency_mean_ms=self.warning_latency_mean_ms)
 
 
-@dataclass(frozen=True)
-class Delivered:
+class Delivered(NamedTuple):
+    """A send that got through, ``latency_ms`` after it left."""
+
     latency_ms: int
 
 
@@ -121,7 +123,7 @@ def sample_delivery(
     mean = model.latency_mean_ms
     jitter = model.latency_jitter_ms
     latency = rng.randint(mean - jitter, mean + jitter) if jitter > 0 else mean
-    return Delivered(latency_ms=max(1, latency))
+    return Delivered(max(1, latency))
 
 
 # Log-distance path loss for the coverage report: physically plausible for a

@@ -9,8 +9,11 @@ byte-identical artifacts.
 
 A send counts as delivered only when it arrived by the end of the run; one
 still on its way then is ``in_flight``, so a delivered count is what the
-receivers got. ``archive.ndjson`` and ``trace.ndjson`` are written in one
-pass over the backend's records, each payload encoded once for both lines.
+receivers got. ``link_stats`` and ``exchange_delays`` each read the packet
+log once, into a tally per (link, packet kind): the shape a ledger of
+counters kept during the run would have. ``archive.ndjson`` and
+``trace.ndjson`` are written in one pass over the backend's records, each
+payload encoded once for both lines.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .archive import Record, canonical_json, record_line, spliced_line
 from .core import m_to_ft, mps_to_mph, round_half_away
 from .config import BSM_RAW_PATTERN, QUEUE_STATUS_PATTERN, SYSTEM_NODE_ID, ScenarioConfig
 from .radio import LinkKind, loss_probability, rssi_dbm
-from .sim import PacketRecord, RunResult
+from .sim import RunResult
 
 EXCHANGE_ROWS = (
     ("mobile_fixed", "Mobile Edge (CV) - Fixed Edge", LinkKind.DSRC, "bsm", "Basic safety messages"),
@@ -53,9 +56,50 @@ class LinkStats:
     max_latency_ms: int | None
 
 
-def _arrived_latencies(packets: Iterable[PacketRecord], end_ms: int) -> list[int]:
-    """The latencies of the sends that arrived by ``end_ms``; a later delivery is still in flight."""
-    return [p.t_recv - p.t_send for p in packets if p.t_recv is not None and p.t_recv <= end_ms]
+@dataclass
+class _SendTally:
+    """The logged sends of one (link, packet kind): how many, and where they were at the end.
+
+    A send that arrived by the end is counted in ``arrived`` and its latency
+    in ``latency_sum`` and ``latency_max``; one due later is ``in_flight``;
+    the rest were lost on the channel. Every field is an integer, so a mean
+    taken from the sum is the mean of the latencies themselves.
+    """
+
+    logged: int = 0
+    arrived: int = 0
+    in_flight: int = 0
+    latency_sum: int = 0
+    latency_max: int = 0
+
+
+def _send_tallies(result: RunResult) -> dict[tuple[LinkKind, str], _SendTally]:
+    """``result.packets`` tallied by (link, packet kind) in one pass.
+
+    The log comes in runs of one (link, kind), such as a beacon round's
+    beacons, so the tally is looked up only where the pair changes.
+    """
+    end = result.summary.end_time_ms
+    tallies: dict[tuple[LinkKind, str], _SendTally] = {}
+    link = kind = tally = None
+    for t_send, t_recv, _, _, p_link, p_kind in result.packets:
+        if p_link is not link or p_kind is not kind:
+            link, kind = p_link, p_kind
+            tally = tallies.get((link, kind))
+            if tally is None:
+                tally = tallies[link, kind] = _SendTally()
+        tally.logged += 1
+        if t_recv is None:
+            continue
+        if t_recv > end:
+            tally.in_flight += 1
+            continue
+        latency = t_recv - t_send
+        tally.arrived += 1
+        tally.latency_sum += latency
+        if latency > tally.latency_max:
+            tally.latency_max = latency
+    return tallies
 
 
 def link_stats(result: RunResult) -> list[LinkStats]:
@@ -65,25 +109,26 @@ def link_stats(result: RunResult) -> list[LinkStats]:
     the delivered sends. Out-of-range sends are counted, not logged: each
     link's ``result.out_of_range`` counts add to its sent and lost.
     """
+    tallies = _send_tallies(result)
     stats = []
     for link in LinkKind:
-        pkts = [p for p in result.packets if p.link is link]
-        sent = len(pkts) + sum(n for (on, _), n in result.out_of_range.items() if on is link)
+        on_link = [t for (on, _), t in tallies.items() if on is link]
+        sent = sum(t.logged for t in on_link) + sum(n for (on, _), n in result.out_of_range.items() if on is link)
         if not sent:
             continue
-        latencies = _arrived_latencies(pkts, result.summary.end_time_ms)
-        in_flight = sum(1 for p in pkts if p.delivered) - len(latencies)
-        lost = sent - len(latencies) - in_flight
+        delivered = sum(t.arrived for t in on_link)
+        in_flight = sum(t.in_flight for t in on_link)
+        lost = sent - delivered - in_flight
         stats.append(
             LinkStats(
                 link=link,
                 sent=sent,
-                delivered=len(latencies),
+                delivered=delivered,
                 in_flight=in_flight,
                 lost=lost,
                 loss_pct=100.0 * lost / sent,
-                avg_latency_ms=sum(latencies) / len(latencies) if latencies else None,
-                max_latency_ms=max(latencies) if latencies else None,
+                avg_latency_ms=sum(t.latency_sum for t in on_link) / delivered if delivered else None,
+                max_latency_ms=max(t.latency_max for t in on_link) if delivered else None,
             )
         )
     return stats
@@ -91,11 +136,11 @@ def link_stats(result: RunResult) -> list[LinkStats]:
 
 def exchange_delays(result: RunResult) -> dict[str, float | None]:
     """The mean latency of each ``EXCHANGE_ROWS`` exchange, over its sends delivered by the end."""
+    tallies = _send_tallies(result)
     out: dict[str, float | None] = {}
     for key, _, link, kind, _ in EXCHANGE_ROWS:
-        sends = (p for p in result.packets if p.link is link and p.kind == kind)
-        latencies = _arrived_latencies(sends, result.summary.end_time_ms)
-        out[key] = sum(latencies) / len(latencies) if latencies else None
+        tally = tallies.get((link, kind))
+        out[key] = tally.latency_sum / tally.arrived if tally is not None and tally.arrived else None
     return out
 
 

@@ -47,6 +47,15 @@ step, against only the nodes the index cannot rule out at the short-range
 link's range (``Simulation._reach``); the beacon round and the telemetry
 round both read that one list, and give exactly what measuring every node
 would.
+
+The records made once per message -- ``PacketRecord`` here, ``radio.Delivered``,
+``broker.BrokerMessage`` and ``archive.Record`` -- are ``typing.NamedTuple``s:
+immutable (assigning a field raises ``AttributeError``), compared as tuples,
+and about a third of the cost of a frozen dataclass to build, which sets each
+field through ``object.__setattr__``. They carry values the simulation has
+already made, so none validates anything. ``Bsm`` and ``GeoPoint`` stay frozen
+dataclasses: they check input where a scenario or a trace is parsed and
+replayed.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from . import handoff as ho
 from .apps import (
@@ -85,8 +94,9 @@ BSM_PHASE_MS = 50
 INDEX_SLACK_M = 1.0
 
 
-@dataclass(frozen=True)
-class PacketRecord:
+class PacketRecord(NamedTuple):
+    """One logged send; ``t_recv`` is ``None`` when it was lost on the channel."""
+
     t_send: int
     t_recv: int | None
     tx: str
@@ -285,7 +295,7 @@ class Simulation:
     # -- publish and radio helpers -----------------------------------------
 
     def _publish(self, node: _Node, topic: str, payload: dict, publisher: str) -> None:
-        node.broker.publish(BrokerMessage(topic=topic, payload=payload, publisher=publisher, t_pub=self.engine.now))
+        node.broker.publish(BrokerMessage(topic, payload, publisher, self.engine.now))
 
     def _forward(self, node: _RsuNode, kind: str, topic: str, payload: dict) -> None:
         """Publish at ``node``, then send over the backhaul for the backend to publish the same payload."""

@@ -17,7 +17,7 @@ from cvsim.core import GeoPoint, distance
 from cvsim.engine import DELIVERY_KIND
 from cvsim.mobility import DEG_TO_M, Corridor
 from cvsim.radio import LinkKind, in_range
-from cvsim.report import coverage_rows, exchange_delays, link_stats
+from cvsim.report import EXCHANGE_ROWS, coverage_rows, exchange_delays, link_stats
 from cvsim.sim import SYSTEM_NODE_ID, Simulation, run_scenario
 
 
@@ -333,6 +333,56 @@ def test_every_send_is_delivered_in_flight_or_lost(scenario_runs, name):
         assert s.in_flight == len(late)
     arrived = [p for p in result.packets if p.rx == SYSTEM_NODE_ID and p.delivered and p.t_recv <= end]
     assert result.archives[SYSTEM_NODE_ID].appended_total == len(arrived)
+
+
+def recount_figures(result):
+    """``link_stats`` and ``exchange_delays`` as tuples, recounted from the packets one figure at a time."""
+    end = result.summary.end_time_ms
+    stats = []
+    for link in LinkKind:
+        packets = [p for p in result.packets if p.link is link]
+        out_of_range = sum(n for (on, _), n in result.out_of_range.items() if on is link)
+        sent = len(packets) + out_of_range
+        if not sent:
+            continue
+        latencies = [p.latency_ms for p in packets if p.delivered and p.t_recv <= end]
+        in_flight = sum(p.delivered and p.t_recv > end for p in packets)
+        lost = sum(not p.delivered for p in packets) + out_of_range
+        avg = sum(latencies) / len(latencies) if latencies else None
+        stats.append((link, sent, len(latencies), in_flight, lost, 100.0 * lost / sent, avg, max(latencies, default=None)))
+    delays = {}
+    for key, _, link, kind, _ in EXCHANGE_ROWS:
+        sends = [p for p in result.packets if p.link is link and p.kind == kind]
+        latencies = [p.latency_ms for p in sends if p.delivered and p.t_recv <= end]
+        delays[key] = sum(latencies) / len(latencies) if latencies else None
+    return stats, delays
+
+
+def assert_one_pass_matches_recount(result):
+    stats = [
+        (s.link, s.sent, s.delivered, s.in_flight, s.lost, s.loss_pct, s.avg_latency_ms, s.max_latency_ms)
+        for s in link_stats(result)
+    ]
+    assert (stats, exchange_delays(result)) == recount_figures(result)
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_link_figures_match_a_recount_of_the_packets(scenario_runs, name):
+    assert_one_pass_matches_recount(scenario_runs(name))
+
+
+def test_link_figures_match_a_recount_with_late_and_out_of_range_sends():
+    """v0 drives away from r0, so some of its BSMs and beacons fall beyond
+    range and are counted; v1 stays near r1. The run ends 10 ms after the
+    last telemetry round, so jittered DSRC and 50 ms cellular sends are left
+    in flight."""
+    config = index_scenario([(0.0, 3000.0)], [("r0", 0.1, 0.0), ("r1", 0.7, 0.0)], [0.1, 0.6], t_end_s=19.96, speed_mph=60.0)
+    result = run_scenario(with_beacons(config, latency_mean_ms=30, latency_jitter_ms=20, beacon_p_near=0.3))
+    stats = {s.link: s for s in link_stats(result)}
+    assert stats[LinkKind.DSRC].in_flight and stats[LinkKind.LTE].in_flight
+    assert result.out_of_range[LinkKind.DSRC, "bsm"] and result.out_of_range[LinkKind.DSRC, "beacon"]
+    assert any(p.link is LinkKind.DSRC and not p.delivered for p in result.packets)
+    assert_one_pass_matches_recount(result)
 
 
 def test_final_second_queue_status_is_in_flight(scenario_runs):
