@@ -9,11 +9,7 @@ Nothing is encoded on append. An export encodes each record's payload once
 (``record_line``; ``spliced_line`` adds one key). Keys are sorted, so
 identical runs export byte-identical files.
 
-A ``Record`` is a ``typing.NamedTuple``: immutable once appended, compared as
-a tuple, and cheap to build, since the backend makes one per message it
-receives. It holds what a broker tap handed over, so it validates nothing;
-``core.Bsm`` and ``core.GeoPoint`` stay validated dataclasses for input read
-from scenario and trace files.
+A ``Record`` is an immutable ``typing.NamedTuple``, compared as a tuple.
 """
 
 from __future__ import annotations

@@ -9,11 +9,11 @@ byte-identical artifacts.
 
 A send counts as delivered only when it arrived by the end of the run; one
 still on its way then is ``in_flight``, so a delivered count is what the
-receivers got. ``link_stats`` and ``exchange_delays`` each read the packet
-log once, into a tally per (link, packet kind): the shape a ledger of
-counters kept during the run would have. ``archive.ndjson`` and
-``trace.ndjson`` are written in one pass over the backend's records, each
-payload encoded once for both lines.
+receivers got. ``compute_figures`` reads the packet log once, into a tally
+per (link, packet kind) that the link statistics and exchange delays share:
+the shape a ledger of counters kept during the run would have.
+``archive.ndjson`` and ``trace.ndjson`` are written in one pass over the
+backend's records, each payload encoded once for both lines.
 """
 
 from __future__ import annotations
@@ -73,21 +73,17 @@ class _SendTally:
     latency_max: int = 0
 
 
-def _send_tallies(result: RunResult) -> dict[tuple[LinkKind, str], _SendTally]:
-    """``result.packets`` tallied by (link, packet kind) in one pass.
+_Tallies = dict[tuple[LinkKind, str], _SendTally]
 
-    The log comes in runs of one (link, kind), such as a beacon round's
-    beacons, so the tally is looked up only where the pair changes.
-    """
+
+def _send_tallies(result: RunResult) -> _Tallies:
+    """``result.packets`` tallied by (link, packet kind) in one pass."""
     end = result.summary.end_time_ms
-    tallies: dict[tuple[LinkKind, str], _SendTally] = {}
-    link = kind = tally = None
-    for t_send, t_recv, _, _, p_link, p_kind in result.packets:
-        if p_link is not link or p_kind is not kind:
-            link, kind = p_link, p_kind
-            tally = tallies.get((link, kind))
-            if tally is None:
-                tally = tallies[link, kind] = _SendTally()
+    tallies: _Tallies = {}
+    for t_send, t_recv, _, _, link, kind in result.packets:
+        tally = tallies.get((link, kind))
+        if tally is None:
+            tally = tallies[link, kind] = _SendTally()
         tally.logged += 1
         if t_recv is None:
             continue
@@ -102,14 +98,14 @@ def _send_tallies(result: RunResult) -> dict[tuple[LinkKind, str], _SendTally]:
     return tallies
 
 
-def link_stats(result: RunResult) -> list[LinkStats]:
+def link_stats(result: RunResult, tallies: _Tallies) -> list[LinkStats]:
     """Per link kind with traffic: sends split into delivered, in flight and lost, and delivered latency.
 
     ``delivered + in_flight + lost == sent``, and the latencies are those of
     the delivered sends. Out-of-range sends are counted, not logged: each
     link's ``result.out_of_range`` counts add to its sent and lost.
+    ``tallies`` is the run's ``_send_tallies``.
     """
-    tallies = _send_tallies(result)
     stats = []
     for link in LinkKind:
         on_link = [t for (on, _), t in tallies.items() if on is link]
@@ -134,9 +130,8 @@ def link_stats(result: RunResult) -> list[LinkStats]:
     return stats
 
 
-def exchange_delays(result: RunResult) -> dict[str, float | None]:
+def _exchange_delays(tallies: _Tallies) -> dict[str, float | None]:
     """The mean latency of each ``EXCHANGE_ROWS`` exchange, over its sends delivered by the end."""
-    tallies = _send_tallies(result)
     out: dict[str, float | None] = {}
     for key, _, link, kind, _ in EXCHANGE_ROWS:
         tally = tallies.get((link, kind))
@@ -186,7 +181,8 @@ def compute_figures(result: RunResult) -> ReportFigures:
         ArchiveTally(node_id, len(a), a.appended_total, a.count(BSM_RAW_PATTERN), a.count(QUEUE_STATUS_PATTERN))
         for node_id, a in sorted(result.archives.items())
     ]
-    return ReportFigures(link_stats(result), exchange_delays(result), queues, archives)
+    tallies = _send_tallies(result)
+    return ReportFigures(link_stats(result, tallies), _exchange_delays(tallies), queues, archives)
 
 
 def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:

@@ -48,14 +48,8 @@ link's range (``Simulation._reach``); the beacon round and the telemetry
 round both read that one list, and give exactly what measuring every node
 would.
 
-The records made once per message -- ``PacketRecord`` here, ``radio.Delivered``,
-``broker.BrokerMessage`` and ``archive.Record`` -- are ``typing.NamedTuple``s:
-immutable (assigning a field raises ``AttributeError``), compared as tuples,
-and about a third of the cost of a frozen dataclass to build, which sets each
-field through ``object.__setattr__``. They carry values the simulation has
-already made, so none validates anything. ``Bsm`` and ``GeoPoint`` stay frozen
-dataclasses: they check input where a scenario or a trace is parsed and
-replayed.
+``PacketRecord`` is an immutable ``typing.NamedTuple``, compared as a tuple;
+the README's ``sim`` entry says why each per-message record is one.
 """
 
 from __future__ import annotations

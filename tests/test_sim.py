@@ -17,7 +17,7 @@ from cvsim.core import GeoPoint, distance
 from cvsim.engine import DELIVERY_KIND
 from cvsim.mobility import DEG_TO_M, Corridor
 from cvsim.radio import LinkKind, in_range
-from cvsim.report import EXCHANGE_ROWS, coverage_rows, exchange_delays, link_stats
+from cvsim.report import EXCHANGE_ROWS, compute_figures, coverage_rows
 from cvsim.sim import SYSTEM_NODE_ID, Simulation, run_scenario
 
 
@@ -327,7 +327,7 @@ def test_every_send_is_delivered_in_flight_or_lost(scenario_runs, name):
     backend archived exactly the deliveries to it that arrived by the end."""
     result = scenario_runs(name)
     end = result.summary.end_time_ms
-    for s in link_stats(result):
+    for s in compute_figures(result).links:
         assert s.delivered + s.in_flight + s.lost == s.sent
         late = [p for p in result.packets if p.link is s.link and p.delivered and p.t_recv > end]
         assert s.in_flight == len(late)
@@ -336,7 +336,7 @@ def test_every_send_is_delivered_in_flight_or_lost(scenario_runs, name):
 
 
 def recount_figures(result):
-    """``link_stats`` and ``exchange_delays`` as tuples, recounted from the packets one figure at a time."""
+    """``compute_figures``' link statistics and exchange delays as tuples, recounted from the packets one figure at a time."""
     end = result.summary.end_time_ms
     stats = []
     for link in LinkKind:
@@ -361,9 +361,9 @@ def recount_figures(result):
 def assert_one_pass_matches_recount(result):
     stats = [
         (s.link, s.sent, s.delivered, s.in_flight, s.lost, s.loss_pct, s.avg_latency_ms, s.max_latency_ms)
-        for s in link_stats(result)
+        for s in compute_figures(result).links
     ]
-    assert (stats, exchange_delays(result)) == recount_figures(result)
+    assert (stats, compute_figures(result).delays) == recount_figures(result)
 
 
 @pytest.mark.parametrize("name", bundled_scenario_names())
@@ -378,7 +378,7 @@ def test_link_figures_match_a_recount_with_late_and_out_of_range_sends():
     in flight."""
     config = index_scenario([(0.0, 3000.0)], [("r0", 0.1, 0.0), ("r1", 0.7, 0.0)], [0.1, 0.6], t_end_s=19.96, speed_mph=60.0)
     result = run_scenario(with_beacons(config, latency_mean_ms=30, latency_jitter_ms=20, beacon_p_near=0.3))
-    stats = {s.link: s for s in link_stats(result)}
+    stats = {s.link: s for s in compute_figures(result).links}
     assert stats[LinkKind.DSRC].in_flight and stats[LinkKind.LTE].in_flight
     assert result.out_of_range[LinkKind.DSRC, "bsm"] and result.out_of_range[LinkKind.DSRC, "beacon"]
     assert any(p.link is LinkKind.DSRC and not p.delivered for p in result.packets)
@@ -386,16 +386,16 @@ def test_link_figures_match_a_recount_with_late_and_out_of_range_sends():
 
 
 def test_final_second_queue_status_is_in_flight(scenario_runs):
-    stats = {s.link: s for s in link_stats(scenario_runs("corridor_coverage"))}
+    stats = {s.link: s for s in compute_figures(scenario_runs("corridor_coverage")).links}
     assert (stats[LinkKind.WIFI].sent, stats[LinkKind.WIFI].delivered, stats[LinkKind.WIFI].in_flight) == (1591, 1588, 3)
     assert stats[LinkKind.WIFI].lost == 0 and stats[LinkKind.WIFI].avg_latency_ms == 6.0
-    assert exchange_delays(scenario_runs("corridor_coverage"))["system_fixed"] == 6.0
+    assert compute_figures(scenario_runs("corridor_coverage")).delays["system_fixed"] == 6.0
 
 
 def test_wifi_access_override_leaves_the_backhaul_at_6_ms():
     text = bundled_text("queue_full_penetration") + "links:\n  wifi:\n    latency_mean_ms: 20\n"
     result = run_scenario(replace(parse_scenario(text), t_end_ms=5_000))
-    assert exchange_delays(result)["system_fixed"] == 6.0
+    assert compute_figures(result).delays["system_fixed"] == 6.0
     forwarded = [p for p in result.packets if p.kind in ("bsm_forward", "queue_status")]
     assert forwarded and all(p.link is LinkKind.WIFI and p.latency_ms == 6 for p in forwarded)
 
@@ -599,7 +599,7 @@ def test_beacons_are_logged_or_counted_once_each():
         counted = result.out_of_range[short_range, "beacon"]
         assert logged and counted
         assert logged + counted == sim.beacon_pairs
-        stats = next(s for s in link_stats(result) if s.link is short_range)
+        stats = next(s for s in compute_figures(result).links if s.link is short_range)
         counted_on_link = sum(n for (link, _), n in result.out_of_range.items() if link is short_range)
         assert stats.sent == sum(p.link is short_range for p in result.packets) + counted_on_link
 
