@@ -2,8 +2,8 @@
 
 Each edge node owns one archive: roadside nodes keep a short retention window,
 the backend keeps everything. Records are kept in memory in (t, seq) order,
-with a count of the retained records per topic and the split levels of each
-retained topic, so ``count`` and ``query`` match distinct topics, not records.
+with a count of the retained records per topic, so ``count`` and ``query``
+match distinct topics, not records.
 Nothing is encoded on append. An export encodes each record's payload once
 (``canonical_json``) and builds the record's line around that encoding
 (``record_line``; ``spliced_line`` adds one key). Keys are sorted, so
@@ -90,10 +90,9 @@ class Archive:
 
     node_id: str
     max_age_ms: int | None = None
-    _records: list[Record] = field(default_factory=list)  # in (t, seq) order
-    _topics: Counter[str] = field(default_factory=Counter)  # retained records per topic
-    _levels: dict[str, list[str]] = field(default_factory=dict)  # split topic, filled on first match
-    appended_total: int = 0
+    _records: list[Record] = field(init=False, default_factory=list)  # in (t, seq) order
+    _topics: Counter[str] = field(init=False, default_factory=Counter)  # retained records per topic
+    appended_total: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         if self.max_age_ms is not None and self.max_age_ms <= 0:
@@ -116,15 +115,7 @@ class Archive:
     def topics(self, pattern: str = "#") -> set[str]:
         """The distinct topics of the retained records that ``pattern`` matches."""
         flevels = split_filter(pattern)
-        levels = self._levels
-        found = set()
-        for topic in self._topics:
-            tlevels = levels.get(topic)
-            if tlevels is None:
-                tlevels = levels[topic] = split_topic(topic)
-            if _match_levels(flevels, tlevels):
-                found.add(topic)
-        return found
+        return {topic for topic in self._topics if _match_levels(flevels, split_topic(topic))}
 
     def query(self, t0: int, t1: int, pattern: str = "#") -> list[Record]:
         """Unpruned records with t in [t0, t1] matching ``pattern``, (t, seq)-ordered."""
@@ -146,7 +137,6 @@ class Archive:
             topics[r.topic] -= 1
             if not topics[r.topic]:
                 del topics[r.topic]
-                self._levels.pop(r.topic, None)
         del self._records[:cut]
         return cut
 

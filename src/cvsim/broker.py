@@ -106,12 +106,12 @@ class Broker:
     """
 
     name: str = "broker"
-    _subs: dict[int, _Subscription] = field(default_factory=dict)
-    _by_key: dict[tuple[str, str], int] = field(default_factory=dict)
-    _next_id: int = 1
-    _exact: dict[str, dict[int, _Subscription]] = field(default_factory=dict)  # keyed by filter = topic
-    _wild: dict[int, _Subscription] = field(default_factory=dict)
-    taps: list[Callable[[BrokerMessage], None]] = field(default_factory=list)
+    _subs: dict[int, _Subscription] = field(init=False, default_factory=dict)
+    _by_key: dict[tuple[str, str], int] = field(init=False, default_factory=dict)
+    _next_id: int = field(init=False, default=1)
+    _exact: dict[str, dict[int, _Subscription]] = field(init=False, default_factory=dict)  # keyed by filter = topic
+    _wild: dict[int, _Subscription] = field(init=False, default_factory=dict)
+    taps: list[Callable[[BrokerMessage], None]] = field(init=False, default_factory=list)
 
     def add_tap(self, tap: Callable[[BrokerMessage], None]) -> None:
         self.taps.append(tap)

@@ -36,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, metavar="U64", help="override the scenario seed")
     parser.add_argument("--t-end", type=float, metavar="SECONDS", help="override the run length")
     parser.add_argument("--out-dir", default="out", metavar="DIR", help="artifact directory")
-    parser.add_argument("--format", choices=["text", "csv", "both"], default="both",
-                        help="metrics report rendering(s) to write")
     parser.add_argument("--trace", metavar="FILE", help="replay this telemetry trace instead of running")
     parser.add_argument("--event-trace", metavar="FILE",
                         help="also write the engine event trace, one line per event as it fires")
@@ -65,7 +63,7 @@ def _run(args: argparse.Namespace) -> int:
     with trace as sink:
         result = Simulation(config, trace=sink).run()
     out_dir = Path(args.out_dir)
-    written = write_artifacts(result, out_dir, fmt=args.format)
+    written = write_artifacts(result, out_dir)
     print(f"scenario {config.name}: {result.summary.events_processed} events, "
           f"clock {result.summary.end_time_ms} ms")
     for name in sorted(written):

@@ -62,6 +62,11 @@ class GeoPoint:
             raise InvalidParameterError(f"longitude out of range: {self.lon}")
 
 
+# The types ``json.loads`` gives a JSON number. ``bool`` subclasses ``int``, so
+# a field is checked by its exact type.
+_JSON_NUMBER = (int, float)
+
+
 @dataclass(frozen=True)
 class Bsm:
     """One basic safety message: the per-vehicle 10 Hz record.
@@ -94,17 +99,27 @@ class Bsm:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Bsm":
-        """The inverse of ``to_doc``: ``t`` must be a non-negative integer, numbers finite."""
+        """The inverse of ``to_doc``: ``t`` a non-negative integer, ``vehicle_id`` a string, numbers finite.
+
+        Nothing is coerced: ``lat``, ``lon``, ``speed`` and ``heading`` must be
+        JSON numbers (an int or a float, never a bool or a string).
+        """
         t = doc["t"]
         if type(t) is not int or t < 0:
             raise InvalidParameterError(f"t must be a non-negative integer, got {t!r}")
+        vehicle_id = doc["vehicle_id"]
+        if type(vehicle_id) is not str:
+            raise InvalidParameterError(f"vehicle_id must be a string, got {vehicle_id!r}")
+        for key in ("lat", "lon", "speed", "heading"):
+            if key in doc and type(doc[key]) not in _JSON_NUMBER:
+                raise InvalidParameterError(f"{key} must be a number, got {doc[key]!r}")
         speed = float(doc["speed"])
         heading = float(doc["heading"]) if "heading" in doc else None
         if not math.isfinite(speed) or (heading is not None and not math.isfinite(heading)):
             raise InvalidParameterError(f"speed and heading must be finite, got {speed}, {heading}")
         return cls(
             t=t,
-            vehicle_id=str(doc["vehicle_id"]),
+            vehicle_id=vehicle_id,
             pos=GeoPoint(float(doc["lat"]), float(doc["lon"])),
             speed=speed,
             heading=heading,

@@ -153,10 +153,10 @@ class TrafficWorld:
     corridor: Corridor
     constants: SimConstants
     mobility: MobilityConfig = field(default_factory=MobilityConfig)
-    vehicles: dict[str, VehicleState] = field(default_factory=dict)
-    t_state_ms: int = 0  # the instant the current vehicle states describe
-    _red_until: dict[str, tuple[int, int]] = field(default_factory=dict)
-    _geo: dict[str, GeoPoint] = field(default_factory=dict)  # position_geo until the next step
+    vehicles: dict[str, VehicleState] = field(init=False, default_factory=dict)
+    t_state_ms: int = field(init=False, default=0)  # the instant the current vehicle states describe
+    _red_until: dict[str, tuple[int, int]] = field(init=False, default_factory=dict)
+    _geo: dict[str, GeoPoint] = field(init=False, default_factory=dict)  # position_geo until the next step
 
     def spawn(self, state: VehicleState) -> None:
         if state.id in self.vehicles:

@@ -1,11 +1,13 @@
 """Per-link delivery modeling: range gating, latency, loss, and RSSI.
 
-Loss over distance is flat at ``p_near`` out to a configurable fraction of the
-effective range, then ramps linearly to certain loss at the range edge. The
-per-receiver obstruction factor shrinks the effective range, standing in for
-roadway geometry and signal blockage. Latencies are uniform integer-millisecond
-draws around a mean; with zero jitter every delivery hits the mean exactly,
-which is what the golden scenarios pin.
+A send is a distance and a link model. Loss over distance is flat at
+``p_near`` out to a configurable fraction of the effective range, then ramps
+linearly to certain loss at the range edge. A model's ``obstruction`` shrinks
+its effective range, computed once when the model is built, standing in for
+the roadway geometry and signal blockage around one receiver; each RSU
+carries its own models. Latencies are uniform integer-millisecond draws
+around a mean; with zero jitter every delivery hits the mean exactly, which
+is what the golden scenarios pin.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .core import InvalidParameterError
@@ -30,8 +32,9 @@ class LinkModel:
     """Radio parameters for one link kind.
 
     ``range_m=None`` means unbounded (cellular) or fixed point-to-point
-    (backhaul); both skip range gating. ``obstruction`` applies per receiver
-    and scales the effective range down to range*(1-obstruction).
+    (backhaul); both skip range gating. ``obstruction`` belongs to one
+    receiver and scales the effective range, set once, down to
+    range*(1-obstruction).
     """
 
     kind: LinkKind
@@ -41,6 +44,8 @@ class LinkModel:
     warning_latency_mean_ms: int | None = None
     p_near: float = 0.0
     ramp_start_frac: float = 0.8
+    obstruction: float = 0.0
+    effective_range: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.range_m is not None and not 0 < self.range_m < math.inf:
@@ -57,13 +62,10 @@ class LinkModel:
             mean = getattr(self, name)
             if mean is not None and mean < 1:
                 raise InvalidParameterError(f"{name} must be at least 1 ms, got {mean}")
-
-    def effective_range(self, obstruction: float = 0.0) -> float | None:
-        if not 0.0 <= obstruction <= 1.0:
-            raise InvalidParameterError(f"obstruction must be in [0, 1], got {obstruction}")
-        if self.range_m is None:
-            return None
-        return self.range_m * (1.0 - obstruction)
+        if not 0.0 <= self.obstruction <= 1.0:
+            raise InvalidParameterError(f"obstruction must be in [0, 1], got {self.obstruction}")
+        r_eff = None if self.range_m is None else self.range_m * (1.0 - self.obstruction)
+        object.__setattr__(self, "effective_range", r_eff)
 
     def for_warnings(self) -> LinkModel:
         """The model sudden-stop warnings ride: this link with the warning latency as its mean.
@@ -82,17 +84,17 @@ class Delivered(NamedTuple):
     latency_ms: int
 
 
-def in_range(distance_m: float, model: LinkModel, obstruction: float = 0.0) -> bool:
+def in_range(distance_m: float, model: LinkModel) -> bool:
     """True when the receiver sits inside the link's effective range."""
-    r_eff = model.effective_range(obstruction)
+    r_eff = model.effective_range
     if r_eff is None:
         return True
     return distance_m <= r_eff
 
 
-def loss_probability(distance_m: float, model: LinkModel, obstruction: float = 0.0) -> float:
+def loss_probability(distance_m: float, model: LinkModel) -> float:
     """Flat p_near, then a linear ramp to 1.0 at the effective range edge."""
-    r_eff = model.effective_range(obstruction)
+    r_eff = model.effective_range
     if r_eff is None:
         return model.p_near
     if r_eff <= 0.0 or distance_m >= r_eff:
@@ -104,19 +106,14 @@ def loss_probability(distance_m: float, model: LinkModel, obstruction: float = 0
     return model.p_near + (1.0 - model.p_near) * frac
 
 
-def sample_delivery(
-    distance_m: float,
-    model: LinkModel,
-    rng: random.Random,
-    obstruction: float = 0.0,
-) -> Delivered | None:
+def sample_delivery(distance_m: float, model: LinkModel, rng: random.Random) -> Delivered | None:
     """Draw one delivery outcome; ``None`` means the packet was lost.
 
     Loss is a normal outcome, not an error. The loss draw happens even when
     the probability is zero so that enabling loss later never shifts another
     model's stream.
     """
-    p_loss = loss_probability(distance_m, model, obstruction)
+    p_loss = loss_probability(distance_m, model)
     draw = rng.random()
     if draw < p_loss:
         return None

@@ -36,6 +36,7 @@ REPLAY_RSU_ID = "replay"
 # decision per second up to the largest ``t``, so this caps a trace at
 # 86,400 decisions however few lines it has.
 MAX_TRACE_T_MS = 24 * 3600 * 1000
+_REQUIRED_FIELDS = frozenset(("t", "vehicle_id", "lat", "lon", "speed"))
 
 
 class TraceError(ValueError):
@@ -43,7 +44,6 @@ class TraceError(ValueError):
 
     def __init__(self, source: str, lineno: int, message: str):
         super().__init__(f"{source}:{lineno}: {message}")
-        self.lineno = lineno
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,8 @@ def parse_trace(path: str | Path, t_end_ms: int | None = None) -> list[TraceReco
                 raise TraceError(source, lineno, f"invalid JSON: {exc.msg}")
             if not isinstance(doc, dict):
                 raise TraceError(source, lineno, "expected a JSON object")
-            missing = {"t", "vehicle_id", "lat", "lon", "speed"} - doc.keys()
-            if missing:
-                raise TraceError(source, lineno, f"missing fields: {sorted(missing)}")
+            if not _REQUIRED_FIELDS <= doc.keys():
+                raise TraceError(source, lineno, f"missing fields: {sorted(_REQUIRED_FIELDS - doc.keys())}")
             try:
                 bsm = Bsm.from_doc(doc)
             except (TypeError, ValueError, OverflowError) as exc:

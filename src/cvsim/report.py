@@ -18,7 +18,7 @@ backend's records, each payload encoded once for both lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -185,7 +185,7 @@ def compute_figures(result: RunResult) -> ReportFigures:
     return ReportFigures(link_stats(result, tallies), _exchange_delays(tallies), queues, archives)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def write_csv(path: Path, header: list[str], rows: Iterable[Iterable[str]]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -248,9 +248,10 @@ def coverage_rows(config: ScenarioConfig) -> list[tuple[str, float, float, float
     # No corridor point lies farther than the corridor's length from an RSU.
     reach = min(model.range_m, config.corridor.length_m)
     for spec in config.corridor.rsus:
+        rsu_model = replace(model, obstruction=spec.obstruction)
         d = 0.0
         while d <= reach:
-            rows.append((spec.rsu_id, d, rssi_dbm(d), loss_probability(d, model, spec.obstruction)))
+            rows.append((spec.rsu_id, d, rssi_dbm(d), loss_probability(d, rsu_model)))
             d += 10.0
     return rows
 
@@ -434,20 +435,13 @@ def render_text_report(result: RunResult, figures: ReportFigures) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_artifacts(result: RunResult, out_dir: Path, fmt: str = "both") -> dict[str, Path]:
-    """Write the full artifact set; returns name -> path."""
+def write_artifacts(result: RunResult, out_dir: Path) -> dict[str, Path]:
+    """Write the full artifact set, all eight files; returns name -> path."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
+    written = {"report.txt": out_dir / "report.txt", "report.csv": out_dir / "report.csv"}
     figures = compute_figures(result)
-    if fmt in ("text", "both"):
-        path = out_dir / "report.txt"
-        path.write_text(render_text_report(result, figures), encoding="utf-8")
-        written["report.txt"] = path
-    if fmt in ("csv", "both"):
-        path = out_dir / "report.csv"
-        rows = [[s, m, v] for s, m, v in report_rows(result, figures)]
-        write_csv(path, ["section", "metric", "value"], rows)
-        written["report.csv"] = path
+    written["report.txt"].write_text(render_text_report(result, figures), encoding="utf-8")
+    write_csv(written["report.csv"], ["section", "metric", "value"], report_rows(result, figures))
     pairs = [
         ("decisions.csv", write_decisions_csv),
         ("queue_decisions.csv", write_queue_decisions_csv),

@@ -77,7 +77,7 @@ from .config import BSM_PROCESSED_TOPIC, BSM_RAW_TOPIC, QUEUE_STATUS_TOPIC, SYST
 from .config import Directive, ScenarioConfig, VehicleSpawn
 from .core import Bsm, GeoPoint, distance, ecef
 from .engine import Engine, SimSummary
-from .mobility import TrafficWorld, VehicleState
+from .mobility import RsuSpec, TrafficWorld, VehicleState
 from .radio import BACKHAUL, LinkKind, LinkModel, in_range, sample_delivery
 
 BEACON_PHASE_MS = 10
@@ -142,12 +142,17 @@ class _Node:
 
 
 class _RsuNode(_Node):
-    """A roadside edge node: its position, its obstruction and the detector's message window."""
+    """A roadside edge node: its position, its own link models and the detector's message window.
 
-    def __init__(self, node_id: str, max_age_ms: int, pos: GeoPoint, obstruction: float):
-        super().__init__(node_id, max_age_ms)
+    Its obstruction is fixed where it is installed, so it is set once, in its
+    beacon model and its short-range BSM model.
+    """
+
+    def __init__(self, spec: RsuSpec, max_age_ms: int, pos: GeoPoint, beacon: LinkModel, bsm: LinkModel):
+        super().__init__(spec.rsu_id, max_age_ms)
         self.pos = pos
-        self.obstruction = obstruction
+        self.beacon_model = replace(beacon, obstruction=spec.obstruction)
+        self.bsm_model = replace(bsm, obstruction=spec.obstruction)
         self.window: list[Bsm] = []
 
 
@@ -221,9 +226,15 @@ class Simulation:
         self.world = TrafficWorld(corridor=self.corridor, constants=self.constants, mobility=config.mobility)
 
         self.backend = _Node(SYSTEM_NODE_ID)
+        # Beacons are pure range-gated liveness probes: flat loss out to the
+        # effective range edge (no distance ramp), so a zero beacon_p_near
+        # really means zero loss and one coverage pass is exactly two
+        # handoffs. Raising beacon_p_near reintroduces spurious exits.
+        short_range = self.links[config.handoff.short_range]
+        self._beacon_model = replace(short_range, p_near=config.handoff.beacon_p_near, ramp_start_frac=1.0)
         retention_ms = config.fixed_edge_retention_ms
         self.rsus = [
-            _RsuNode(spec.rsu_id, retention_ms, self.corridor.position_geo(spec.s_m), spec.obstruction)
+            _RsuNode(spec, retention_ms, self.corridor.position_geo(spec.s_m), self._beacon_model, short_range)
             for spec in self.corridor.rsus
         ]
         self._rsu_index = _RsuIndex(self.rsus, self.corridor.polyline)
@@ -237,15 +248,6 @@ class Simulation:
         self.queue_evals: list[QueueEval] = []
         self._warning_topic = WARNING_TOPIC.format(config.region)
         self._pending: list[Directive] = self._build_directives()
-        # Beacons are pure range-gated liveness probes: flat loss out to the
-        # effective range edge (no distance ramp), so a zero beacon_p_near
-        # really means zero loss and one coverage pass is exactly two
-        # handoffs. Raising beacon_p_near reintroduces spurious exits.
-        self._beacon_model = replace(
-            self.links[config.handoff.short_range],
-            p_near=config.handoff.beacon_p_near,
-            ramp_start_frac=1.0,
-        )
         # Sudden-stop warnings ride each link at their own measured latency.
         self._dsrc_warning_model = self.links[LinkKind.DSRC].for_warnings()
         self._lte_warning_model = self.links[LinkKind.LTE].for_warnings()
@@ -310,20 +312,19 @@ class Simulation:
         model: LinkModel,
         deliver,
         distance_m: float = 0.0,
-        obstruction: float = 0.0,
     ) -> None:
         """Decide one send: range gate, loss and latency draw, packet log, delivery.
 
         A send beyond the receiver's effective range is only counted in
         ``out_of_range``. Deliveries one handler sends for one millisecond
-        share one engine event. The distance and obstruction default to 0,
-        which is all an unbounded link needs.
+        share one engine event. The distance defaults to 0, which is all an
+        unbounded link needs.
         """
-        if not in_range(distance_m, model, obstruction):
+        if not in_range(distance_m, model):
             self.out_of_range[model.kind, kind] += 1
             return
         now = self.engine.now
-        outcome = sample_delivery(distance_m, model, self._delivery_streams[model.kind], obstruction)
+        outcome = sample_delivery(distance_m, model, self._delivery_streams[model.kind])
         t_recv = None if outcome is None else now + outcome.latency_ms  # None: lost on the channel
         self.packets.append(PacketRecord(now, t_recv, tx, rx, model.kind, kind))
         if t_recv is not None:
@@ -374,7 +375,6 @@ class Simulation:
         """
         now = self.engine.now
         cfg = self.config.handoff
-        model = self._beacon_model
         receivers: list[list[tuple[str, float]]] = [[] for _ in self.rsus]
         for vid in self.agents:
             for i, d in self._reach(vid):
@@ -385,13 +385,12 @@ class Simulation:
                     kind="beacon",
                     tx=node.node_id,
                     rx=vid,
-                    model=model,
+                    model=node.beacon_model,
                     distance_m=d,
-                    obstruction=node.obstruction,
                     deliver=lambda a=self.agents[vid]: self._on_beacon(a),
                 )
         pruned = len(self.rsus) * len(self.agents) - sum(map(len, receivers))
-        self.out_of_range[model.kind, "beacon"] += pruned
+        self.out_of_range[self._beacon_model.kind, "beacon"] += pruned
         self.engine.at(now + cfg.beacon_interval_ms, "beacon", "rsus", self._beacon_round)
 
     def _on_beacon(self, agent: _VehicleAgent) -> None:
@@ -462,9 +461,8 @@ class Simulation:
                     kind="bsm",
                     tx=vid,
                     rx=node.node_id,
-                    model=self.links[link],
+                    model=node.bsm_model,
                     distance_m=d,
-                    obstruction=node.obstruction,
                     deliver=lambda b=bsm, n=node: self._rsu_ingest_bsm(n, b),
                 )
         self.engine.at(now + self.tick_ms, "app-timer", "bsm-round", self._bsm_round)

@@ -8,6 +8,7 @@ import math
 import random
 import time
 from collections import defaultdict
+from dataclasses import replace
 from pathlib import Path
 
 from cvsim.apps import Verdict
@@ -279,7 +280,7 @@ def test_criterion_8_radio_statistics():
         assert abs(lost / n - expected) <= 0.01, f"at d={d}"
     for d in (0.5, 10.0, 150.0, 299.0):
         for _ in range(200):
-            assert not isinstance(sample_delivery(d, model, rng, obstruction=1.0), Delivered)
+            assert not isinstance(sample_delivery(d, replace(model, obstruction=1.0), rng), Delivered)
     for _ in range(2_000):
         d = 300.0 + rng.random() * 5_000.0
         assert not isinstance(sample_delivery(d, model, rng), Delivered)

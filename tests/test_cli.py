@@ -56,10 +56,13 @@ def test_text_report_is_pure_rendering_of_csv_numbers(tmp_path):
     assert "accuracy 1.000000" in text
 
 
-def test_format_flag_controls_report_renderings(tmp_path):
-    main(["--scenario", "collision_avoidance_20mph", "--out-dir", str(tmp_path), "--format", "csv"])
-    assert not (tmp_path / "report.txt").exists()
-    assert (tmp_path / "report.csv").exists()
+def test_format_flag_is_a_usage_error(tmp_path, capsys):
+    """Every run writes all eight artifacts; there is no flag to pick the report renderings."""
+    with pytest.raises(SystemExit) as err:
+        main(["--scenario", "collision_avoidance_20mph", "--out-dir", str(tmp_path / "out"), "--format", "csv"])
+    assert err.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_and_t_end_overrides(tmp_path):
@@ -205,6 +208,31 @@ def test_replay_trace_that_is_not_utf8_exit_2(tmp_path, capsys, data, line):
     assert rc == 2
     err = capsys.readouterr().err
     assert f"t.ndjson:{line}: not UTF-8" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("lat", True, "lat must be a number, got True"),
+        ("lon", "-75.0", "lon must be a number, got '-75.0'"),
+        ("speed", "3.5", "speed must be a number, got '3.5'"),
+        ("speed", False, "speed must be a number, got False"),
+        ("heading", "90", "heading must be a number, got '90'"),
+        ("heading", None, "heading must be a number, got None"),
+        ("vehicle_id", 7, "vehicle_id must be a string, got 7"),
+        ("vehicle_id", None, "vehicle_id must be a string, got None"),
+    ],
+)
+def test_replay_trace_field_of_the_wrong_json_type_exit_2(tmp_path, capsys, field, value, message):
+    """A trace field is never coerced: a bool, string or null where a number belongs is a malformed line."""
+    trace = tmp_path / "t.ndjson"
+    doc = {"t": 950, "vehicle_id": "v", "lat": 40.0, "lon": -75.0, "speed": 0.0}
+    trace.write_text(json.dumps({**doc, "t": 50}) + "\n" + json.dumps({**doc, field: value}) + "\n")
+    rc = main(["--trace", str(trace), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{trace}:2" in err and message in err
     assert not (tmp_path / "out").exists()
 
 

@@ -29,11 +29,18 @@ def test_in_range_basics():
 
 
 def test_obstruction_shrinks_effective_range():
-    assert DSRC.effective_range(0.0) == 300.0
-    assert DSRC.effective_range(0.25) == 225.0
-    assert not in_range(250.0, DSRC, obstruction=0.25)
+    assert DSRC.effective_range == 300.0
+    assert replace(DSRC, obstruction=0.25).effective_range == 225.0
+    assert not in_range(250.0, replace(DSRC, obstruction=0.25))
+    assert LTE.effective_range is None and replace(LTE, obstruction=0.5).effective_range is None
     with pytest.raises(InvalidParameterError):
-        DSRC.effective_range(1.5)
+        replace(DSRC, obstruction=1.5)
+
+
+@pytest.mark.parametrize("obstruction", [-0.01, 1.01, float("nan"), float("inf")])
+def test_obstruction_outside_unit_interval_rejected(obstruction):
+    with pytest.raises(InvalidParameterError, match="obstruction must be in \\[0, 1\\]"):
+        LinkModel(kind=LinkKind.DSRC, range_m=300.0, obstruction=obstruction)
 
 
 def test_loss_probability_shape():
@@ -62,8 +69,8 @@ def test_delivery_at_or_beyond_effective_range_always_lost():
 def test_full_obstruction_kills_all_deliveries():
     rng = random.Random(3)
     for d in (0.1, 10.0, 100.0):
-        assert not in_range(d, DSRC, obstruction=1.0)
-        assert not isinstance(sample_delivery(d, DSRC, rng, obstruction=1.0), Delivered)
+        assert not in_range(d, replace(DSRC, obstruction=1.0))
+        assert not isinstance(sample_delivery(d, replace(DSRC, obstruction=1.0), rng), Delivered)
 
 
 def test_latency_equals_mean_with_zero_jitter():

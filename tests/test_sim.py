@@ -489,13 +489,14 @@ def index_config(case, **kwargs):
 def test_rsu_index_agrees_with_measuring_every_rsu(case):
     sim = Simulation(index_config(case, t_end_s=0.06))
     result = sim.run()  # a beacon round at 10 ms and a telemetry round at 50 ms, before any vehicle moves
-    dsrc = sim.links[LinkKind.DSRC]
+    # Each RSU's link, built from the config, not from the simulation's per-RSU models.
+    dsrc = {spec.rsu_id: replace(sim.links[LinkKind.DSRC], obstruction=spec.obstruction) for spec in sim.corridor.rsus}
     positions = {vid: sim.world.position_geo(vid) for vid in sim.agents}
     pairs = {
         (node.node_id, vid)
         for node in sim.rsus
         for vid, pos in positions.items()
-        if in_range(distance(node.pos, pos), dsrc, node.obstruction)
+        if in_range(distance(node.pos, pos), dsrc[node.node_id])
     }
     # A zero beacon_p_near delivers, and so logs, every in-range beacon.
     assert sorted((p.tx, p.rx) for p in result.packets if p.kind == "beacon") == sorted(pairs)
@@ -508,8 +509,8 @@ def test_rsu_index_agrees_with_measuring_every_rsu(case):
     bsms, beyond = [], 0
     for vid, agent in sim.agents.items():
         if agent.handoff.active is LinkKind.DSRC:
-            d, rid, obstruction = min((distance(n.pos, positions[vid]), n.node_id, n.obstruction) for n in sim.rsus)
-            if in_range(d, dsrc, obstruction):
+            d, rid = min((distance(n.pos, positions[vid]), n.node_id) for n in sim.rsus)
+            if in_range(d, dsrc[rid]):
                 bsms.append((vid, rid))
             else:
                 beyond += 1
