@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from statistics import fmean
 from typing import Callable, Iterable
 
@@ -121,6 +122,9 @@ class VehicleSummary:
         return {"mean_speed": self.mean_speed, "lat": self.pos.lat, "lon": self.pos.lon, "reports": self.reports}
 
 
+_message_time = attrgetter("t")
+
+
 def window_by_vehicle(bsms: Iterable[Bsm], t: int) -> list[VehicleSummary]:
     """Summaries of the messages with ``t - WINDOW_MS < bsm.t <= t``, per vehicle in first-seen order."""
     per_vehicle: dict[str, list[Bsm]] = {}
@@ -128,7 +132,7 @@ def window_by_vehicle(bsms: Iterable[Bsm], t: int) -> list[VehicleSummary]:
         if t - WINDOW_MS < bsm.t <= t:
             per_vehicle.setdefault(bsm.vehicle_id, []).append(bsm)
     return [
-        VehicleSummary(vid, fmean(b.speed for b in group), max(group, key=lambda b: b.t).pos, len(group))
+        VehicleSummary(vid, fmean([b.speed for b in group]), max(group, key=_message_time).pos, len(group))
         for vid, group in per_vehicle.items()
     ]
 

@@ -104,26 +104,27 @@ class Bsm:
         Nothing is coerced: ``lat``, ``lon``, ``speed`` and ``heading`` must be
         JSON numbers (an int or a float, never a bool or a string).
         """
-        t = doc["t"]
-        if type(t) is not int or t < 0:
-            raise InvalidParameterError(f"t must be a non-negative integer, got {t!r}")
-        vehicle_id = doc["vehicle_id"]
-        if type(vehicle_id) is not str:
-            raise InvalidParameterError(f"vehicle_id must be a string, got {vehicle_id!r}")
-        for key in ("lat", "lon", "speed", "heading"):
-            if key in doc and type(doc[key]) not in _JSON_NUMBER:
-                raise InvalidParameterError(f"{key} must be a number, got {doc[key]!r}")
-        speed = float(doc["speed"])
-        heading = float(doc["heading"]) if "heading" in doc else None
+        t, vehicle_id, lat, lon, speed = doc["t"], doc["vehicle_id"], doc["lat"], doc["lon"], doc["speed"]
+        heading = doc.get("heading")
+        if not (
+            type(t) is int and t >= 0 and type(vehicle_id) is str
+            and type(lat) in _JSON_NUMBER and type(lon) in _JSON_NUMBER and type(speed) in _JSON_NUMBER
+            and (type(heading) in _JSON_NUMBER or (heading is None and "heading" not in doc))
+        ):
+            # Some field is wrong: report the first, in this order.
+            if type(t) is not int or t < 0:
+                raise InvalidParameterError(f"t must be a non-negative integer, got {t!r}")
+            if type(vehicle_id) is not str:
+                raise InvalidParameterError(f"vehicle_id must be a string, got {vehicle_id!r}")
+            for key in ("lat", "lon", "speed", "heading"):
+                if key in doc and type(doc[key]) not in _JSON_NUMBER:
+                    raise InvalidParameterError(f"{key} must be a number, got {doc[key]!r}")
+        speed = float(speed)
+        if heading is not None:
+            heading = float(heading)
         if not math.isfinite(speed) or (heading is not None and not math.isfinite(heading)):
             raise InvalidParameterError(f"speed and heading must be finite, got {speed}, {heading}")
-        return cls(
-            t=t,
-            vehicle_id=vehicle_id,
-            pos=GeoPoint(float(doc["lat"]), float(doc["lon"])),
-            speed=speed,
-            heading=heading,
-        )
+        return cls(t, vehicle_id, GeoPoint(float(lat), float(lon)), speed, heading)
 
 
 @dataclass(frozen=True)

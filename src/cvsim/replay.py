@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .apps import WINDOW_MS, QueueDecision, accuracy, detect_queue, eval_bucket, window_by_vehicle
 from .core import Bsm, GeoPoint, SimConstants, distance
@@ -37,6 +37,9 @@ REPLAY_RSU_ID = "replay"
 # 86,400 decisions however few lines it has.
 MAX_TRACE_T_MS = 24 * 3600 * 1000
 _REQUIRED_FIELDS = frozenset(("t", "vehicle_id", "lat", "lon", "speed"))
+# On a stripped line, ``json.loads`` is this decode plus a BOM check and an
+# extra-data check; ``parse_trace`` makes both itself, with the same messages.
+_decode = json.JSONDecoder().raw_decode
 
 
 class TraceError(ValueError):
@@ -46,8 +49,9 @@ class TraceError(ValueError):
         super().__init__(f"{source}:{lineno}: {message}")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One trace line: its message and its ground-truth flag, if any."""
+
     bsm: Bsm
     truth: bool | None
 
@@ -73,9 +77,13 @@ def parse_trace(path: str | Path, t_end_ms: int | None = None) -> list[TraceReco
             if not line:
                 continue
             try:
-                doc = json.loads(line)
+                doc, end = _decode(line)
             except json.JSONDecodeError as exc:
-                raise TraceError(source, lineno, f"invalid JSON: {exc.msg}")
+                # A leading BOM fails the decode at its first character.
+                msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if line[0] == "\ufeff" else exc.msg
+                raise TraceError(source, lineno, f"invalid JSON: {msg}")
+            if end != len(line):
+                raise TraceError(source, lineno, "invalid JSON: Extra data")
             if not isinstance(doc, dict):
                 raise TraceError(source, lineno, "expected a JSON object")
             if not _REQUIRED_FIELDS <= doc.keys():
@@ -90,7 +98,7 @@ def parse_trace(path: str | Path, t_end_ms: int | None = None) -> list[TraceReco
             truth = doc.get("truth")
             if truth is not None and not isinstance(truth, bool):
                 raise TraceError(source, lineno, "truth must be a boolean")
-            records.append(TraceRecord(bsm=bsm, truth=truth))
+            records.append(TraceRecord(bsm, truth))
     return records
 
 

@@ -150,7 +150,11 @@ def test_detect_queue_is_pure():
 
 
 def reference_summaries(bsms, t):
-    """Per vehicle in first-seen order: (id, fmean of speeds, first latest position, count)."""
+    """Per vehicle in first-seen order: (id, fmean of speeds, first latest position, count).
+
+    The mean is ``fmean`` over a generator, which counts the items itself; equal
+    floats show that a mean over a list sums and divides alike.
+    """
     inside = [b for b in bsms if t - WINDOW_MS < b.t <= t]
     order = list(dict.fromkeys(b.vehicle_id for b in inside))
     rows = []
@@ -158,7 +162,7 @@ def reference_summaries(bsms, t):
         mine = [b for b in inside if b.vehicle_id == vid]
         latest_t = max(b.t for b in mine)
         latest = [b for b in mine if b.t == latest_t][0]
-        rows.append((vid, fmean([b.speed for b in mine]), latest.pos, len(mine)))
+        rows.append((vid, fmean(b.speed for b in mine), latest.pos, len(mine)))
     return rows
 
 
@@ -169,7 +173,8 @@ message_time = st.one_of(st.sampled_from(EDGES), st.integers(T_EVAL - 2 * WINDOW
 message = st.tuples(
     message_time,
     st.sampled_from(["a", "b", "c"]),
-    st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
+    # Speeds of mixed magnitude, so a mean summed in another order or precision differs in its last bits.
+    st.one_of(st.floats(min_value=0.0, max_value=60.0, allow_nan=False), st.sampled_from([0.1, 1e-9, 33.3, 1e15])),
 )
 
 
@@ -178,8 +183,8 @@ message = st.tuples(
 def test_window_by_vehicle_agrees_with_brute_force(messages):
     # Each message gets its own position, so a wrong pick among equal-t messages shows.
     bsms = [Bsm(t=t, vehicle_id=vid, pos=geo(i), speed=speed) for i, (t, vid, speed) in enumerate(messages)]
-    got = [(v.vehicle_id, v.mean_speed, v.pos, v.reports) for v in window_by_vehicle(bsms, T_EVAL)]
-    assert got == reference_summaries(bsms, T_EVAL)
+    got = [(v.vehicle_id, v.mean_speed.hex(), v.pos, v.reports) for v in window_by_vehicle(bsms, T_EVAL)]
+    assert got == [(vid, mean.hex(), pos, n) for vid, mean, pos, n in reference_summaries(bsms, T_EVAL)]
 
 
 def test_accuracy_basics():

@@ -1,13 +1,22 @@
-"""The per-message records: immutable tuples with fixed fields, built by keyword or by position."""
+"""The per-message records: immutable tuples with fixed fields, built by keyword or by position.
+
+``Bsm`` and ``GeoPoint`` are the exception: they validate what a scenario or a
+trace gives them, so they stay frozen dataclasses.
+"""
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 from cvsim.archive import Record
 from cvsim.broker import BrokerMessage
+from cvsim.core import Bsm, GeoPoint, InvalidParameterError
 from cvsim.radio import Delivered, LinkKind, LinkModel, sample_delivery
+from cvsim.replay import TraceRecord
 from cvsim.sim import PacketRecord
+
+BSM = Bsm(t=50, vehicle_id="cv1", pos=GeoPoint(40.0, -75.0), speed=3.5)
 
 # Each record type with one value per field, in field order.
 RECORDS = [
@@ -15,6 +24,7 @@ RECORDS = [
     (Delivered, ("latency_ms",), (4,)),
     (BrokerMessage, ("topic", "payload", "publisher", "t_pub"), ("bsm/raw/cv1", {"t": 50}, "cv1", 50)),
     (Record, ("seq", "topic", "t", "payload", "origin"), (0, "bsm/raw/cv1", 50, {"t": 50}, "cv1")),
+    (TraceRecord, ("bsm", "truth"), (BSM, True)),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
@@ -53,3 +63,19 @@ def test_sample_delivery_returns_none_or_delivered():
     assert 0 < len(delivered) < len(outcomes)
     assert all(type(o) is Delivered and 1 <= o.latency_ms <= 7 for o in delivered)
 
+
+@pytest.mark.parametrize(
+    "value, name",
+    [(GeoPoint(40.0, -75.0), "lat"), (BSM, "speed"), (BSM, "pos")],
+    ids=["GeoPoint.lat", "Bsm.speed", "Bsm.pos"],
+)
+def test_validated_types_are_frozen(value, name):
+    with pytest.raises(FrozenInstanceError):
+        setattr(value, name, getattr(value, name))
+
+
+def test_validated_types_still_validate():
+    with pytest.raises(InvalidParameterError, match="negative speed"):
+        Bsm(t=50, vehicle_id="cv1", pos=GeoPoint(40.0, -75.0), speed=-0.1)
+    with pytest.raises(InvalidParameterError, match="latitude out of range: 90.5"):
+        GeoPoint(90.5, -75.0)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvsim.apps import eval_bucket
+from cvsim.cli import main
 from cvsim.config import load_scenario
 from cvsim.replay import MAX_TRACE_T_MS, TraceError, TraceRecord, axis_order_key, parse_trace, replay_trace
 from cvsim.report import write_bsm_trace
@@ -60,6 +61,54 @@ def test_bad_truth_type_reported(tmp_path):
     with pytest.raises(TraceError) as err:
         parse_trace(path)
     assert "truth" in str(err.value)
+
+
+LINE = '{"t": 950, "vehicle_id": "v", "lat": 40.0, "lon": -75.0, "speed": 0.0}'
+# Each one-line trace with the exact diagnostic it draws; ``None`` marks a line that parses.
+TRACE_DIAGNOSTICS = {
+    "bom": ("\ufeff" + LINE, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    "extra_object": (LINE + " {}", "invalid JSON: Extra data"),
+    "extra_characters": (LINE + "x", "invalid JSON: Extra data"),
+    "array": ("[]", "expected a JSON object"),
+    "string": ('"s"', "expected a JSON object"),
+    "nan_latitude": (LINE.replace("40.0", "NaN"), "bad message fields: latitude out of range: nan"),
+    "overflowing_latitude": (LINE.replace("40.0", "1e400"), "bad message fields: latitude out of range: inf"),
+    "null_heading": (LINE[:-1] + ', "heading": null}', "bad message fields: heading must be a number, got None"),
+    "lon_and_speed_wrong_typed": (
+        '{"t": 950, "vehicle_id": "v", "speed": "0", "lat": 40.0, "lon": "-75.0"}',
+        "bad message fields: lon must be a number, got '-75.0'",
+    ),
+    "duplicate_t": (LINE[:-1] + ', "t": -1}', "bad message fields: t must be a non-negative integer, got -1"),
+    "truncated_object": (LINE[:41], "invalid JSON: Expecting ',' delimiter"),
+    # The value checks keep their order: speed and heading, then the position, then the sign of speed.
+    "nan_latitude_negative_speed": (
+        LINE.replace("40.0", "NaN").replace("0.0}", "-1}"),
+        "bad message fields: latitude out of range: nan",
+    ),
+    "nan_speed_overflowing_latitude": (
+        LINE.replace("40.0", "1" + "0" * 400).replace("0.0}", "NaN}"),
+        "bad message fields: speed and heading must be finite, got nan, None",
+    ),
+    "surrounding_whitespace": ("  \t" + LINE + "\t  ", None),
+}
+
+
+@pytest.mark.parametrize("line, message", TRACE_DIAGNOSTICS.values(), ids=TRACE_DIAGNOSTICS.keys())
+def test_one_line_trace_diagnostic(tmp_path, capsys, line, message):
+    path = tmp_path / "t.ndjson"
+    path.write_text(line + "\n", encoding="utf-8")
+    rc = main(["--trace", str(path), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if message is None:
+        (record,) = parse_trace(path)
+        assert record == (Bsm(950, "v", GeoPoint(40.0, -75.0), 0.0), None)
+        assert rc == 0 and err == ""
+        return
+    with pytest.raises(TraceError) as exc:
+        parse_trace(path)
+    assert str(exc.value) == f"{path}:1: {message}"
+    assert rc == 2 and err == f"error: {path}:1: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def assert_replay_reproduces_live(result, config, trace_path):
