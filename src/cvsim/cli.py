@@ -107,10 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.trace:
             return _replay(args)
         return _run(args)
-    except (ConfigError, TraceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, TraceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SimulationAborted as exc:

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field, replace
 from difflib import get_close_matches
 from pathlib import Path
+from typing import Callable
 
 import yaml
 
@@ -180,6 +181,18 @@ class _Section:
             except TopicError as exc:
                 raise self.error(f"{key} {value!r} cannot form a topic: {exc}", key)
 
+    def either(self, to_si: dict[str, Callable[[float], float]], owner: str) -> tuple[str, float]:
+        """``(key, value in SI)`` for the one of the two keys of ``to_si`` that is set; a null is unset."""
+        first, second = to_si
+        self._consumed.update(to_si)
+        given = [key for key in to_si if self.data.get(key) is not None]
+        if len(given) == 2:
+            raise self.error(f"give {first} or {second}, not both", second)
+        if not given:
+            raise self.error(f"{owner} needs {first} or {second}")
+        key = given[0]
+        return key, to_si[key](self.get(key, float))
+
     def build(self, make, *args, **kwargs):
         """``make(*args, **kwargs)`` once no unknown key is left; its ValueError anchors here."""
         self.reject_unknown()
@@ -238,7 +251,7 @@ class VehicleSpawn:
 @dataclass(frozen=True)
 class Directive:
     at_ms: int
-    action: str  # hard_brake | signal_red | spawn
+    action: str  # hard_brake | signal_red | spawn; only Simulation._build_directives builds a spawn
     vehicle: str | None = None
     signal: str | None = None
     duration_ms: int | None = None
@@ -384,92 +397,52 @@ def _parse_handoff(section: _Section | None) -> BeaconConfig:
     return section.build(BeaconConfig, **kwargs)
 
 
-def _parse_spawn_fields(s: _Section, spawn_t_ms: int, corridor_length_m: float) -> VehicleSpawn:
+# A vehicle gives its position and its speed each in one of two units: key -> conversion to SI.
+_POSITION_KEYS = {"s_m": float, "s_ft": ft_to_m}
+_SPEED_KEYS = {"speed_mph": mph_to_mps, "speed_mps": float}
+
+
+def _parse_vehicle(s: _Section, corridor_length_m: float) -> VehicleSpawn:
+    """One ``vehicles`` entry; it enters the road at its ``spawn_t_s``, 0 by default."""
+    spawn_t_ms = s.get_ms("spawn_t_s", positive=False, default=0.0)
     vid = s.get("id", str, required=True)
     s.check_topic("id", vid, BSM_RAW_TOPIC)
-    if s.has("s_m") and s.has("s_ft"):
-        raise s.error("give s_m or s_ft, not both", "s_ft")
-    if s.has("s_m"):
-        s_pos = s.get("s_m", float)
-    elif s.has("s_ft"):
-        s_pos = ft_to_m(s.get("s_ft", float))
-    else:
-        raise s.error(f"vehicle {vid!r} needs s_m or s_ft")
+    _, s_pos = s.either(_POSITION_KEYS, f"vehicle {vid!r}")
     if not 0.0 <= s_pos <= corridor_length_m:  # also false for NaN
         raise s.error(f"vehicle {vid!r} spawns outside the corridor")
-    if s.has("speed_mph") and s.has("speed_mps"):
-        raise s.error("give speed_mph or speed_mps, not both", "speed_mps")
-    if s.has("speed_mph"):
-        speed_key = "speed_mph"
-        speed = mph_to_mps(s.get(speed_key, float))
-    elif s.has("speed_mps"):
-        speed_key = "speed_mps"
-        speed = s.get(speed_key, float)
-    else:
-        raise s.error(f"vehicle {vid!r} needs speed_mph or speed_mps")
+    speed_key, speed = s.either(_SPEED_KEYS, f"vehicle {vid!r}")
     if not 0 <= speed <= MAX_SPEED_MPS:  # also false for NaN
         limit = f"{MAX_SPEED_MPS:g} m/s ({mps_to_mph(MAX_SPEED_MPS):.1f} mph)"
         raise s.error(f"{speed_key} must be between 0 and {limit}, got {s.data[speed_key]}", speed_key)
     connected = s.get("connected", bool, default=True)
-    return VehicleSpawn(
-        vehicle_id=vid,
-        spawn_t_ms=spawn_t_ms,
-        s_m=s_pos,
-        speed_mps=speed,
-        connected=connected,
-    )
+    s.reject_unknown()
+    return VehicleSpawn(vehicle_id=vid, spawn_t_ms=spawn_t_ms, s_m=s_pos, speed_mps=speed, connected=connected)
 
 
-def _register_spawn(spawn_ms: dict[str, int], spawn: VehicleSpawn, s: _Section) -> None:
-    """Record ``spawn`` in ``spawn_ms``, the spawn time of every vehicle id; a repeated id is an error."""
-    if spawn.vehicle_id in spawn_ms:
-        raise s.error(f"duplicate vehicle id {spawn.vehicle_id!r}")
-    spawn_ms[spawn.vehicle_id] = spawn.spawn_t_ms
-
-
-def _parse_script(
-    root: _Section, spawn_ms: dict[str, int], signal_ids: set[str], corridor_length_m: float
-) -> list[Directive]:
-    parsed: list[tuple[Directive, _Section]] = []
+def _parse_script(root: _Section, spawn_ms: dict[str, int], signal_ids: set[str]) -> list[Directive]:
+    """The script in time order; each item names a vehicle or signal declared before it is read."""
+    directives = []
     for item, path in root.seq("script"):
         s = root.item_section(item, path)
         at_ms = s.get_ms("at_s", positive=False, default=None)
         action = s.get("action", str, required=True)
         if action == "hard_brake":
-            directive = Directive(at_ms=at_ms, action=action, vehicle=s.get("vehicle", str, required=True))
+            vehicle = s.get("vehicle", str, required=True)
+            s.reject_unknown()
+            if vehicle not in spawn_ms:
+                raise s.error(f"hard_brake targets unknown vehicle {vehicle!r}")
+            if at_ms < spawn_ms[vehicle]:
+                raise s.error(f"hard_brake at {at_ms} ms precedes the spawn of {vehicle!r} at {spawn_ms[vehicle]} ms")
+            directives.append(Directive(at_ms=at_ms, action=action, vehicle=vehicle))
         elif action == "signal_red":
-            directive = Directive(
-                at_ms=at_ms,
-                action=action,
-                signal=s.get("signal", str, required=True),
-                duration_ms=s.get_ms("duration_s", positive=True, default=None),
-            )
-        elif action == "spawn":
-            vsec = s.sub("vehicle_spec", required=True)
-            if vsec.has("spawn_t_s"):
-                raise vsec.error("a script spawn starts at its at_s; spawn_t_s is not allowed here", "spawn_t_s")
-            spawn = _parse_spawn_fields(vsec, at_ms, corridor_length_m)
-            vsec.reject_unknown()
-            directive = Directive(at_ms=at_ms, action=action, spawn=spawn)
+            signal = s.get("signal", str, required=True)
+            duration_ms = s.get_ms("duration_s", positive=True, default=None)
+            s.reject_unknown()
+            if signal not in signal_ids:
+                raise s.error(f"signal_red targets unknown signal {signal!r}")
+            directives.append(Directive(at_ms=at_ms, action=action, signal=signal, duration_ms=duration_ms))
         else:
-            raise s.error(
-                f"unknown action {action!r} (expected hard_brake, signal_red, or spawn)", "action"
-            )
-        s.reject_unknown()
-        parsed.append((directive, s))
-    for d, s in parsed:
-        if d.spawn is not None:
-            _register_spawn(spawn_ms, d.spawn, s)
-    for d, s in parsed:
-        if d.action == "hard_brake" and d.vehicle not in spawn_ms:
-            raise s.error(f"hard_brake targets unknown vehicle {d.vehicle!r}")
-        if d.action == "hard_brake" and d.at_ms < spawn_ms[d.vehicle]:
-            raise s.error(
-                f"hard_brake at {d.at_ms} ms precedes the spawn of {d.vehicle!r} at {spawn_ms[d.vehicle]} ms"
-            )
-        if d.action == "signal_red" and d.signal not in signal_ids:
-            raise s.error(f"signal_red targets unknown signal {d.signal!r}")
-    directives = [d for d, _ in parsed]
+            raise s.error(f"unknown action {action!r} (expected hard_brake or signal_red)", "action")
     directives.sort(key=lambda d: d.at_ms)
     return directives
 
@@ -523,15 +496,16 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
         asec.reject_unknown()
 
     vehicles = []
-    spawn_ms: dict[str, int] = {}
+    spawn_ms: dict[str, int] = {}  # the spawn time of every vehicle id
     for item, path in root.seq("vehicles"):
         s = root.item_section(item, path)
-        spawn = _parse_spawn_fields(s, s.get_ms("spawn_t_s", positive=False, default=0.0), corridor.length_m)
-        s.reject_unknown()
-        _register_spawn(spawn_ms, spawn, s)
+        spawn = _parse_vehicle(s, corridor.length_m)
+        if spawn.vehicle_id in spawn_ms:
+            raise s.error(f"duplicate vehicle id {spawn.vehicle_id!r}")
+        spawn_ms[spawn.vehicle_id] = spawn.spawn_t_ms
         vehicles.append(spawn)
 
-    script = _parse_script(root, spawn_ms, {s.signal_id for s in corridor.signals}, corridor.length_m)
+    script = _parse_script(root, spawn_ms, {s.signal_id for s in corridor.signals})
 
     root.reject_unknown()
     return ScenarioConfig(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import EARTH_RADIUS_M, GeoPoint, SimConstants, min_safety_distance
+from .core import EARTH_RADIUS_M, GeoPoint, SimConstants, distance, min_safety_distance
 
 DEG_TO_M = math.pi / 180.0 * EARTH_RADIUS_M
 QUEUE_MIN_VEHICLES = 2  # the fewest slow vehicles ground truth may call a queue
@@ -54,10 +54,8 @@ class Corridor:
             raise ValueError("corridor polyline needs at least 2 points")
         self.polyline = list(polyline)
         self._cum = [0.0]
-        from .core import distance as geo_distance
-
         for a, b in zip(polyline, polyline[1:]):
-            seg = geo_distance(a, b)
+            seg = distance(a, b)
             if seg <= 0:
                 raise ValueError("corridor polyline has a zero-length segment")
             self._cum.append(self._cum[-1] + seg)

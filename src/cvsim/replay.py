@@ -82,6 +82,8 @@ def parse_trace(path: str | Path, t_end_ms: int | None = None) -> list[TraceReco
                 # A leading BOM fails the decode at its first character.
                 msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if line[0] == "\ufeff" else exc.msg
                 raise TraceError(source, lineno, f"invalid JSON: {msg}")
+            except RecursionError:
+                raise TraceError(source, lineno, "invalid JSON: nested too deeply")
             if end != len(line):
                 raise TraceError(source, lineno, "invalid JSON: Extra data")
             if not isinstance(doc, dict):

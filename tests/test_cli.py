@@ -336,19 +336,19 @@ def test_hard_brake_before_spawn_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_script_spawn_time_in_vehicle_spec_exit_2(tmp_path, capsys):
+def test_script_spawn_action_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text(
         "name: x\nt_end_s: 5.0\n" + POLYLINE
-        + "vehicles:\n  - {id: cv1, s_m: 10.0, speed_mph: 20.0}\n"
         + "script:\n"
         + "  - at_s: 1.0\n    action: spawn\n"
-        + "    vehicle_spec: {id: cv2, s_m: 5.0, speed_mph: 20.0, spawn_t_s: 30.0}\n"
+        + "    vehicle_spec: {id: cv2, s_m: 5.0, speed_mph: 20.0}\n"
     )
     rc = main(["--scenario", str(bad), "--out-dir", str(tmp_path / "out")])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert "bad.yaml:12" in err and "spawn_t_s is not allowed" in err
+    assert capsys.readouterr().err == (
+        f"error: {bad}:9: unknown action 'spawn' (expected hard_brake or signal_red)\n"
+    )
     assert not (tmp_path / "out").exists()
 
 
@@ -374,13 +374,9 @@ def test_bad_rsu_id_exit_2(tmp_path, capsys, rsus, line, message):
     "tail,line,message",
     [
         ("vehicles:\n  - {id: \"c+v\", s_m: 10.0, speed_mph: 20.0}\n", 8, "id 'c+v' cannot form a topic"),
+        ("vehicles:\n  - {id: cv2, s_m: 1.0e+9, speed_mph: 20.0}\n", 8, "vehicle 'cv2' spawns outside the corridor"),
         (
-            "script:\n  - {at_s: 0, action: spawn, vehicle_spec: {id: cv2, s_m: 1.0e+9, speed_mph: 20.0}}\n",
-            8,
-            "vehicle 'cv2' spawns outside the corridor",
-        ),
-        (
-            "script:\n  - {at_s: 1.0, action: spawn, vehicle_spec: {id: cv2, s_m: 1.0e+9, speed_mph: 20.0}}\n",
+            "vehicles:\n  - {id: cv2, s_m: 1.0e+9, speed_mph: 20.0, spawn_t_s: 1.0}\n",
             8,
             "vehicle 'cv2' spawns outside the corridor",
         ),

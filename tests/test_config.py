@@ -75,9 +75,8 @@ def test_vehicle_unit_exclusivity_and_conversion():
     text = MINIMAL.replace("s_m: 10.0", "s_ft: 100.0")
     cfg = parse_scenario(text)
     assert cfg.vehicles[0].s_m == pytest.approx(ft_to_m(100.0))
-    bad = MINIMAL.replace("s_m: 10.0", "s_m: 10.0\n    s_ft: 32.8")
-    with pytest.raises(ConfigError):
-        parse_scenario(bad)
+    cfg = parse_scenario(MINIMAL.replace("s_m: 10.0", "s_m: null\n    s_ft: 100.0"))  # a null key is unset
+    assert cfg.vehicles[0].s_m == ft_to_m(100.0)
 
 
 def test_vehicle_outside_corridor_rejected():
@@ -89,8 +88,24 @@ def test_vehicle_outside_corridor_rejected():
 def test_duplicate_vehicle_id_rejected():
     text = MINIMAL + "  - id: cv1\n    s_m: 20.0\n    speed_mph: 20.0\n"
     with pytest.raises(ConfigError) as err:
-        parse_scenario(text)
-    assert "duplicate vehicle id" in str(err.value)
+        parse_scenario(text, source="case.yaml")
+    assert str(err.value) == "case.yaml:11: duplicate vehicle id 'cv1'"
+
+
+@pytest.mark.parametrize(
+    "old,new,line,message",
+    [
+        ("s_m: 10.0", "s_m: 10.0\n    s_ft: 32.8", 10, "give s_m or s_ft, not both"),
+        ("speed_mph: 20.0", "speed_mph: 20.0\n    speed_mps: 9.0", 11, "give speed_mph or speed_mps, not both"),
+        ("s_m: 10.0", "s_m: null", 8, "vehicle 'cv1' needs s_m or s_ft"),
+        ("speed_mph: 20.0", "speed_mph:", 8, "vehicle 'cv1' needs speed_mph or speed_mps"),
+        ("s_m: 10.0", 's_m: "10"', 9, "'s_m' must be float, got str"),
+    ],
+)
+def test_vehicle_unit_pair_rejected_at_its_line(old, new, line, message):
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(MINIMAL.replace(old, new), source="case.yaml")
+    assert str(err.value) == f"case.yaml:{line}: {message}"
 
 
 def test_script_validation():
@@ -340,7 +355,7 @@ BOUNDARY_VALUES = (".nan", ".inf", "-.inf", "-1", "0", "1.0e-9", "1.0e-320", "1.
 NAME_KEYS = {"id", "vehicle", "signal", "region"}
 NAME_VALUES = ('"a+b"', '"#"', '"a//b"', '"x/"', "system")
 # Long enough for every bundled topic to be published: the first detector tick
-# at 1 s and the README example's script spawn at 3 s.
+# at 1 s and the README example's late vehicle cv9, whose spawn_t_s is 3 s.
 RUN_MS = 4000
 
 
@@ -536,7 +551,8 @@ def test_beacon_p_near_out_of_range_rejected_with_line(value):
 
 # -- script directives against spawns ------------------------------------------
 
-SCRIPTED = MINIMAL.replace("    speed_mph: 20.0\n", "    speed_mph: 20.0\n    spawn_t_s: 2.0\n") + "script:\n"
+LATE_CV9 = "  - {id: cv9, s_m: 5.0, speed_mph: 10.0, spawn_t_s: 1.0}\n"
+SCRIPTED = MINIMAL.replace("    speed_mph: 20.0\n", "    speed_mph: 20.0\n    spawn_t_s: 2.0\n" + LATE_CV9) + "script:\n"
 
 
 @pytest.mark.parametrize(
@@ -546,26 +562,18 @@ SCRIPTED = MINIMAL.replace("    speed_mph: 20.0\n", "    speed_mph: 20.0\n    sp
         ("{at_s: 0.5, action: hard_brake, vehicle: cv9}", "precedes the spawn of 'cv9'"),
         ("{at_s: 3.0, action: hard_brake, vehicle: ghost}", "unknown vehicle 'ghost'"),
         ("{at_s: 3.0, action: signal_red, signal: nope, duration_s: 1.0}", "unknown signal 'nope'"),
-        ("{at_s: 3.0, action: spawn, vehicle_spec: {id: cv1, s_m: 50.0, speed_mph: 10.0}}", "duplicate vehicle id 'cv1'"),
-        ("{at_s: 3.0, action: spawn, vehicle_spec: {id: cv9, s_m: 50.0, speed_mph: 10.0}}", "duplicate vehicle id 'cv9'"),
         (
-            "{at_s: 3.0, action: spawn, vehicle_spec: {id: cv8, s_m: 50.0, speed_mph: 10.0, spawn_t_s: 30.0}}",
-            "spawn_t_s is not allowed",
+            "{at_s: 3.0, action: spawn, vehicle_spec: {id: cv8, s_m: 50.0, speed_mph: 10.0}}",
+            "unknown action 'spawn' (expected hard_brake or signal_red)",
         ),
+        ("{at_s: 3.0, action: hard_brake, vehicle: cv9, vehicle_spec: {id: cv8}}", "unknown key 'vehicle_spec'"),
     ],
 )
 def test_bad_directive_rejected_at_its_line(directive, message):
-    spawn = "  - {at_s: 1.0, action: spawn, vehicle_spec: {id: cv9, s_m: 5.0, speed_mph: 10.0}}\n"
-    text = SCRIPTED + spawn + f"  - {directive}\n"
+    text = SCRIPTED + f"  - {directive}\n"
     with pytest.raises(ConfigError) as err:
         parse_scenario(text, source="case.yaml")
     assert "case.yaml:14" in str(err.value) and message in str(err.value)
-
-
-def test_script_spawn_starts_at_its_at_s():
-    spawn = "  - {at_s: 3.5, action: spawn, vehicle_spec: {id: cv9, s_m: 5.0, speed_mph: 10.0}}\n"
-    cfg = parse_scenario(SCRIPTED + spawn)
-    assert cfg.script[0].at_ms == cfg.script[0].spawn.spawn_t_ms == 3500
 
 
 def test_hard_brake_at_its_spawn_millisecond_parses():

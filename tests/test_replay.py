@@ -1,5 +1,8 @@
+import io
 import json
 import math
+import shutil
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
@@ -90,6 +93,9 @@ TRACE_DIAGNOSTICS = {
         "bad message fields: speed and heading must be finite, got nan, None",
     ),
     "surrounding_whitespace": ("  \t" + LINE + "\t  ", None),
+    # Deeper than the decoder's recursion limit: exit 2 at the line, not a traceback.
+    "deep_array": ("[" * 100_000 + "]" * 100_000, "invalid JSON: nested too deeply"),
+    "deep_object": ('{"a": ' * 3000 + "1" + "}" * 3000, "invalid JSON: nested too deeply"),
 }
 
 
@@ -287,6 +293,48 @@ def test_mutated_trace_line_parses_or_raises_trace_error(tmp_path_factory, line,
     assert all(math.isfinite(x) for x in (bsm.pos.lat, bsm.pos.lon, bsm.speed))
     assert bsm.heading is None or math.isfinite(bsm.heading)
     assert record.truth in (True, False, None)
+
+
+# Byte-level damage to one golden line: the ways a trace file breaks in transit.
+MUTATIONS = ("truncate", "invalid_utf8", "bom", "duplicate_key", "nest")
+INVALID_UTF8 = (b"\x80", b"\xc0", b"\xed", b"\xfe", b"\xff")
+NESTINGS = ((b"[", b"]"), (b'{"x":', b"}"))
+
+
+def mutate_line(data, line, mutation):
+    if mutation == "truncate":
+        return line[: data.draw(st.integers(0, len(line)))]
+    if mutation == "invalid_utf8":
+        at = data.draw(st.integers(0, len(line)))
+        return line[:at] + data.draw(st.sampled_from(INVALID_UTF8)) + line[at:]
+    if mutation == "bom":
+        return "\ufeff".encode() + line
+    if mutation == "duplicate_key":
+        field = data.draw(st.sampled_from(TRACE_FIELDS))
+        value = data.draw(st.sampled_from(BAD_JSON_VALUES + (json.dumps(json.loads(line).get(field)),)))
+        return line[:-1] + f',"{field}":{value}}}'.encode()
+    depth = data.draw(st.sampled_from([1, 10, 1000, 100_000]))
+    open_, close = data.draw(st.sampled_from(NESTINGS))
+    return open_ * depth + line + close * depth
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(line=st.sampled_from(GOLDEN_LINES), mutation=st.sampled_from(MUTATIONS), data=st.data())
+def test_damaged_trace_line_exits_0_or_2_at_its_line(tmp_path_factory, line, mutation, data):
+    base = tmp_path_factory.getbasetemp()
+    path, out = base / "damaged.ndjson", base / "damaged-out"
+    shutil.rmtree(out, ignore_errors=True)
+    path.write_bytes(mutate_line(data, line.encode(), mutation) + b"\n")
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        rc = main(["--trace", str(path), "--out-dir", str(out)])
+    err = stderr.getvalue()
+    if rc == 0:
+        assert err == "" and (out / "queue_decisions.csv").is_file()
+        return
+    assert rc == 2, (rc, err)
+    assert err.startswith(f"error: {path}:1: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("t", ["1e400", "-5", "1.5", "true"])
