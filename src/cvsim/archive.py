@@ -7,7 +7,8 @@ match distinct topics, not records.
 Nothing is encoded on append. An export encodes each record's payload once
 (``canonical_json``) and builds the record's line around that encoding
 (``record_line``; ``spliced_line`` adds one key). Keys are sorted, so
-identical runs export byte-identical files.
+identical runs export byte-identical files. Every file cvsim writes is
+opened by ``open_text``: UTF-8 with LF line ends on every platform.
 
 A ``Record`` is an immutable ``typing.NamedTuple``, compared as a tuple.
 """
@@ -19,13 +20,19 @@ from bisect import bisect, bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterator, NamedTuple
+from pathlib import Path
+from typing import Iterator, NamedTuple, TextIO
 
 from .broker import _match_levels, split_filter, split_topic
 
 # One encoder for every export: ``json.dumps`` with options builds a new one per call.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _json_str = json.encoder.encode_basestring_ascii
+
+
+def open_text(path: str | Path) -> TextIO:
+    """``path`` opened to write text as UTF-8 with LF line ends, whatever the platform's."""
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def canonical_line(doc: dict) -> str:
@@ -149,7 +156,7 @@ class Archive:
 
     def export_ndjson(self, path: str) -> int:
         """Write one normalized JSON document per line; returns record count."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open_text(path) as fh:
             for r in self._records:
                 fh.write(record_line(r, canonical_json(r.payload)))
         return len(self._records)

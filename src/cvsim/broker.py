@@ -27,10 +27,17 @@ class TopicError(ValueError):
     """Malformed topic or subscription filter."""
 
 
+def _utf8(text: str, what: str) -> bytes:
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, such as "\ud800"
+        raise TopicError(f"{what} is not valid Unicode text: {text!r}") from None
+
+
 def split_topic(topic: str) -> list[str]:
     """Validate and split a concrete topic into levels."""
     levels = topic.split("/")
-    if len(topic.encode("utf-8")) > MAX_TOPIC_BYTES:
+    if len(_utf8(topic, "topic")) > MAX_TOPIC_BYTES:
         raise TopicError(f"topic exceeds {MAX_TOPIC_BYTES} bytes: {topic[:40]}...")
     for level in levels:
         if not level:
@@ -45,7 +52,7 @@ def split_filter(pattern: str) -> list[str]:
 
     Raises at subscribe time so that matching itself never has to re-check.
     """
-    if len(pattern.encode("utf-8")) > MAX_TOPIC_BYTES:
+    if len(_utf8(pattern, "filter")) > MAX_TOPIC_BYTES:
         raise TopicError(f"filter exceeds {MAX_TOPIC_BYTES} bytes: {pattern[:40]}...")
     levels = pattern.split("/")
     for i, level in enumerate(levels):

@@ -12,6 +12,7 @@ from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
+from .archive import open_text
 from .config import ConfigError, ScenarioConfig, bundled_scenario_names, load_scenario, seconds_to_ms
 from .engine import SimulationAborted
 from .replay import TraceError, parse_trace, replay_trace, write_replay_csv
@@ -59,7 +60,7 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
 def _run(args: argparse.Namespace) -> int:
     config = _load(args)
     # Opened before the run, so an aborted run leaves the trace up to the event that raised.
-    trace = nullcontext() if args.event_trace is None else open(args.event_trace, "w", encoding="utf-8")
+    trace = nullcontext() if args.event_trace is None else open_text(args.event_trace)
     with trace as sink:
         result = Simulation(config, trace=sink).run()
     out_dir = Path(args.out_dir)

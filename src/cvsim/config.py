@@ -85,7 +85,12 @@ def _convert(node: yaml.Node, path: tuple, lines: dict[tuple, int], source: str,
             _convert(child, path + (i,), lines, source, loader) for i, child in enumerate(node.value)
         ]
     try:
-        return loader.construct_object(node)
+        value = loader.construct_object(node)
+        if isinstance(value, str):
+            # A lone surrogate ("\ud800") is not Unicode text: reject it at its line,
+            # not where it is first encoded (a topic, or report.txt after the run).
+            value.encode("utf-8")
+        return value
     # SafeLoader's scalar constructors raise these on an unknown tag or a
     # malformed tagged value: !foo x, !!int abc, !!bool maybe, 2020-13-45.
     except (yaml.YAMLError, ValueError, KeyError, AttributeError):

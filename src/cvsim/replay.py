@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 from .apps import WINDOW_MS, QueueDecision, accuracy, detect_queue, eval_bucket, window_by_vehicle
 from .core import Bsm, GeoPoint, SimConstants, distance
 from .mobility import Corridor
-from .report import write_queue_csv
+from .report import QUEUE_HEADER, queue_rows, write_csv
 
 REPLAY_RSU_ID = "replay"
 # The largest message time a trace may carry: one day. Replay makes one
@@ -156,4 +156,4 @@ def replay_trace(
 
 
 def write_replay_csv(result: ReplayResult, path: Path) -> None:
-    write_queue_csv(zip(result.decisions, result.truth), path)
+    write_csv(path, QUEUE_HEADER, queue_rows(zip(result.decisions, result.truth)))

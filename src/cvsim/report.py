@@ -2,10 +2,11 @@
 
 ``compute_figures`` derives each reported figure once per run; ``report.csv``
 (``report_rows``) and ``report.txt`` (``render_text_report``) both render that
-one computation, the text from the unrounded values. All files are UTF-8 with
-LF endings and contain nothing run-dependent beyond the simulation itself (no
-wall-clock timestamps), so a scenario re-run with the same seed writes
-byte-identical artifacts.
+one computation, the text from the unrounded values. ``ARTIFACTS`` names
+every file, with each CSV's header and rows. Every file is opened by
+``archive.open_text`` (UTF-8, LF) and contains nothing run-dependent beyond
+the simulation itself (no wall-clock timestamps), so a scenario re-run with
+the same seed writes byte-identical artifacts.
 
 A send counts as delivered only when it arrived by the end of the run; one
 still on its way then is ``in_flight``, so a delivered count is what the
@@ -20,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .apps import QueueDecision, accuracy, eval_bucket
-from .archive import Record, canonical_json, record_line, spliced_line
+from .archive import Record, canonical_json, open_text, record_line, spliced_line
 from .core import m_to_ft, mps_to_mph, round_half_away
 from .config import BSM_RAW_PATTERN, QUEUE_STATUS_PATTERN, SYSTEM_NODE_ID, ScenarioConfig
 from .radio import LinkKind, loss_probability, rssi_dbm
@@ -185,33 +186,19 @@ def compute_figures(result: RunResult) -> ReportFigures:
     return ReportFigures(link_stats(result, tallies), _exchange_delays(tallies), queues, archives)
 
 
-def write_csv(path: Path, header: list[str], rows: Iterable[Iterable[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable[str]]) -> None:
+    with open_text(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
 
 
-def write_decisions_csv(result: RunResult, path: Path) -> None:
-    rows = []
-    for d in result.avoidance_decisions:
-        rows.append(
-            [
-                str(d.t_recv),
-                d.vehicle,
-                fnum(m_to_ft(d.gap_m)),
-                fnum(m_to_ft(d.d_min_m)),
-                d.verdict.value,
-                d.link_used.value,
-                str(d.latency_ms),
-            ]
-        )
-    write_csv(path, ["t_ms", "vehicle", "gap_ft", "dmin_ft", "verdict", "link", "latency_ms"], rows)
+QUEUE_HEADER = ("t_ms", "rsu", "avg_speed_mph", "avg_gap_ft", "queued", "truth")
 
 
-def write_queue_csv(pairs: Iterable[tuple[QueueDecision, bool | None]], path: Path) -> None:
-    """One row per (decision, ground truth) pair; an unknown truth is an empty cell."""
-    rows = [
+def queue_rows(pairs: Iterable[tuple[QueueDecision, bool | None]]) -> Iterator[list[str]]:
+    """One ``QUEUE_HEADER`` row per (decision, ground truth) pair; an unknown truth is an empty cell."""
+    return (
         [
             str(d.t),
             d.rsu,
@@ -221,19 +208,7 @@ def write_queue_csv(pairs: Iterable[tuple[QueueDecision, bool | None]], path: Pa
             fnum(truth),
         ]
         for d, truth in pairs
-    ]
-    write_csv(path, ["t_ms", "rsu", "avg_speed_mph", "avg_gap_ft", "queued", "truth"], rows)
-
-
-def write_queue_decisions_csv(result: RunResult, path: Path) -> None:
-    write_queue_csv(((e.decision, e.truth) for e in result.queue_evals), path)
-
-
-def write_handoffs_csv(result: RunResult, path: Path) -> None:
-    rows = [
-        [str(e.t), e.vehicle, e.from_link.value, e.to_link.value] for e in result.handoff_events
-    ]
-    write_csv(path, ["t_ms", "vehicle", "from", "to"], rows)
+    )
 
 
 def coverage_rows(config: ScenarioConfig) -> list[tuple[str, float, float, float]]:
@@ -256,14 +231,6 @@ def coverage_rows(config: ScenarioConfig) -> list[tuple[str, float, float, float
     return rows
 
 
-def write_coverage_csv(result: RunResult, path: Path) -> None:
-    rows = [
-        [rsu, fnum(d), fnum(round(rssi, 3)), fnum(round(p_loss, 6))]
-        for rsu, d, rssi, p_loss in coverage_rows(result.config)
-    ]
-    write_csv(path, ["rsu", "distance_m", "rssi_dbm", "p_loss"], rows)
-
-
 _TRUTH_JSON = {truth: canonical_json(truth) for truth in (False, True)}
 
 
@@ -272,7 +239,6 @@ class _BsmTrace:
     """Which backend records the BSM trace holds, and the line each one gets."""
 
     topics: set[str]  # the backend's bsm/raw topics
-    end_ms: int
     truth_at: dict[int, tuple[bool, str]]  # eval bucket -> the live truth and its JSON
 
     @classmethod
@@ -281,11 +247,7 @@ class _BsmTrace:
         for e in result.queue_evals:
             if e.decision.t not in truth_at:
                 truth_at[e.decision.t] = (e.truth, _TRUTH_JSON[e.truth])
-        topics = result.archives[SYSTEM_NODE_ID].topics(BSM_RAW_PATTERN)
-        return cls(topics, result.summary.end_time_ms, truth_at)
-
-    def holds(self, record: Record) -> bool:
-        return record.topic in self.topics and 0 <= record.t <= self.end_ms
+        return cls(result.archives[SYSTEM_NODE_ID].topics(BSM_RAW_PATTERN), truth_at)
 
     def line(self, record: Record, payload_json: str) -> str:
         truth = self.truth_at.get(eval_bucket(int(record.payload["t"])))
@@ -297,18 +259,18 @@ class _BsmTrace:
 def write_bsm_trace(result: RunResult, path: Path) -> int:
     """Export the backend's telemetry stream for offline replay; returns the line count.
 
-    One line per backend ``bsm/raw`` record up to the end of the run, in
-    (t, seq) order: the message's payload, plus ``truth``, the live ground
-    truth of the one-second evaluation its timestamp falls into (omitted when
-    the run had no detector or the bucket was never evaluated). The payload
-    is encoded once and ``truth`` spliced into it (``archive.spliced_line``);
+    One line per backend ``bsm/raw`` record, in (t, seq) order: the
+    message's payload, plus ``truth``, the live ground truth of the
+    one-second evaluation its timestamp falls into (omitted when the run had
+    no detector or the bucket was never evaluated). The payload is encoded
+    once and ``truth`` spliced into it (``archive.spliced_line``);
     ``write_artifacts`` writes the same lines in its one pass.
     """
     trace = _BsmTrace.of(result)
     n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_text(path) as fh:
         for record in result.archives[SYSTEM_NODE_ID]:
-            if trace.holds(record):
+            if record.topic in trace.topics:
                 fh.write(trace.line(record, canonical_json(record.payload)))
                 n += 1
     return n
@@ -317,14 +279,11 @@ def write_bsm_trace(result: RunResult, path: Path) -> int:
 def _write_backend_exports(result: RunResult, archive_path: Path, trace_path: Path) -> None:
     """``archive.ndjson`` and ``trace.ndjson`` in one pass, each backend payload encoded once."""
     trace = _BsmTrace.of(result)
-    with (
-        open(archive_path, "w", encoding="utf-8", newline="\n") as archive_fh,
-        open(trace_path, "w", encoding="utf-8", newline="\n") as trace_fh,
-    ):
+    with open_text(archive_path) as archive_fh, open_text(trace_path) as trace_fh:
         for record in result.archives[SYSTEM_NODE_ID]:
             payload_json = canonical_json(record.payload)
             archive_fh.write(record_line(record, payload_json))
-            if trace.holds(record):
+            if record.topic in trace.topics:
                 trace_fh.write(trace.line(record, payload_json))
 
 
@@ -435,24 +394,54 @@ def render_text_report(result: RunResult, figures: ReportFigures) -> str:
     return "\n".join(lines) + "\n"
 
 
+_Rows = Callable[[RunResult, ReportFigures], Iterable[Iterable[str]]]
+
+# Every file a run writes, each named once. A CSV's entry is its header and
+# its rows, built from the run and its figures; the text report and the two
+# NDJSON exports, which ``write_artifacts`` writes itself, have none. A row
+# builder looks up the functions it calls when it runs, not when the table is
+# built, so a wrapper bound to one of their names (a profiler's) is called.
+ARTIFACTS: dict[str, tuple[tuple[str, ...], _Rows] | None] = {
+    "report.txt": None,
+    "report.csv": (("section", "metric", "value"), lambda result, figures: report_rows(result, figures)),
+    "decisions.csv": (
+        ("t_ms", "vehicle", "gap_ft", "dmin_ft", "verdict", "link", "latency_ms"),
+        lambda result, _: (
+            [str(d.t_recv), d.vehicle, fnum(m_to_ft(d.gap_m)), fnum(m_to_ft(d.d_min_m)),
+             d.verdict.value, d.link_used.value, str(d.latency_ms)]
+            for d in result.avoidance_decisions
+        ),
+    ),
+    "queue_decisions.csv": (
+        QUEUE_HEADER,
+        lambda result, _: queue_rows((e.decision, e.truth) for e in result.queue_evals),
+    ),
+    "handoffs.csv": (
+        ("t_ms", "vehicle", "from", "to"),
+        lambda result, _: ([str(e.t), e.vehicle, e.from_link.value, e.to_link.value] for e in result.handoff_events),
+    ),
+    "coverage.csv": (
+        ("rsu", "distance_m", "rssi_dbm", "p_loss"),
+        lambda result, _: (
+            [rsu, fnum(d), fnum(round(rssi, 3)), fnum(round(p_loss, 6))]
+            for rsu, d, rssi, p_loss in coverage_rows(result.config)
+        ),
+    ),
+    "archive.ndjson": None,
+    "trace.ndjson": None,
+}
+
+
 def write_artifacts(result: RunResult, out_dir: Path) -> dict[str, Path]:
-    """Write the full artifact set, all eight files; returns name -> path."""
+    """Write the full artifact set, every file of ``ARTIFACTS``; returns name -> path."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = {"report.txt": out_dir / "report.txt", "report.csv": out_dir / "report.csv"}
+    written = {name: out_dir / name for name in ARTIFACTS}
     figures = compute_figures(result)
-    written["report.txt"].write_text(render_text_report(result, figures), encoding="utf-8")
-    write_csv(written["report.csv"], ["section", "metric", "value"], report_rows(result, figures))
-    pairs = [
-        ("decisions.csv", write_decisions_csv),
-        ("queue_decisions.csv", write_queue_decisions_csv),
-        ("handoffs.csv", write_handoffs_csv),
-        ("coverage.csv", write_coverage_csv),
-    ]
-    for name, writer in pairs:
-        path = out_dir / name
-        writer(result, path)
-        written[name] = path
-    written["archive.ndjson"] = out_dir / "archive.ndjson"
-    written["trace.ndjson"] = out_dir / "trace.ndjson"
+    with open_text(written["report.txt"]) as fh:
+        fh.write(render_text_report(result, figures))
+    for name, table in ARTIFACTS.items():
+        if table is not None:
+            header, rows = table
+            write_csv(written[name], header, rows(result, figures))
     _write_backend_exports(result, written["archive.ndjson"], written["trace.ndjson"])
     return written

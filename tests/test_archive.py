@@ -208,7 +208,7 @@ def test_spliced_line_equals_the_whole_encode(payload, key, value):
 def test_trace_line_adds_the_truth_of_its_bucket(payload, t, truth):
     payload = {**payload, "t": t}
     truth_at = {} if truth is None else {eval_bucket(t): (truth, canonical_json(truth))}
-    trace = _BsmTrace(topics={"bsm/raw/v"}, end_ms=5000, truth_at=truth_at)
+    trace = _BsmTrace(topics={"bsm/raw/v"}, truth_at=truth_at)
     record = Record(seq=0, topic="bsm/raw/v", t=t, payload=payload, origin="v")
     expected = canonical_line(payload if truth is None else {**payload, "truth": truth})
     assert trace.line(record, canonical_json(payload)) == expected

@@ -32,7 +32,7 @@ def test_valid_topics(topic):
     split_topic(topic)
 
 
-@pytest.mark.parametrize("topic", ["", "a//b", "/a", "a/", "a/+/b", "a/#", "x" * 300])
+@pytest.mark.parametrize("topic", ["", "a//b", "/a", "a/", "a/+/b", "a/#", "x" * 300, "a/\ud800"])
 def test_invalid_topics(topic):
     with pytest.raises(TopicError):
         split_topic(topic)
@@ -43,7 +43,7 @@ def test_valid_filters(pattern):
     split_filter(pattern)
 
 
-@pytest.mark.parametrize("pattern", ["", "a/#/b", "#/a", "a/b+", "a/+b", "a//b", "a/"])
+@pytest.mark.parametrize("pattern", ["", "a/#/b", "#/a", "a/b+", "a/+b", "a//b", "a/", "a/\ud800"])
 def test_invalid_filters(pattern):
     with pytest.raises(TopicError):
         split_filter(pattern)

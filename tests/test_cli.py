@@ -1,4 +1,5 @@
 import csv
+import importlib.resources
 import json
 import os
 import subprocess
@@ -441,3 +442,26 @@ def test_event_trace_with_replay_is_a_usage_error(tmp_path, capsys):
     assert err.value.code == 2
     assert "--event-trace" in capsys.readouterr().err
     assert not dump.exists() and not (tmp_path / "out").exists()
+
+
+QUEUE_FULL = (importlib.resources.files("cvsim") / "scenarios" / "queue_full_penetration.yaml").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "old,new,line",
+    [
+        ("name: queue_full_penetration", r'name: "\ud800"', 4),
+        ("  - id: cv2", r'  - id: "\ud800"', 24),
+        ("    - id: rsu1", r'    - id: "\udc00"', 16),
+        ("seed: 11", 'seed: 11\nregion: "\\ud800"', 7),
+    ],
+)
+def test_lone_surrogate_exits_2_at_its_line(tmp_path, capsys, old, new, line):
+    """A string that is not Unicode text (a lone surrogate escape) is rejected at its line, before the run."""
+    case = tmp_path / "case.yaml"
+    case.write_text(QUEUE_FULL.replace(old, new), encoding="utf-8")
+    rc = main(["--scenario", str(case), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {case}:{line}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()

@@ -1,18 +1,23 @@
 import importlib.resources
+import io
 import math
 import re
+import shutil
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from cvsim.cli import main
 from cvsim.config import MAX_SPEED_MPS, ConfigError, bundled_scenario_names, load_scenario, parse_scenario
 from cvsim.core import ft_to_m, m_to_ft, min_safety_distance, mph_to_mps
 from cvsim.engine import SimulationAborted
 from cvsim.mobility import OvertakeError
 from cvsim.radio import LinkKind
+from cvsim.report import ARTIFACTS
 from cvsim.sim import run_scenario
 
 MINIMAL = """\
@@ -359,19 +364,59 @@ NAME_VALUES = ('"a+b"', '"#"', '"a//b"', '"x/"', "system")
 RUN_MS = 4000
 
 
-def mutable_spans(text):
-    """(start, end, kind) of every int or float scalar ("number") and every name scalar ("name")."""
-    spans, stack = [], [(None, yaml.compose(text))]
+def yaml_nodes(text):
+    """(key, node) for every node of ``text``; ``key`` is the mapping key the node is the value of, else None."""
+    stack = [(None, yaml.compose(text))]
     while stack:
         key, node = stack.pop()
+        yield key, node
         if isinstance(node, yaml.MappingNode):
             stack += [(k.value, value) for k, value in node.value]
         elif isinstance(node, yaml.SequenceNode):
             stack += [(None, child) for child in node.value]
-        elif node.tag in ("tag:yaml.org,2002:int", "tag:yaml.org,2002:float"):
+
+
+def mutable_spans(text):
+    """(start, end, kind) of every int or float scalar ("number") and every name scalar ("name")."""
+    spans = []
+    for key, node in yaml_nodes(text):
+        if node.tag in ("tag:yaml.org,2002:int", "tag:yaml.org,2002:float"):
             spans.append((node.start_mark.index, node.end_mark.index, "number"))
-        elif key in NAME_KEYS:
+        elif key in NAME_KEYS and isinstance(node, yaml.ScalarNode):
             spans.append((node.start_mark.index, node.end_mark.index, "name"))
+    return sorted(spans)
+
+
+def edit_spans(text):
+    """(start, end, kind) of every node ("node", to replace) and every collection item ("item", to delete).
+
+    A span stops before the blanks that close it, so an edit keeps the lines
+    around it; a block sequence item starts at its ``-``, and a deleted flow
+    item takes one of its commas along.
+    """
+
+    def end(node):
+        start = node.start_mark.index
+        return start + len(text[start : node.end_mark.index].rstrip())
+
+    spans = []
+    for _, node in yaml_nodes(text):
+        spans.append((node.start_mark.index, end(node), "node"))
+        if isinstance(node, yaml.MappingNode):
+            items = [(k.start_mark.index, end(value)) for k, value in node.value]
+        elif isinstance(node, yaml.SequenceNode):
+            items = [
+                (c.start_mark.index if node.flow_style else text.rindex("-", 0, c.start_mark.index), end(c))
+                for c in node.value
+            ]
+        else:
+            continue
+        if node.flow_style:
+            items = [
+                (s, items[i + 1][0]) if i + 1 < len(items) else (items[i - 1][1] if i else s, e)
+                for i, (s, e) in enumerate(items)
+            ]
+        spans += [(s, e, "item") for s, e in items]
     return sorted(spans)
 
 
@@ -436,6 +481,56 @@ def test_mutated_bundled_scenario_parses_or_raises_config_error(name, data):
         run_scenario(replace(cfg, t_end_ms=min(cfg.t_end_ms, RUN_MS)))
     except SimulationAborted as exc:
         assert isinstance(exc.cause, OvertakeError), exc
+
+
+# -- hypothesis property: cvsim on a damaged scenario -------------------------
+
+# What a node is replaced with: empty and null values, an unknown tag, a value
+# of a type no key takes, an undefined alias, a merge key, a collection that
+# contains itself, a string that is not Unicode text, and numeric extremes
+# (``1e308`` is a string in YAML 1.1; ``1.0e+308`` is the float).
+NODE_VALUES = (
+    "{}", "[]", "null", "!foo x", "!!binary aGk=", "*undefined", "{<<: {a: 1}}", "&a [*a]", '"\\ud800"',
+    "1e308", "1.0e+308", "4.9e-324", "12345678901234567890", ".nan",
+)
+EDITS = [(name, *span) for name in bundled_scenario_names() for span in edit_spans(BASE_TEXTS[name])]
+
+
+def edit_of(name, node_text):
+    return next(e for e in EDITS if e[0] == name and BASE_TEXTS[name][e[1] : e[2]] == node_text)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(edit=st.sampled_from(EDITS), value=st.sampled_from(NODE_VALUES))
+# A lone surrogate once ran the whole scenario and then failed writing report.txt
+# (the name), or failed splitting a topic (an id), each with a traceback.
+@example(edit=edit_of("queue_full_penetration", "queue_full_penetration"), value='"\\ud800"')
+@example(edit=edit_of("queue_full_penetration", "cv2"), value='"\\ud800"')
+def test_mutated_scenario_exits_0_or_2_at_its_line(tmp_path_factory, edit, value):
+    """``cvsim --scenario`` on a bundled scenario with one node replaced by ``value`` or one item deleted.
+
+    It exits 0 with every artifact written, or 2 with one ``error: <file>:<line>:``
+    line (``<file>:`` where no line applies) and no out dir. Until a collision
+    has an outcome of its own, the abort on an ``OvertakeError`` is the one exit 1.
+    """
+    name, start, end, kind = edit
+    text = BASE_TEXTS[name]
+    base = tmp_path_factory.getbasetemp()
+    path, out = base / "mutated.yaml", base / "mutated-out"
+    shutil.rmtree(out, ignore_errors=True)
+    path.write_text(text[:start] + (value if kind == "node" else "") + text[end:], encoding="utf-8")
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        rc = main(["--scenario", str(path), "--out-dir", str(out), "--t-end", "3"])
+    err = stderr.getvalue()
+    if rc == 0:
+        assert err == "" and all((out / artifact).is_file() for artifact in ARTIFACTS), err
+    elif rc == 1:
+        assert err.startswith("run aborted: ") and "raised OvertakeError(" in err, err
+    else:
+        assert rc == 2, (rc, err)
+        assert re.fullmatch(f"error: {re.escape(str(path))}(:[0-9]+)?: [^\n]+\n", err), err
+        assert not out.exists()
 
 
 # -- one knob per setting, each checked by the dataclass that owns it ---------

@@ -321,10 +321,28 @@ def mutate_line(data, line, mutation):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(line=st.sampled_from(GOLDEN_LINES), mutation=st.sampled_from(MUTATIONS), data=st.data())
 def test_damaged_trace_line_exits_0_or_2_at_its_line(tmp_path_factory, line, mutation, data):
+    """k intact golden lines, the damaged line, and maybe a second damaged line after it.
+
+    On exit 2 the diagnostic names the damaged line, k + 1, or the second one
+    where the first still parses on its own.
+    """
     base = tmp_path_factory.getbasetemp()
     path, out = base / "damaged.ndjson", base / "damaged-out"
     shutil.rmtree(out, ignore_errors=True)
-    path.write_bytes(mutate_line(data, line.encode(), mutation) + b"\n")
+    k = data.draw(st.integers(0, 10))
+    intact = b"".join(golden.encode() + b"\n" for golden in GOLDEN_LINES[:k])
+    damaged = mutate_line(data, line.encode(), mutation) + b"\n"
+    # The first line that fails on its own: k + 1, or else the second damaged line.
+    path.write_bytes(intact + damaged)
+    try:
+        parse_trace(path)
+        bad_line = k + 2
+    except TraceError:
+        bad_line = k + 1
+    if data.draw(st.booleans()):
+        second = data.draw(st.sampled_from(GOLDEN_LINES)).encode()
+        damaged += mutate_line(data, second, data.draw(st.sampled_from(MUTATIONS))) + b"\n"
+        path.write_bytes(intact + damaged)
     stderr = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
         rc = main(["--trace", str(path), "--out-dir", str(out)])
@@ -333,7 +351,7 @@ def test_damaged_trace_line_exits_0_or_2_at_its_line(tmp_path_factory, line, mut
         assert err == "" and (out / "queue_decisions.csv").is_file()
         return
     assert rc == 2, (rc, err)
-    assert err.startswith(f"error: {path}:1: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert err.startswith(f"error: {path}:{bad_line}: ") and err.count("\n") == 1 and err.endswith("\n"), err
     assert not out.exists()
 
 
