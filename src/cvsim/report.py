@@ -10,9 +10,11 @@ the same seed writes byte-identical artifacts.
 
 A send counts as delivered only when it arrived by the end of the run; one
 still on its way then is ``in_flight``, so a delivered count is what the
-receivers got. ``compute_figures`` reads the packet log once, into a tally
-per (link, packet kind) that the link statistics and exchange delays share:
-the shape a ledger of counters kept during the run would have.
+receivers got. One record type, ``SendTally``, holds every send figure:
+one per (link, packet kind), built in one pass from the counted
+out-of-range sends (all lost) and the packet log, and one per link, their
+sum. The exchange delays read the same tallies: the shape a ledger of
+counters kept during the run would have.
 ``archive.ndjson`` and ``trace.ndjson`` are written in one pass over the
 backend's records, each payload encoded once for both lines.
 """
@@ -45,99 +47,89 @@ def fnum(x: float | int | None) -> str:
     return str(x)
 
 
-@dataclass(frozen=True)
-class LinkStats:
-    link: LinkKind
-    sent: int
-    delivered: int
-    in_flight: int
-    lost: int
-    loss_pct: float | None
-    avg_latency_ms: float | None
-    max_latency_ms: int | None
-
-
 @dataclass
-class _SendTally:
-    """The logged sends of one (link, packet kind): how many, and where they were at the end.
+class SendTally:
+    """The sends of one link, or of one (link, packet kind), and where they were at the end.
 
-    A send that arrived by the end is counted in ``arrived`` and its latency
+    A send that arrived by the end is ``delivered`` and its latency counted
     in ``latency_sum`` and ``latency_max``; one due later is ``in_flight``;
-    the rest were lost on the channel. Every field is an integer, so a mean
-    taken from the sum is the mean of the latencies themselves.
+    the rest, out-of-range sends among them, were ``lost``. Every stored
+    field is an integer, so a mean taken from the sum is the mean of the
+    latencies themselves.
     """
 
-    logged: int = 0
-    arrived: int = 0
+    link: LinkKind
+    sent: int = 0
+    delivered: int = 0
     in_flight: int = 0
     latency_sum: int = 0
     latency_max: int = 0
 
+    @property
+    def lost(self) -> int:
+        return self.sent - self.delivered - self.in_flight
 
-_Tallies = dict[tuple[LinkKind, str], _SendTally]
+    @property
+    def loss_pct(self) -> float:
+        return 100.0 * self.lost / self.sent
+
+    @property
+    def avg_latency_ms(self) -> float | None:
+        return self.latency_sum / self.delivered if self.delivered else None
+
+    @property
+    def max_latency_ms(self) -> int | None:
+        return self.latency_max if self.delivered else None
+
+
+_Tallies = dict[tuple[LinkKind, str], SendTally]
 
 
 def _send_tallies(result: RunResult) -> _Tallies:
-    """``result.packets`` tallied by (link, packet kind) in one pass."""
+    """Every send by (link, packet kind), in one pass: the ``out_of_range`` counts, then the logged ``packets``."""
     end = result.summary.end_time_ms
-    tallies: _Tallies = {}
+    tallies: _Tallies = {(link, kind): SendTally(link, sent=n) for (link, kind), n in result.out_of_range.items()}
     for t_send, t_recv, _, _, link, kind in result.packets:
         tally = tallies.get((link, kind))
         if tally is None:
-            tally = tallies[link, kind] = _SendTally()
-        tally.logged += 1
+            tally = tallies[link, kind] = SendTally(link)
+        tally.sent += 1
         if t_recv is None:
             continue
         if t_recv > end:
             tally.in_flight += 1
             continue
         latency = t_recv - t_send
-        tally.arrived += 1
+        tally.delivered += 1
         tally.latency_sum += latency
         if latency > tally.latency_max:
             tally.latency_max = latency
     return tallies
 
 
-def link_stats(result: RunResult, tallies: _Tallies) -> list[LinkStats]:
-    """Per link kind with traffic: sends split into delivered, in flight and lost, and delivered latency.
+def link_stats(tallies: _Tallies) -> list[SendTally]:
+    """Per link kind with sends, its ``_send_tallies`` summed, in ``LinkKind`` order.
 
     ``delivered + in_flight + lost == sent``, and the latencies are those of
-    the delivered sends. Out-of-range sends are counted, not logged: each
-    link's ``result.out_of_range`` counts add to its sent and lost.
-    ``tallies`` is the run's ``_send_tallies``.
+    the delivered sends.
     """
-    stats = []
-    for link in LinkKind:
-        on_link = [t for (on, _), t in tallies.items() if on is link]
-        sent = sum(t.logged for t in on_link) + sum(n for (on, _), n in result.out_of_range.items() if on is link)
-        if not sent:
-            continue
-        delivered = sum(t.arrived for t in on_link)
-        in_flight = sum(t.in_flight for t in on_link)
-        lost = sent - delivered - in_flight
-        stats.append(
-            LinkStats(
-                link=link,
-                sent=sent,
-                delivered=delivered,
-                in_flight=in_flight,
-                lost=lost,
-                loss_pct=100.0 * lost / sent,
-                avg_latency_ms=sum(t.latency_sum for t in on_link) / delivered if delivered else None,
-                max_latency_ms=max(t.latency_max for t in on_link) if delivered else None,
-            )
-        )
-    return stats
+    links = {link: SendTally(link) for link in LinkKind}
+    for tally in tallies.values():
+        total = links[tally.link]
+        total.sent += tally.sent
+        total.delivered += tally.delivered
+        total.in_flight += tally.in_flight
+        total.latency_sum += tally.latency_sum
+        total.latency_max = max(total.latency_max, tally.latency_max)
+    return [total for total in links.values() if total.sent]
 
 
 def _exchange_delays(tallies: _Tallies) -> dict[str, float | None]:
     """The mean latency of each ``EXCHANGE_ROWS`` exchange, over its sends delivered by the end."""
-    out: dict[str, float | None] = {}
-    for key, _, link, kind, _ in EXCHANGE_ROWS:
-        tally = tallies.get((link, kind))
-        out[key] = tally.latency_sum / tally.arrived if tally is not None and tally.arrived else None
-    return out
+    return {
+        key: None if (link, kind) not in tallies else tallies[link, kind].avg_latency_ms
+        for key, _, link, kind, _ in EXCHANGE_ROWS
+    }
 
 
 @dataclass(frozen=True)
@@ -162,7 +154,7 @@ class ArchiveTally:
 class ReportFigures:
     """The run's aggregate figures, computed once and rendered by both reports."""
 
-    links: list[LinkStats]
+    links: list[SendTally]
     delays: dict[str, float | None]
     queues: list[QueueTally]
     archives: list[ArchiveTally]
@@ -183,7 +175,7 @@ def compute_figures(result: RunResult) -> ReportFigures:
         for node_id, a in sorted(result.archives.items())
     ]
     tallies = _send_tallies(result)
-    return ReportFigures(link_stats(result, tallies), _exchange_delays(tallies), queues, archives)
+    return ReportFigures(link_stats(tallies), _exchange_delays(tallies), queues, archives)
 
 
 def write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable[str]]) -> None:

@@ -17,7 +17,7 @@ from cvsim.core import GeoPoint, distance
 from cvsim.engine import DELIVERY_KIND
 from cvsim.mobility import DEG_TO_M, Corridor
 from cvsim.radio import LinkKind, in_range
-from cvsim.report import EXCHANGE_ROWS, compute_figures, coverage_rows
+from cvsim.report import EXCHANGE_ROWS, compute_figures, coverage_rows, write_artifacts
 from cvsim.sim import SYSTEM_NODE_ID, Simulation, run_scenario
 
 
@@ -382,6 +382,37 @@ def test_link_figures_match_a_recount_with_late_and_out_of_range_sends():
     assert stats[LinkKind.DSRC].in_flight and stats[LinkKind.LTE].in_flight
     assert result.out_of_range[LinkKind.DSRC, "bsm"] and result.out_of_range[LinkKind.DSRC, "beacon"]
     assert any(p.link is LinkKind.DSRC and not p.delivered for p in result.packets)
+    assert_one_pass_matches_recount(result)
+
+
+@pytest.mark.parametrize("kind", ["beacon", "warning"])
+def test_sends_that_are_only_out_of_range_count_as_lost(tmp_path, kind):
+    """Every DSRC send of ``kind`` falls beyond range, so it is counted and never logged.
+
+    v0 stands 2.7 km from r0, whose beacons never reach it. For ``beacon``
+    those are all of the DSRC sends. For ``warning``, v1 stands at r0 and
+    brakes hard: its BSMs reach r0 over DSRC while its one warning, to v0,
+    falls beyond range.
+    """
+    braking = kind == "warning"
+    extra = "script:\n  - {at_s: 2.0, action: hard_brake, vehicle: v1}\n" if braking else ""
+    vehicles = [0.9, 0.0] if braking else [0.9]
+    result = run_scenario(index_scenario([(0.0, 3000.0)], [("r0", 0.0, 0.0)], vehicles, t_end_s=5.0, extra=extra))
+    assert result.out_of_range[LinkKind.DSRC, kind]
+    assert not [p for p in result.packets if p.link is LinkKind.DSRC and p.kind == kind]
+    dsrc = {s.link: s for s in compute_figures(result).links}[LinkKind.DSRC]
+    if braking:
+        assert any(p.link is LinkKind.DSRC and p.kind == "bsm" and p.delivered for p in result.packets)
+    else:
+        assert (dsrc.delivered, dsrc.in_flight, dsrc.lost, dsrc.loss_pct) == (0, 0, dsrc.sent, 100.0)
+        assert dsrc.avg_latency_ms is None and dsrc.max_latency_ms is None
+        written = write_artifacts(result, tmp_path)
+        csv_rows = written["report.csv"].read_text(encoding="utf-8").splitlines()
+        expected = {"lost": str(dsrc.sent), "loss_pct": "100.0", "avg_latency_ms": "", "max_latency_ms": ""}
+        for metric, value in expected.items():
+            assert f"link.dsrc,{metric},{value}" in csv_rows
+        text = written["report.txt"].read_text(encoding="utf-8").splitlines()
+        assert f"dsrc {dsrc.sent} 0 0 {dsrc.sent} 100.00 - -".split() in [line.split() for line in text]
     assert_one_pass_matches_recount(result)
 
 
