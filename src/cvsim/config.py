@@ -1,10 +1,14 @@
 """Scenario configuration: schema, strict validation, bundled scenarios.
 
-Config files are YAML. Validation is strict (unknown keys are rejected) and
-every diagnostic carries the offending line number, which means the loader
-walks the YAML node tree itself instead of using ``safe_load`` directly. Each
-scalar is still built by the loader that composed it, so its tag, and with it
-any quoting, decides its type: ``id: "42"`` is a string.
+Config files are YAML, parsed by libyaml when PyYAML was built with it and by
+PyYAML's own parser otherwise. Validation is strict (unknown keys are
+rejected) and every diagnostic carries the offending line number, so instead
+of ``safe_load`` one loop over the parser's events builds the data and its
+line map, with an explicit stack: nesting is bounded by ``MAX_DEPTH``, not by
+the C or Python stack, and aliases may expand a document to at most one value
+per character of its text. Each scalar is still built by the loader's own
+resolver and constructor, so its tag, and with it any quoting, decides its
+type: ``id: "42"`` is a string.
 
 US-customary units (mph, ft) are accepted at this boundary and converted to SI
 immediately; nothing past this module sees them.
@@ -17,7 +21,7 @@ import math
 from dataclasses import dataclass, field, replace
 from difflib import get_close_matches
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import yaml
 
@@ -67,51 +71,170 @@ def seconds_to_ms(seconds: float, name: str, positive: bool, source: str, line: 
 # YAML loading with a per-path line map
 # --------------------------------------------------------------------------
 
-def _convert(node: yaml.Node, path: tuple, lines: dict[tuple, int], source: str, loader: yaml.SafeLoader):
-    lines[path] = node.start_mark.line + 1
-    if isinstance(node, yaml.MappingNode):
-        out: dict = {}
-        for key_node, value_node in node.value:
-            if not isinstance(key_node, yaml.ScalarNode):
-                raise ConfigError("mapping keys must be scalars", source, key_node.start_mark.line + 1)
-            key = key_node.value
-            if key in out:
-                raise ConfigError(f"duplicate key {key!r}", source, key_node.start_mark.line + 1)
-            out[key] = _convert(value_node, path + (key,), lines, source, loader)
-            lines[path + (key,)] = key_node.start_mark.line + 1
-        return out
-    if isinstance(node, yaml.SequenceNode):
-        return [
-            _convert(child, path + (i,), lines, source, loader) for i, child in enumerate(node.value)
-        ]
+# The loader chosen from the platform: libyaml's when PyYAML was built with it,
+# else PyYAML's own. Both emit the same events to the loop below.
+LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+# Open collections a scenario may nest; the bundled ones reach 4.
+MAX_DEPTH = 100
+_TOO_DEEP = "nested too deeply, or an alias refers to a collection that contains it"
+
+
+@dataclass(slots=True)
+class _Open:
+    """A collection whose end event has not come yet."""
+
+    value: dict | list
+    path: tuple
+    anchor: str | None  # the anchor it defines, if any
+    log_start: int  # index of its start event in the log, if it is logged
+    values_start: int  # values built before it
+    key: str | None = None  # a mapping's key whose value comes next
+    key_line: int = 0
+
+
+def _scalar(loader: yaml.SafeLoader, event: yaml.ScalarEvent, source: str, line: int):
+    """The value of a scalar, built by the loader as its composer and constructor would build it."""
+    tag = event.tag
+    if tag is None or tag == "!":
+        tag = loader.resolve(yaml.ScalarNode, event.value, event.implicit)
     try:
-        value = loader.construct_object(node)
+        value = loader.construct_object(yaml.ScalarNode(tag, event.value, event.start_mark, event.end_mark))
         if isinstance(value, str):
             # A lone surrogate ("\ud800") is not Unicode text: reject it at its line,
             # not where it is first encoded (a topic, or report.txt after the run).
             value.encode("utf-8")
         return value
-    # SafeLoader's scalar constructors raise these on an unknown tag or a
-    # malformed tagged value: !foo x, !!int abc, !!bool maybe, 2020-13-45.
-    except (yaml.YAMLError, ValueError, KeyError, AttributeError):
-        tag = node.tag.replace("tag:yaml.org,2002:", "!!")
-        raise ConfigError(f"cannot read {node.value!r} as {tag}", source, lines[path])
+    # SafeLoader's scalar constructors raise these on an unknown tag or a malformed
+    # tagged value: !foo x, !!int abc, !!bool maybe, 2020-13-45, an empty !!int.
+    except (yaml.YAMLError, ValueError, KeyError, AttributeError, IndexError):
+        raise ConfigError(f"cannot read {event.value!r} as {tag.replace('tag:yaml.org,2002:', '!!')}", source, line)
+
+
+def _compose(loader: yaml.SafeLoader, source: str, budget: int) -> tuple[object, dict[tuple, int]]:
+    """The one document of the loader's event stream as ``(data, lines)``.
+
+    ``lines`` maps the path of every value to a line: a mapping entry's to its
+    key's, a sequence item's to the item's own. An alias is expanded again, as
+    fresh values that keep the lines of the events it names. Anchored events
+    are logged, aliases already expanded, so an expansion is a replay of a log
+    slice; no alias may lift the values built past ``budget``, and no more
+    than ``MAX_DEPTH`` collections may be open at once.
+    """
+    lines: dict[tuple, int] = {}
+    anchors: dict[str, tuple[int, int, int] | None] = {}  # (log start, log end, values); None while open
+    log: list[yaml.Event] = []  # the events of every anchored node
+    replays: list[Iterator[yaml.Event]] = []  # the log slices of the aliases being expanded
+    stack: list[_Open] = []
+    recording = 0  # anchored collections open
+    values = 0
+    root = None
+    loader.get_event()  # StreamStartEvent
+    if loader.check_event(yaml.StreamEndEvent):
+        raise ConfigError("empty config", source)
+    loader.get_event()  # DocumentStartEvent
+    while True:
+        if replays:
+            event = next(replays[-1], None)
+            if event is None:
+                replays.pop()
+                continue
+            anchor = None  # an expansion defines no anchor again
+        else:
+            event = loader.get_event()
+            anchor = getattr(event, "anchor", None)
+        kind = type(event)
+        if kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
+            if recording:
+                log.append(event)
+            closed = stack.pop()
+            if closed.anchor is not None:
+                anchors[closed.anchor] = (closed.log_start, len(log), values - closed.values_start)
+                recording -= 1
+            if not stack:
+                break
+            continue
+        line = event.start_mark.line + 1
+        if kind is yaml.AliasEvent:
+            if anchor not in anchors:
+                raise ConfigError(f"YAML syntax error: found undefined alias {anchor!r}", source, line)
+            span = anchors[anchor]
+            if span is None:
+                raise ConfigError(_TOO_DEEP, source, line)
+            start, end, size = span
+            if values + size > budget:
+                raise ConfigError(
+                    f"alias {anchor!r} would make the document hold more values than its {budget} characters",
+                    source,
+                    line,
+                )
+            replays.append(map(log.__getitem__, range(start, end)))
+            continue
+        if anchor is not None:
+            if anchor in anchors:
+                raise ConfigError(f"YAML syntax error: found duplicate anchor {anchor!r}", source, line)
+            log.append(event)
+            if kind is yaml.ScalarEvent:
+                anchors[anchor] = (len(log) - 1, len(log), 1)
+            else:
+                anchors[anchor] = None
+                recording += 1
+        elif recording:
+            log.append(event)
+        parent = stack[-1] if stack else None
+        if parent is None:
+            path = ()
+        elif type(parent.value) is list:
+            path = parent.path + (len(parent.value),)
+        elif parent.key is None:
+            if kind is not yaml.ScalarEvent:
+                raise ConfigError("mapping keys must be scalars", source, line)
+            if event.value in parent.value:
+                raise ConfigError(f"duplicate key {event.value!r}", source, line)
+            parent.key, parent.key_line = event.value, line
+            continue
+        else:
+            path = parent.path + (parent.key,)
+        # A mapping entry's path carries its key's line.
+        lines[path] = parent.key_line if path and type(parent.value) is dict else line
+        values += 1
+        if kind is yaml.ScalarEvent:
+            value = _scalar(loader, event, source, line)
+        else:
+            if len(stack) == MAX_DEPTH:
+                raise ConfigError(_TOO_DEEP, source, line)
+            value = {} if kind is yaml.MappingStartEvent else []
+            stack.append(_Open(value, path, anchor, len(log) - 1, values - 1))
+        if parent is None:
+            root = value
+            if not stack:
+                break
+        elif type(parent.value) is list:
+            parent.value.append(value)
+        else:
+            parent.value[parent.key] = value
+            parent.key = None
+    loader.get_event()  # DocumentEndEvent
+    if not loader.check_event(yaml.StreamEndEvent):
+        line = loader.get_event().start_mark.line + 1
+        raise ConfigError("YAML syntax error: expected a single document in the stream, but found another", source, line)
+    return root, lines
 
 
 def load_yaml_with_lines(text: str, source: str) -> tuple[dict, dict[tuple, int]]:
-    lines: dict[tuple, int] = {}
+    bad = yaml.reader.Reader.NON_PRINTABLE.search(text)
+    if bad:
+        # Every YAML line break is one of splitlines' breaks, and its other
+        # breaks are all non-printable, so none of them precedes the match.
+        line = len(text[: bad.start() + 1].splitlines())
+        problem = f"unacceptable character #x{ord(bad.group()):04x}: special characters are not allowed"
+        raise ConfigError(f"YAML syntax error: {problem}", source, line)
     try:
-        loader = yaml.SafeLoader(text)
-        root = loader.get_single_node()
-        data = None if root is None else _convert(root, (), lines, source, loader)
+        # At most one value per character of the text, unless aliases repeat some.
+        data, lines = _compose(LOADER(text), source, len(text))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else None
         raise ConfigError(f"YAML syntax error: {getattr(exc, 'problem', exc)}", source, line)
-    except RecursionError:
-        raise ConfigError("nested too deeply, or an alias refers to a collection that contains it", source)
-    if root is None:
-        raise ConfigError("empty config", source)
     if not isinstance(data, dict):
         raise ConfigError("top level must be a mapping", source, 1)
     return data, lines

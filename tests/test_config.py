@@ -1,18 +1,26 @@
 import importlib.resources
 import io
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
+import cvsim
+from cvsim import config
 from cvsim.cli import main
-from cvsim.config import MAX_SPEED_MPS, ConfigError, bundled_scenario_names, load_scenario, parse_scenario
+from cvsim.config import (
+    MAX_DEPTH, MAX_SPEED_MPS, ConfigError, bundled_scenario_names, load_scenario, load_yaml_with_lines, parse_scenario,
+)
 from cvsim.core import ft_to_m, m_to_ft, min_safety_distance, mph_to_mps
 from cvsim.engine import SimulationAborted
 from cvsim.mobility import OvertakeError
@@ -32,10 +40,39 @@ vehicles:
     s_m: 10.0
     speed_mph: 20.0
 """
+# PyYAML's own loader, and libyaml's where PyYAML has it: both feed one event loop.
+LOADERS = (yaml.SafeLoader, yaml.CSafeLoader) if yaml.__with_libyaml__ else (yaml.SafeLoader,)
+
+
+def under_each_loader(read, text: str, source: str) -> list:
+    """``read(text, source)`` under each of LOADERS: its result, or the ConfigError it raised."""
+    outcomes = []
+    for loader in LOADERS:
+        with mock.patch.object(config, "LOADER", loader):
+            try:
+                outcomes.append(read(text, source))
+            except ConfigError as exc:
+                outcomes.append(exc)
+    return outcomes
+
+
+def parse(text: str, source: str = "<config>"):
+    """``parse_scenario``, once each of LOADERS has read the same ``(data, lines)`` or stopped at the same line.
+
+    A YAML syntax error is worded by the parser that found it, so only its line must agree.
+    """
+    def key(outcome):
+        if isinstance(outcome, ConfigError):
+            return outcome.line, "YAML syntax error: " in str(outcome) or str(outcome)
+        return repr(outcome)
+
+    first, *others = under_each_loader(load_yaml_with_lines, text, source)
+    assert all(key(other) == key(first) for other in others), (first, others)
+    return parse_scenario(text, source)
 
 
 def test_minimal_scenario_parses_with_defaults():
-    cfg = parse_scenario(MINIMAL)
+    cfg = parse(MINIMAL)
     assert cfg.name == "tiny"
     assert cfg.t_end_ms == 5000
     assert cfg.seed == 0
@@ -49,7 +86,7 @@ def test_minimal_scenario_parses_with_defaults():
 def test_unknown_key_rejected_with_line_and_hint():
     text = MINIMAL.replace("t_end_s: 5.0", "t_end_s: 5.0\nseeed: 3")
     with pytest.raises(ConfigError) as err:
-        parse_scenario(text, source="case.yaml")
+        parse(text, source="case.yaml")
     message = str(err.value)
     assert "case.yaml:3" in message
     assert "seeed" in message and "seed" in message  # did-you-mean hint
@@ -58,42 +95,42 @@ def test_unknown_key_rejected_with_line_and_hint():
 def test_unknown_nested_key_rejected():
     text = MINIMAL + "links:\n  dsrc:\n    latency_typo_ms: 4\n"
     with pytest.raises(ConfigError) as err:
-        parse_scenario(text)
+        parse(text)
     assert "latency_typo_ms" in str(err.value)
 
 
 def test_yaml_syntax_error_is_line_anchored():
     with pytest.raises(ConfigError) as err:
-        parse_scenario("name: [unclosed\nt_end_s: 5", source="broken.yaml")
+        parse("name: [unclosed\nt_end_s: 5", source="broken.yaml")
     assert "broken.yaml" in str(err.value)
 
 
 def test_missing_required_keys():
     with pytest.raises(ConfigError) as err:
-        parse_scenario("name: x\nt_end_s: 1\n")
+        parse("name: x\nt_end_s: 1\n")
     assert "corridor" in str(err.value)
     with pytest.raises(ConfigError):
-        parse_scenario(MINIMAL.replace("t_end_s: 5.0\n", ""))
+        parse(MINIMAL.replace("t_end_s: 5.0\n", ""))
 
 
 def test_vehicle_unit_exclusivity_and_conversion():
     text = MINIMAL.replace("s_m: 10.0", "s_ft: 100.0")
-    cfg = parse_scenario(text)
+    cfg = parse(text)
     assert cfg.vehicles[0].s_m == pytest.approx(ft_to_m(100.0))
-    cfg = parse_scenario(MINIMAL.replace("s_m: 10.0", "s_m: null\n    s_ft: 100.0"))  # a null key is unset
+    cfg = parse(MINIMAL.replace("s_m: 10.0", "s_m: null\n    s_ft: 100.0"))  # a null key is unset
     assert cfg.vehicles[0].s_m == ft_to_m(100.0)
 
 
 def test_vehicle_outside_corridor_rejected():
     with pytest.raises(ConfigError) as err:
-        parse_scenario(MINIMAL.replace("s_m: 10.0", "s_m: 9999.0"))
+        parse(MINIMAL.replace("s_m: 10.0", "s_m: 9999.0"))
     assert "outside the corridor" in str(err.value)
 
 
 def test_duplicate_vehicle_id_rejected():
     text = MINIMAL + "  - id: cv1\n    s_m: 20.0\n    speed_mph: 20.0\n"
     with pytest.raises(ConfigError) as err:
-        parse_scenario(text, source="case.yaml")
+        parse(text, source="case.yaml")
     assert str(err.value) == "case.yaml:11: duplicate vehicle id 'cv1'"
 
 
@@ -109,32 +146,32 @@ def test_duplicate_vehicle_id_rejected():
 )
 def test_vehicle_unit_pair_rejected_at_its_line(old, new, line, message):
     with pytest.raises(ConfigError) as err:
-        parse_scenario(MINIMAL.replace(old, new), source="case.yaml")
+        parse(MINIMAL.replace(old, new), source="case.yaml")
     assert str(err.value) == f"case.yaml:{line}: {message}"
 
 
 def test_script_validation():
     text = MINIMAL + "script:\n  - at_s: 1.0\n    action: hard_brake\n    vehicle: ghost\n"
     with pytest.raises(ConfigError) as err:
-        parse_scenario(text)
+        parse(text)
     assert "ghost" in str(err.value)
 
     text = MINIMAL + "script:\n  - at_s: 1.0\n    action: dance\n"
     with pytest.raises(ConfigError) as err:
-        parse_scenario(text)
+        parse(text)
     assert "dance" in str(err.value)
 
 
 def test_constants_overrides_convert_units():
     text = MINIMAL + "constants:\n  queue_speed_threshold_mph: 10.0\n  decel_fps2: 5.6\n"
-    cfg = parse_scenario(text)
+    cfg = parse(text)
     assert cfg.constants.queue_speed_threshold_mps == pytest.approx(mph_to_mps(10.0))
     assert cfg.constants.decel_mps2 == pytest.approx(ft_to_m(5.6))
 
 
 def test_link_overrides_apply():
     text = MINIMAL + "links:\n  dsrc:\n    latency_mean_ms: 9\n    p_near: 0.25\n"
-    cfg = parse_scenario(text)
+    cfg = parse(text)
     assert cfg.links[LinkKind.DSRC].latency_mean_ms == 9
     assert cfg.links[LinkKind.DSRC].p_near == 0.25
     # untouched kinds keep defaults
@@ -143,25 +180,25 @@ def test_link_overrides_apply():
 
 def test_speed_tier_selects_warning_latencies():
     text = MINIMAL + "speed_tier_mph: 35\n"
-    cfg = parse_scenario(text)
+    cfg = parse(text)
     assert cfg.links[LinkKind.DSRC].warning_latency_mean_ms == 102
     assert cfg.links[LinkKind.LTE].warning_latency_mean_ms == 2810
     with pytest.raises(ConfigError):
-        parse_scenario(MINIMAL + "speed_tier_mph: 45\n")
+        parse(MINIMAL + "speed_tier_mph: 45\n")
 
 
 def test_detection_requires_rsus():
     text = MINIMAL + "detection:\n  enabled: true\n"
     with pytest.raises(ConfigError) as err:
-        parse_scenario(text)
+        parse(text)
     assert "no RSUs" in str(err.value)
 
 
 def test_empty_and_non_mapping_configs():
     with pytest.raises(ConfigError):
-        parse_scenario("")
+        parse("")
     with pytest.raises(ConfigError):
-        parse_scenario("- a\n- b\n")
+        parse("- a\n- b\n")
 
 
 def test_bundled_scenarios_all_parse():
@@ -191,14 +228,14 @@ def test_load_scenario_unknown_name():
 @pytest.mark.parametrize("value", [".inf", ".nan"])
 def test_non_finite_t_end_rejected_with_line(value):
     with pytest.raises(ConfigError) as err:
-        parse_scenario(MINIMAL.replace("t_end_s: 5.0", f"t_end_s: {value}"), source="case.yaml")
+        parse(MINIMAL.replace("t_end_s: 5.0", f"t_end_s: {value}"), source="case.yaml")
     assert "case.yaml:2" in str(err.value) and "t_end_s" in str(err.value)
 
 
 def test_sub_millisecond_bsm_interval_rejected_with_line():
     text = MINIMAL + "constants:\n  bsm_interval_s: 0.0001\n"
     with pytest.raises(ConfigError) as err:
-        parse_scenario(text, source="case.yaml")
+        parse(text, source="case.yaml")
     assert "case.yaml:12" in str(err.value) and "bsm_interval_s" in str(err.value)
 
 
@@ -233,7 +270,7 @@ script:
 
 
 def test_boundary_base_parses():
-    parse_scenario(BOUNDARY_BASE)
+    parse(BOUNDARY_BASE)
 
 
 @pytest.mark.parametrize(
@@ -259,12 +296,12 @@ def test_boundary_base_parses():
 )
 def test_out_of_range_values_rejected_with_line(old, new, line, key):
     with pytest.raises(ConfigError) as err:
-        parse_scenario(BOUNDARY_BASE.replace(old, new), source="case.yaml")
+        parse(BOUNDARY_BASE.replace(old, new), source="case.yaml")
     assert f"case.yaml:{line}" in str(err.value) and key in str(err.value)
 
 
 def test_speed_at_the_ceiling_parses():
-    cfg = parse_scenario(BOUNDARY_BASE.replace("speed_mph: 20.0", f"speed_mps: {MAX_SPEED_MPS}"))
+    cfg = parse(BOUNDARY_BASE.replace("speed_mph: 20.0", f"speed_mps: {MAX_SPEED_MPS}"))
     assert cfg.vehicles[0].speed_mps == MAX_SPEED_MPS
 
 
@@ -282,12 +319,12 @@ RSU_BASE = MINIMAL.replace("    - [40.005, -75.0]\n", "    - [40.005, -75.0]\n  
 def test_bad_rsu_id_rejected_at_its_line(extra, message):
     text = RSU_BASE.replace("{id: rsu1, s_m: 100.0}\n", "{id: rsu1, s_m: 100.0}\n" + extra)
     with pytest.raises(ConfigError) as err:
-        parse_scenario(text, source="case.yaml")
+        parse(text, source="case.yaml")
     assert "case.yaml:9" in str(err.value) and message in str(err.value)
 
 
 def test_distinct_rsu_ids_parse():
-    cfg = parse_scenario(RSU_BASE.replace("s_m: 100.0}\n", "s_m: 100.0}\n    - {id: rsu2, s_m: 300.0}\n"))
+    cfg = parse(RSU_BASE.replace("s_m: 100.0}\n", "s_m: 100.0}\n    - {id: rsu2, s_m: 300.0}\n"))
     assert [r.rsu_id for r in cfg.corridor.rsus] == ["rsu1", "rsu2"]
 
 
@@ -296,7 +333,7 @@ def test_distinct_rsu_ids_parse():
 
 @pytest.mark.parametrize("quoted", ['"42"', '"null"', "'yes'", '"a: b"', '"1.5"'])
 def test_quoted_scalar_stays_a_string(quoted):
-    cfg = parse_scenario(MINIMAL.replace("id: cv1", f"id: {quoted}"))
+    cfg = parse(MINIMAL.replace("id: cv1", f"id: {quoted}"))
     assert cfg.vehicles[0].vehicle_id == quoted[1:-1]
 
 
@@ -306,12 +343,16 @@ def test_quoted_scalar_stays_a_string(quoted):
         ("id: cv1", "id: !foo cv1", 9, "cannot read 'cv1' as !foo"),
         ("seed: 0", "seed: !!int abc", 2, "cannot read 'abc' as !!int"),
         ("seed: 0", "seed: 2020-13-45", 2, "cannot read '2020-13-45' as !!timestamp"),
+        ("seed: 0", "seed: !!int", 2, "cannot read '' as !!int"),
+        ("seed: 0", 'seed: !!int ""', 2, "cannot read '' as !!int"),
+        ("seed: 0", 'seed: !!int "-"', 2, "cannot read '-' as !!int"),
+        ("seed: 0", "seed: !!float", 2, "cannot read '' as !!float"),
     ],
 )
 def test_unreadable_scalar_rejected_with_line(old, new, line, message):
     text = MINIMAL.replace("t_end_s: 5.0", "seed: 0\nt_end_s: 5.0")
     with pytest.raises(ConfigError) as err:
-        parse_scenario(text.replace(old, new), source="case.yaml")
+        parse(text.replace(old, new), source="case.yaml")
     assert f"case.yaml:{line}" in str(err.value) and message in str(err.value)
 
 
@@ -322,8 +363,110 @@ def test_unreadable_scalar_rejected_with_line(old, new, line, message):
 def test_cyclic_alias_or_deep_nesting_rejected(polyline):
     text = MINIMAL.replace("  polyline:\n    - [40.0, -75.0]\n    - [40.005, -75.0]\n", f"  polyline: {polyline}\n")
     with pytest.raises(ConfigError) as err:
-        parse_scenario(text, source="case.yaml")
-    assert "nested too deeply, or an alias refers to a collection that contains it" in str(err.value)
+        parse(text, source="case.yaml")
+    assert str(err.value) == "case.yaml:4: nested too deeply, or an alias refers to a collection that contains it"
+
+
+@pytest.mark.parametrize("nest", [lambda n: "[" * n + "]" * n, lambda n: "\n" + "- " * n + "x"], ids=["flow", "block"])
+def test_nesting_is_rejected_one_level_past_max_depth(nest):
+    """The top-level mapping is the first level, so ``MAX_DEPTH - 1`` collections fit below it."""
+    for data, _ in under_each_loader(load_yaml_with_lines, f"a: {nest(MAX_DEPTH - 1)}\n", "case.yaml"):
+        value, depth = data["a"], 0
+        while isinstance(value, list):
+            value, depth = value[0] if value else None, depth + 1
+        assert depth == MAX_DEPTH - 1
+    with pytest.raises(ConfigError) as err:
+        parse(f"a: {nest(MAX_DEPTH)}\n", source="case.yaml")
+    assert "nested too deeply" in str(err.value)
+
+
+@pytest.mark.parametrize("text,line", [("a: 1\n---\nb: 2\n", 2), ("a: *b\n", 1), ("a: &b 1\nc: &b 2\n", 2)])
+def test_second_document_undefined_alias_or_reused_anchor_rejected_at_its_line(text, line):
+    with pytest.raises(ConfigError) as err:
+        parse(text, source="case.yaml")
+    assert str(err.value).startswith(f"case.yaml:{line}: YAML syntax error: ")
+
+
+def test_alias_expansion_bounded_by_the_text():
+    """Ten aliases a level through six levels would build over a million values from 319 characters."""
+    text = "a: &a [x, x, x, x, x, x, x, x, x, x]\n" + "".join(
+        f"{name}: &{name} [{', '.join([f'*{prev}'] * 10)}]\n" for prev, name in zip("abcdef", "bcdefg")
+    )
+    with pytest.raises(ConfigError) as err:
+        parse(text, source="case.yaml")
+    assert str(err.value) == "case.yaml:3: alias 'b' would make the document hold more values than its 319 characters"
+    data, _ = load_yaml_with_lines("a: &a [x, x]\nb: [*a, *a]\n", "case.yaml")
+    assert data["b"] == [["x", "x"]] * 2 and data["b"][0] is not data["b"][1] is not data["a"]
+
+
+@pytest.mark.parametrize(
+    "char,code", [("\x00", "0000"), ("\x07", "0007"), ("\uffff", "ffff"), ("\ud800", "d800")]
+)
+@pytest.mark.parametrize("breaks", ["\n", "\r\n", "\r"])
+def test_non_printable_character_rejected_at_its_line(char, code, breaks):
+    text = MINIMAL.replace("id: cv1", f"id: cv{char}1").replace("\n", breaks)
+    with pytest.raises(ConfigError) as err:
+        parse(text, source="case.yaml")
+    message = f"YAML syntax error: unacceptable character #x{code}: special characters are not allowed"
+    assert str(err.value) == f"case.yaml:8: {message}"
+
+
+def compose_lines(node, path, lines):
+    """A recursive walk of ``yaml.compose``'s node graph: the reference for ``load_yaml_with_lines``."""
+    lines[path] = node.start_mark.line + 1
+    if isinstance(node, yaml.MappingNode):
+        out = {}
+        for key, value in node.value:
+            out[key.value] = compose_lines(value, path + (key.value,), lines)
+            lines[path + (key.value,)] = key.start_mark.line + 1
+        return out
+    if isinstance(node, yaml.SequenceNode):
+        return [compose_lines(item, path + (i,), lines) for i, item in enumerate(node.value)]
+    return yaml.SafeLoader("").construct_object(node)
+
+
+ALIASED = MINIMAL + """\
+script:
+  - &brake
+    at_s: &t 1.0
+    action: hard_brake
+    &v vehicle: cv1
+  - *brake
+  - {at_s: *t, action: hard_brake, *v : cv1}
+"""
+
+
+def test_loaders_read_what_the_node_graph_holds():
+    """Each bundled scenario, README block and an aliased script reads, under each loader, the
+    ``(data, lines)`` that a recursive walk of ``yaml.compose``'s node graph reads."""
+    texts = {**BASE_TEXTS, **{f"README-{i}": block for i, block in enumerate(README_BLOCKS)}, "aliased": ALIASED}
+    for name, text in texts.items():
+        lines = {}
+        expected = (compose_lines(yaml.compose(text), (), lines), lines)
+        for read in under_each_loader(load_yaml_with_lines, text, name):
+            assert read == expected, name
+    script = parse(ALIASED).script
+    assert [(d.at_ms, d.vehicle) for d in script] == [(1000, "cv1")] * 3
+    data, lines = load_yaml_with_lines(ALIASED, "aliased")
+    assert data["script"][0] == data["script"][1] and data["script"][0] is not data["script"][1]
+    assert lines[("script", 1, "vehicle")] == lines[("script", 0, "vehicle")] == 15
+    # An alias key keeps the line of the key it names.
+    assert lines[("script", 2, "vehicle")] == 15 and lines[("script", 2, "at_s")] == 17
+
+
+def test_a_million_levels_exit_2_at_line_1(tmp_path):
+    """The composer of PyYAML's libyaml binding recurses on the C stack and crashes on this file;
+    in a child process such a crash fails the test instead of ending pytest."""
+    path = tmp_path / "deep.yaml"
+    path.write_text("a: " + "[" * 1_000_000 + "\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(cvsim.__file__).resolve().parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvsim.cli", "--scenario", str(path), "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, (proc.returncode, proc.stderr[-2000:])
+    assert proc.stderr.startswith(f"error: {path}:1: nested too deeply"), proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -340,12 +483,12 @@ def test_cyclic_alias_or_deep_nesting_rejected(polyline):
 def test_name_that_cannot_form_a_topic_rejected_with_line(key, old, line, value):
     new = f"{old}\nregion: {value}" if key == "region" else f"id: {value}"
     with pytest.raises(ConfigError) as err:
-        parse_scenario(RSU_BASE.replace(old, new), source="case.yaml")
+        parse(RSU_BASE.replace(old, new), source="case.yaml")
     assert f"case.yaml:{line}" in str(err.value) and "cannot form a topic" in str(err.value)
 
 
 def test_vehicle_id_and_region_with_slashes_run():
-    cfg = parse_scenario(MINIMAL.replace("id: cv1", "id: a/b") + "region: north/east\n")
+    cfg = parse(MINIMAL.replace("id: cv1", "id: a/b") + "region: north/east\n")
     assert cfg.vehicles[0].vehicle_id == "a/b" and cfg.region == "north/east"
     assert run_scenario(cfg).archives["system"].count("bsm/raw/a/b") > 0
 
@@ -487,11 +630,11 @@ def test_mutated_bundled_scenario_parses_or_raises_config_error(name, data):
 
 # What a node is replaced with: empty and null values, an unknown tag, a value
 # of a type no key takes, an undefined alias, a merge key, a collection that
-# contains itself, a string that is not Unicode text, and numeric extremes
+# contains itself, a string that is not Unicode text, numeric extremes and an empty !!int
 # (``1e308`` is a string in YAML 1.1; ``1.0e+308`` is the float).
 NODE_VALUES = (
     "{}", "[]", "null", "!foo x", "!!binary aGk=", "*undefined", "{<<: {a: 1}}", "&a [*a]", '"\\ud800"',
-    "1e308", "1.0e+308", "4.9e-324", "12345678901234567890", ".nan",
+    "1e308", "1.0e+308", "4.9e-324", "12345678901234567890", ".nan", "!!int",
 )
 EDITS = [(name, *span) for name in bundled_scenario_names() for span in edit_spans(BASE_TEXTS[name])]
 
@@ -537,7 +680,7 @@ def test_mutated_scenario_exits_0_or_2_at_its_line(tmp_path_factory, edit, value
 
 def test_constants_dsrc_range_is_an_unknown_key():
     with pytest.raises(ConfigError) as err:
-        parse_scenario(MINIMAL + "constants:\n  dsrc_range_m: 300.0\n", source="case.yaml")
+        parse(MINIMAL + "constants:\n  dsrc_range_m: 300.0\n", source="case.yaml")
     assert "case.yaml:12" in str(err.value) and "unknown key 'dsrc_range_m'" in str(err.value)
 
 
@@ -545,7 +688,7 @@ def test_constants_dsrc_range_is_an_unknown_key():
 @pytest.mark.parametrize("key", ["follow_margin_m", "resume_hysteresis_m", "resume_accel_mps2"])
 def test_non_finite_mobility_rejected_with_line(key, value):
     with pytest.raises(ConfigError) as err:
-        parse_scenario(MINIMAL + f"mobility:\n  {key}: {value}\n", source="case.yaml")
+        parse(MINIMAL + f"mobility:\n  {key}: {value}\n", source="case.yaml")
     assert "case.yaml:11" in str(err.value) and key in str(err.value)
 
 
@@ -553,7 +696,7 @@ def test_non_finite_mobility_rejected_with_line(key, value):
 @pytest.mark.parametrize("value", [".nan", ".inf", "0.0"])
 def test_bad_link_range_rejected_with_line(kind, value):
     with pytest.raises(ConfigError) as err:
-        parse_scenario(MINIMAL + f"links:\n  {kind}:\n    range_m: {value}\n", source="case.yaml")
+        parse(MINIMAL + f"links:\n  {kind}:\n    range_m: {value}\n", source="case.yaml")
     assert "case.yaml:12" in str(err.value) and "range_m" in str(err.value)
 
 
@@ -561,7 +704,7 @@ def test_bad_link_range_rejected_with_line(kind, value):
 def test_lte_range_keys_rejected_with_line(key, value):
     """Every cellular send is made at distance 0, so neither key could ever act."""
     with pytest.raises(ConfigError) as err:
-        parse_scenario(MINIMAL + f"links:\n  lte:\n    p_near: 0.1\n    {key}: {value}\n", source="case.yaml")
+        parse(MINIMAL + f"links:\n  lte:\n    p_near: 0.1\n    {key}: {value}\n", source="case.yaml")
     assert "case.yaml:14" in str(err.value) and f"links.lte.{key} has no effect: cellular is unbounded" in str(err.value)
 
 
@@ -569,7 +712,7 @@ def test_lte_range_keys_rejected_with_line(key, value):
 def test_wifi_warning_latency_rejected_with_line(value):
     """Sudden-stop warnings ride only DSRC and LTE, so the key could never act."""
     with pytest.raises(ConfigError) as err:
-        parse_scenario(MINIMAL + f"links:\n  wifi:\n    p_near: 0.1\n    warning_latency_ms: {value}\n", source="case.yaml")
+        parse(MINIMAL + f"links:\n  wifi:\n    p_near: 0.1\n    warning_latency_ms: {value}\n", source="case.yaml")
     assert "case.yaml:14" in str(err.value)
     assert "links.wifi.warning_latency_ms has no effect: warnings ride only dsrc and lte" in str(err.value)
 
@@ -583,12 +726,12 @@ def test_wifi_warning_latency_rejected_with_line(value):
 )
 def test_latency_mean_below_one_ms_rejected_with_line(kind, key, value, field):
     with pytest.raises(ConfigError) as err:
-        parse_scenario(MINIMAL + f"links:\n  {kind}:\n    {key}: {value}\n", source="case.yaml")
+        parse(MINIMAL + f"links:\n  {kind}:\n    {key}: {value}\n", source="case.yaml")
     assert "case.yaml:12" in str(err.value) and f"{field} must be at least 1 ms, got {value}" in str(err.value)
 
 
 def test_one_millisecond_latency_means_parse():
-    cfg = parse_scenario(MINIMAL + "links:\n  dsrc:\n    latency_mean_ms: 1\n    warning_latency_ms: 1\n")
+    cfg = parse(MINIMAL + "links:\n  dsrc:\n    latency_mean_ms: 1\n    warning_latency_ms: 1\n")
     assert cfg.links[LinkKind.DSRC].latency_mean_ms == cfg.links[LinkKind.DSRC].warning_latency_mean_ms == 1
 
 
@@ -606,23 +749,23 @@ def test_one_millisecond_latency_means_parse():
 def test_polyline_coordinate_that_is_not_a_number_rejected_at_its_entry(point, message):
     text = MINIMAL.replace("    - [40.005, -75.0]\n", f"    - {point}\n")
     with pytest.raises(ConfigError) as err:
-        parse_scenario(text, source="case.yaml")
+        parse(text, source="case.yaml")
     assert "case.yaml:6" in str(err.value) and message in str(err.value)
 
 
 def test_integer_polyline_coordinates_parse():
-    cfg = parse_scenario(MINIMAL.replace("[40.0, -75.0]", "[40, -75]"))
+    cfg = parse(MINIMAL.replace("[40.0, -75.0]", "[40, -75]"))
     assert cfg.corridor.polyline[0].lat == 40.0 and cfg.corridor.polyline[0].lon == -75.0
 
 
 def test_integer_too_large_for_a_float_rejected_at_its_line():
     with pytest.raises(ConfigError) as err:
-        parse_scenario(MINIMAL.replace("s_m: 10.0", f"s_m: 1{'0' * 400}"), source="case.yaml")
+        parse(MINIMAL.replace("s_m: 10.0", f"s_m: 1{'0' * 400}"), source="case.yaml")
     assert "case.yaml:9" in str(err.value) and "'s_m' must be float, got an integer too large for one" in str(err.value)
 
 
 def test_link_range_override_applies_once_and_only_to_its_kind():
-    cfg = parse_scenario(MINIMAL + "links:\n  wifi:\n    range_m: 50.0\n")
+    cfg = parse(MINIMAL + "links:\n  wifi:\n    range_m: 50.0\n")
     assert cfg.links[LinkKind.WIFI].range_m == 50.0
     assert cfg.links[LinkKind.DSRC].range_m == 300.0
     assert cfg.links[LinkKind.LTE].range_m is None
@@ -630,7 +773,7 @@ def test_link_range_override_applies_once_and_only_to_its_kind():
 
 def test_absent_keys_keep_dataclass_defaults():
     text = MINIMAL + "handoff:\n  miss_threshold: 5\nmobility:\n  follow_margin_m: 4.0\narchive: {}\n"
-    cfg = parse_scenario(text)
+    cfg = parse(text)
     assert (cfg.handoff.beacon_interval_ms, cfg.handoff.miss_threshold, cfg.handoff.beacon_p_near) == (100, 5, 0.0)
     assert (cfg.mobility.follow_margin_m, cfg.mobility.resume_hysteresis_m) == (4.0, 2.0)
     assert cfg.fixed_edge_retention_ms == 60_000
@@ -640,7 +783,7 @@ def test_absent_keys_keep_dataclass_defaults():
 @pytest.mark.parametrize("value", ["1.0", "-0.1", ".nan"])
 def test_beacon_p_near_out_of_range_rejected_with_line(value):
     with pytest.raises(ConfigError) as err:
-        parse_scenario(MINIMAL + f"handoff:\n  beacon_p_near: {value}\n", source="case.yaml")
+        parse(MINIMAL + f"handoff:\n  beacon_p_near: {value}\n", source="case.yaml")
     assert "case.yaml:11" in str(err.value) and "beacon_p_near" in str(err.value)
 
 
@@ -667,12 +810,12 @@ SCRIPTED = MINIMAL.replace("    speed_mph: 20.0\n", "    speed_mph: 20.0\n    sp
 def test_bad_directive_rejected_at_its_line(directive, message):
     text = SCRIPTED + f"  - {directive}\n"
     with pytest.raises(ConfigError) as err:
-        parse_scenario(text, source="case.yaml")
+        parse(text, source="case.yaml")
     assert "case.yaml:14" in str(err.value) and message in str(err.value)
 
 
 def test_hard_brake_at_its_spawn_millisecond_parses():
-    cfg = parse_scenario(SCRIPTED + "  - {at_s: 2.0, action: hard_brake, vehicle: cv1}\n")
+    cfg = parse(SCRIPTED + "  - {at_s: 2.0, action: hard_brake, vehicle: cv1}\n")
     assert cfg.script[0].at_ms == cfg.vehicles[0].spawn_t_ms == 2000
 
 
@@ -681,4 +824,4 @@ def test_hard_brake_at_its_spawn_millisecond_parses():
 def test_readme_yaml_blocks_parse():
     assert README_BLOCKS
     for block in README_BLOCKS:
-        parse_scenario(block, source="README.md")
+        parse(block, source="README.md")
