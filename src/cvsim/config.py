@@ -110,6 +110,13 @@ def _scalar(loader: yaml.SafeLoader, event: yaml.ScalarEvent, source: str, line:
         raise ConfigError(f"cannot read {event.value!r} as {tag.replace('tag:yaml.org,2002:', '!!')}", source, line)
 
 
+# The tag each collection may carry besides none or ``!``: a mapping's own, a sequence's own.
+_COLLECTIONS = {
+    yaml.MappingStartEvent: ("mapping", "tag:yaml.org,2002:map"),
+    yaml.SequenceStartEvent: ("sequence", "tag:yaml.org,2002:seq"),
+}
+
+
 def _compose(loader: yaml.SafeLoader, source: str, budget: int) -> tuple[object, dict[tuple, int]]:
     """The one document of the loader's event stream as ``(data, lines)``.
 
@@ -202,6 +209,10 @@ def _compose(loader: yaml.SafeLoader, source: str, budget: int) -> tuple[object,
         else:
             if len(stack) == MAX_DEPTH:
                 raise ConfigError(_TOO_DEEP, source, line)
+            name, own_tag = _COLLECTIONS[kind]
+            if event.tag not in (None, "!", own_tag):
+                tag = event.tag.replace("tag:yaml.org,2002:", "!!")
+                raise ConfigError(f"cannot read a {name} as {tag}", source, line)
             value = {} if kind is yaml.MappingStartEvent else []
             stack.append(_Open(value, path, anchor, len(log) - 1, values - 1))
         if parent is None:

@@ -8,13 +8,12 @@ every file, with each CSV's header and rows. Every file is opened by
 the simulation itself (no wall-clock timestamps), so a scenario re-run with
 the same seed writes byte-identical artifacts.
 
-A send counts as delivered only when it arrived by the end of the run; one
-still on its way then is ``in_flight``, so a delivered count is what the
-receivers got. One record type, ``SendTally``, holds every send figure:
-one per (link, packet kind), built in one pass from the counted
-out-of-range sends (all lost) and the packet log, and one per link, their
-sum. The exchange delays read the same tallies: the shape a ledger of
-counters kept during the run would have.
+The send figures come from the run's ledger, ``RunResult.sends``, which
+``sim.Simulation._send`` keeps as it decides each send: one ``SendTally``
+per (link, packet kind), whose ``delivered`` count is what the receivers got
+by the end of the run. ``link_stats`` sums each link's tallies into one more
+``SendTally``, and the exchange delays read the ledger itself; nothing here
+reads the packet log.
 ``archive.ndjson`` and ``trace.ndjson`` are written in one pass over the
 backend's records, each payload encoded once for both lines.
 """
@@ -30,7 +29,7 @@ from .archive import Record, canonical_json, open_text, record_line, spliced_lin
 from .core import m_to_ft, mps_to_mph, round_half_away
 from .config import BSM_RAW_PATTERN, QUEUE_STATUS_PATTERN, SYSTEM_NODE_ID, ScenarioConfig
 from .radio import LinkKind, loss_probability, rssi_dbm
-from .sim import RunResult
+from .sim import Ledger, RunResult, SendTally
 
 EXCHANGE_ROWS = (
     ("mobile_fixed", "Mobile Edge (CV) - Fixed Edge", LinkKind.DSRC, "bsm", "Basic safety messages"),
@@ -47,89 +46,30 @@ def fnum(x: float | int | None) -> str:
     return str(x)
 
 
-@dataclass
-class SendTally:
-    """The sends of one link, or of one (link, packet kind), and where they were at the end.
-
-    A send that arrived by the end is ``delivered`` and its latency counted
-    in ``latency_sum`` and ``latency_max``; one due later is ``in_flight``;
-    the rest, out-of-range sends among them, were ``lost``. Every stored
-    field is an integer, so a mean taken from the sum is the mean of the
-    latencies themselves.
-    """
-
-    link: LinkKind
-    sent: int = 0
-    delivered: int = 0
-    in_flight: int = 0
-    latency_sum: int = 0
-    latency_max: int = 0
-
-    @property
-    def lost(self) -> int:
-        return self.sent - self.delivered - self.in_flight
-
-    @property
-    def loss_pct(self) -> float:
-        return 100.0 * self.lost / self.sent
-
-    @property
-    def avg_latency_ms(self) -> float | None:
-        return self.latency_sum / self.delivered if self.delivered else None
-
-    @property
-    def max_latency_ms(self) -> int | None:
-        return self.latency_max if self.delivered else None
-
-
-_Tallies = dict[tuple[LinkKind, str], SendTally]
-
-
-def _send_tallies(result: RunResult) -> _Tallies:
-    """Every send by (link, packet kind), in one pass: the ``out_of_range`` counts, then the logged ``packets``."""
-    end = result.summary.end_time_ms
-    tallies: _Tallies = {(link, kind): SendTally(link, sent=n) for (link, kind), n in result.out_of_range.items()}
-    for t_send, t_recv, _, _, link, kind in result.packets:
-        tally = tallies.get((link, kind))
-        if tally is None:
-            tally = tallies[link, kind] = SendTally(link)
-        tally.sent += 1
-        if t_recv is None:
-            continue
-        if t_recv > end:
-            tally.in_flight += 1
-            continue
-        latency = t_recv - t_send
-        tally.delivered += 1
-        tally.latency_sum += latency
-        if latency > tally.latency_max:
-            tally.latency_max = latency
-    return tallies
-
-
-def link_stats(tallies: _Tallies) -> list[SendTally]:
-    """Per link kind with sends, its ``_send_tallies`` summed, in ``LinkKind`` order.
+def link_stats(sends: Ledger) -> list[SendTally]:
+    """Per link kind with sends, its tallies in the ledger summed, in ``LinkKind`` order.
 
     ``delivered + in_flight + lost == sent``, and the latencies are those of
     the delivered sends.
     """
-    links = {link: SendTally(link) for link in LinkKind}
-    for tally in tallies.values():
-        total = links[tally.link]
-        total.sent += tally.sent
-        total.delivered += tally.delivered
-        total.in_flight += tally.in_flight
-        total.latency_sum += tally.latency_sum
-        total.latency_max = max(total.latency_max, tally.latency_max)
-    return [total for total in links.values() if total.sent]
+    links = []
+    for link in LinkKind:
+        total = SendTally(link)
+        for tally in sends[link].values():
+            total.delivered += tally.delivered
+            total.in_flight += tally.in_flight
+            total.channel_loss += tally.channel_loss
+            total.out_of_range += tally.out_of_range
+            total.latency_sum += tally.latency_sum
+            total.latency_max = max(total.latency_max, tally.latency_max)
+        if total.sent:
+            links.append(total)
+    return links
 
 
-def _exchange_delays(tallies: _Tallies) -> dict[str, float | None]:
+def _exchange_delays(sends: Ledger) -> dict[str, float | None]:
     """The mean latency of each ``EXCHANGE_ROWS`` exchange, over its sends delivered by the end."""
-    return {
-        key: None if (link, kind) not in tallies else tallies[link, kind].avg_latency_ms
-        for key, _, link, kind, _ in EXCHANGE_ROWS
-    }
+    return {key: sends[link][kind].avg_latency_ms for key, _, link, kind, _ in EXCHANGE_ROWS}
 
 
 @dataclass(frozen=True)
@@ -174,8 +114,7 @@ def compute_figures(result: RunResult) -> ReportFigures:
         ArchiveTally(node_id, len(a), a.appended_total, a.count(BSM_RAW_PATTERN), a.count(QUEUE_STATUS_PATTERN))
         for node_id, a in sorted(result.archives.items())
     ]
-    tallies = _send_tallies(result)
-    return ReportFigures(link_stats(tallies), _exchange_delays(tallies), queues, archives)
+    return ReportFigures(link_stats(result.sends), _exchange_delays(result.sends), queues, archives)
 
 
 def write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable[str]]) -> None:

@@ -12,11 +12,12 @@ Layer wiring:
 * roadside nodes publish received telemetry to their local broker, forward the
   same payload over the backhaul, run the queue detector once per second, and
   broadcast handoff beacons;
-* every send, of any kind, is decided in one place, ``Simulation._send``: a
-  receiver beyond the link's effective range makes it counted in
-  ``RunResult.out_of_range`` by (link, packet kind), not logged as a packet,
-  so a logged packet without ``t_recv`` is a channel loss; an in-range send
-  draws its loss and latency, is logged, and goes to ``Engine.deliver``;
+* every send, of any kind, is decided in one place, ``Simulation._send``,
+  which counts it in the run's ledger, ``RunResult.sends`` (ns-3
+  FlowMonitor's ``FlowStats``): beyond the link's effective range it is
+  ``out_of_range`` and not logged; in range it draws its loss and latency,
+  is logged, and unless lost goes to ``Engine.deliver``. The run ends at
+  ``t_end_ms``, so a delivery due later is ``in_flight`` when it is sent;
 * a roadside node keeps a window of received telemetry only while the
   detector runs: each tick summarises it once per vehicle
   (``apps.window_by_vehicle``), decides and publishes the processed data from
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, TextIO
 
@@ -86,6 +86,8 @@ BSM_PHASE_MS = 50
 # ``distance`` stays far under a metre for any two points on Earth (micrometres
 # at corridor scale), so no RSU an exact comparison would accept is pruned.
 INDEX_SLACK_M = 1.0
+# Every packet kind a send can carry; each link's ledger holds one tally per kind.
+PACKET_KINDS = ("bsm", "bsm_forward", "beacon", "warning", "queue_status")
 
 
 class PacketRecord(NamedTuple):
@@ -96,7 +98,7 @@ class PacketRecord(NamedTuple):
     tx: str
     rx: str
     link: LinkKind
-    kind: str  # bsm | bsm_forward | beacon | warning | queue_status
+    kind: str  # one of PACKET_KINDS
 
     @property
     def delivered(self) -> bool:
@@ -105,6 +107,50 @@ class PacketRecord(NamedTuple):
     @property
     def latency_ms(self) -> int | None:
         return None if self.t_recv is None else self.t_recv - self.t_send
+
+
+@dataclass
+class SendTally:
+    """The sends of one link, or of one (link, packet kind), by outcome.
+
+    A send that arrived by the end of the run is ``delivered``, and its
+    latency is counted in ``latency_sum`` and ``latency_max``; one due later
+    is ``in_flight``; one lost on the channel is ``channel_loss``; one beyond
+    the receiver's range is ``out_of_range``, and the last two are ``lost``.
+    Every stored field is an integer, so a mean taken from the sum is the mean
+    of the latencies themselves.
+    """
+
+    link: LinkKind
+    delivered: int = 0
+    in_flight: int = 0
+    channel_loss: int = 0
+    out_of_range: int = 0
+    latency_sum: int = 0
+    latency_max: int = 0
+
+    @property
+    def sent(self) -> int:
+        return self.delivered + self.in_flight + self.channel_loss + self.out_of_range
+
+    @property
+    def lost(self) -> int:
+        return self.channel_loss + self.out_of_range
+
+    @property
+    def loss_pct(self) -> float:
+        return 100.0 * self.lost / self.sent
+
+    @property
+    def avg_latency_ms(self) -> float | None:
+        return self.latency_sum / self.delivered if self.delivered else None
+
+    @property
+    def max_latency_ms(self) -> int | None:
+        return self.latency_max if self.delivered else None
+
+
+Ledger = dict[LinkKind, dict[str, SendTally]]
 
 
 @dataclass(frozen=True)
@@ -122,7 +168,7 @@ class RunResult:
     avoidance_decisions: list[AvoidanceDecision]
     queue_evals: list[QueueEval]
     archives: dict[str, Archive]
-    out_of_range: Counter[tuple[LinkKind, str]]  # sends beyond the receiver's range, by (link, kind)
+    sends: Ledger  # every send's outcome, by link, then by packet kind
 
     def queue_accuracy(self) -> float | None:
         return accuracy([e.decision.queued for e in self.queue_evals], [e.truth for e in self.queue_evals])
@@ -242,7 +288,7 @@ class Simulation:
 
         self.agents: dict[str, _VehicleAgent] = {}
         self.packets: list[PacketRecord] = []
-        self.out_of_range: Counter[tuple[LinkKind, str]] = Counter()
+        self.sends: Ledger = {link: {kind: SendTally(link) for kind in PACKET_KINDS} for link in LinkKind}
         self.handoff_events: list[ho.HandoffEvent] = []
         self.avoidance_decisions: list[AvoidanceDecision] = []
         self.queue_evals: list[QueueEval] = []
@@ -251,8 +297,10 @@ class Simulation:
         # Sudden-stop warnings ride each link at their own measured latency.
         self._dsrc_warning_model = self.links[LinkKind.DSRC].for_warnings()
         self._lte_warning_model = self.links[LinkKind.LTE].for_warnings()
-        # Streams are seeded by their name, so making them up front moves no draw.
-        self._delivery_streams = {kind: self.engine.stream(f"radio.{kind.value}.delivery") for kind in LinkKind}
+        # Each link's delivery stream and ledger, one lookup per send. Streams are seeded by name: no draw moves.
+        self._per_link = {
+            link: (self.engine.stream(f"radio.{link.value}.delivery"), self.sends[link]) for link in LinkKind
+        }
         self._prune_interval_ms = max(1, config.fixed_edge_retention_ms // 4)
         self._ran = False
 
@@ -313,22 +361,34 @@ class Simulation:
         deliver,
         distance_m: float = 0.0,
     ) -> None:
-        """Decide one send: range gate, loss and latency draw, packet log, delivery.
+        """Decide one send: range gate, loss and latency draw, packet log, delivery, ledger.
 
-        A send beyond the receiver's effective range is only counted in
+        A send beyond the receiver's effective range is only counted as
         ``out_of_range``. Deliveries one handler sends for one millisecond
         share one engine event. The distance defaults to 0, which is all an
         unbounded link needs.
         """
+        stream, tallies = self._per_link[model.kind]
+        tally = tallies[kind]
         if not in_range(distance_m, model):
-            self.out_of_range[model.kind, kind] += 1
+            tally.out_of_range += 1
             return
         now = self.engine.now
-        outcome = sample_delivery(distance_m, model, self._delivery_streams[model.kind])
+        outcome = sample_delivery(distance_m, model, stream)
         t_recv = None if outcome is None else now + outcome.latency_ms  # None: lost on the channel
         self.packets.append(PacketRecord(now, t_recv, tx, rx, model.kind, kind))
-        if t_recv is not None:
-            self.engine.deliver(t_recv, kind, deliver)
+        if t_recv is None:
+            tally.channel_loss += 1
+            return
+        self.engine.deliver(t_recv, kind, deliver)
+        if t_recv > self.config.t_end_ms:  # the run ends before it arrives
+            tally.in_flight += 1
+            return
+        latency = outcome.latency_ms
+        tally.delivered += 1
+        tally.latency_sum += latency
+        if latency > tally.latency_max:
+            tally.latency_max = latency
 
     def _reach(self, vid: str) -> list[tuple[int, float]]:
         """``(position in self.rsus, distance)`` of each RSU the index keeps for vehicle ``vid``.
@@ -390,7 +450,7 @@ class Simulation:
                     deliver=lambda a=self.agents[vid]: self._on_beacon(a),
                 )
         pruned = len(self.rsus) * len(self.agents) - sum(map(len, receivers))
-        self.out_of_range[self._beacon_model.kind, "beacon"] += pruned
+        self.sends[self._beacon_model.kind]["beacon"].out_of_range += pruned
         self.engine.at(now + cfg.beacon_interval_ms, "beacon", "rsus", self._beacon_round)
 
     def _on_beacon(self, agent: _VehicleAgent) -> None:
@@ -453,7 +513,7 @@ class Simulation:
             else:
                 reached = self._reach(vid)
                 if not reached:  # every RSU is beyond the link's range
-                    self.out_of_range[link, "bsm"] += 1
+                    self.sends[link]["bsm"].out_of_range += 1
                     continue
                 d, _, i = min((d, self.rsus[i].node_id, i) for i, d in reached)
                 node = self.rsus[i]
@@ -583,7 +643,7 @@ class Simulation:
             avoidance_decisions=self.avoidance_decisions,
             queue_evals=self.queue_evals,
             archives={node.node_id: node.archive for node in (self.backend, *self.rsus)},
-            out_of_range=self.out_of_range,
+            sends=self.sends,
         )
 
 

@@ -347,6 +347,16 @@ def test_quoted_scalar_stays_a_string(quoted):
         ("seed: 0", 'seed: !!int ""', 2, "cannot read '' as !!int"),
         ("seed: 0", 'seed: !!int "-"', 2, "cannot read '-' as !!int"),
         ("seed: 0", "seed: !!float", 2, "cannot read '' as !!float"),
+        # A collection under any explicit tag but ``!`` or its own.
+        ("corridor:", "corridor: !!str", 4, "cannot read a mapping as !!str"),
+        ("  polyline:", "  polyline: !foo", 5, "cannot read a sequence as !foo"),
+        ("vehicles:", "vehicles: !!int", 8, "cannot read a sequence as !!int"),
+        ("corridor:", "corridor: !!set", 4, "cannot read a mapping as !!set"),
+        ("corridor:", "corridor: !!omap", 4, "cannot read a mapping as !!omap"),
+        ("corridor:", "corridor: !!seq", 4, "cannot read a mapping as !!seq"),
+        ("  polyline:", "  polyline: !!map", 5, "cannot read a sequence as !!map"),
+        ("    - [40.0, -75.0]", "    - !!binary [40.0, -75.0]", 6, "cannot read a sequence as !!binary"),
+        ("  - id: cv1", "  - !!seq\n    id: cv1", 9, "cannot read a mapping as !!seq"),
     ],
 )
 def test_unreadable_scalar_rejected_with_line(old, new, line, message):
@@ -354,6 +364,24 @@ def test_unreadable_scalar_rejected_with_line(old, new, line, message):
     with pytest.raises(ConfigError) as err:
         parse(text.replace(old, new), source="case.yaml")
     assert f"case.yaml:{line}" in str(err.value) and message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("corridor:", "corridor: !!map"),
+        ("corridor:", "corridor: !"),
+        ("  polyline:", "  polyline: !!seq"),
+        ("    - [40.0, -75.0]", "    - ! [40.0, -75.0]"),
+        ("vehicles:", "vehicles: !!seq"),
+    ],
+)
+def test_collection_under_its_own_tag_reads_as_untagged(old, new):
+    text = MINIMAL.replace(old, new)
+    parse(text)
+    assert under_each_loader(load_yaml_with_lines, text, "case.yaml") == under_each_loader(
+        load_yaml_with_lines, MINIMAL, "case.yaml"
+    )
 
 
 @pytest.mark.parametrize(

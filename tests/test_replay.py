@@ -1,3 +1,4 @@
+import importlib.resources
 import io
 import json
 import math
@@ -149,6 +150,23 @@ def test_replay_reproduces_live_while_every_message_lands_before_its_decision(tm
     dsrc = replace(config.links[LinkKind.DSRC], latency_mean_ms=latency_ms)
     config = replace(config, links={**config.links, LinkKind.DSRC: dsrc})
     assert_replay_reproduces_live(run_scenario(config), config, tmp_path / "trace.ndjson")
+
+
+def test_replay_decides_nothing_when_no_vehicle_is_connected(tmp_path):
+    """The README's third condition: replay decides only through the trace's
+    last second, so a run with no connected vehicle, whose trace is empty,
+    replays to no decision while live decides every second."""
+    text = (importlib.resources.files("cvsim") / "scenarios" / "queue_full_penetration.yaml").read_text("utf-8")
+    scenario = tmp_path / "unconnected.yaml"
+    scenario.write_text(text.replace("speed_mph: 20.0\n", "speed_mph: 20.0\n    connected: false\n"), "utf-8")
+    live, replayed = tmp_path / "live", tmp_path / "replay"
+    with redirect_stdout(io.StringIO()):
+        assert main(["--scenario", str(scenario), "--out-dir", str(live)]) == 0
+        trace = str(live / "trace.ndjson")
+        assert main(["--trace", trace, "--scenario", str(scenario), "--out-dir", str(replayed)]) == 0
+    assert (live / "trace.ndjson").read_bytes() == b""
+    assert len((live / "queue_decisions.csv").read_text(encoding="utf-8").splitlines()) == 1 + 167
+    assert len((replayed / "queue_decisions.csv").read_text(encoding="utf-8").splitlines()) == 1
 
 
 def test_axis_fallback_matches_corridor_projection_on_straight_road(scenario_runs, tmp_path):

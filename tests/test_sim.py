@@ -18,7 +18,7 @@ from cvsim.engine import DELIVERY_KIND
 from cvsim.mobility import DEG_TO_M, Corridor
 from cvsim.radio import LinkKind, in_range
 from cvsim.report import EXCHANGE_ROWS, compute_figures, coverage_rows, write_artifacts
-from cvsim.sim import SYSTEM_NODE_ID, Simulation, run_scenario
+from cvsim.sim import PACKET_KINDS, SYSTEM_NODE_ID, Simulation, run_scenario
 
 
 def test_collision_scenario_decisions(scenario_runs):
@@ -74,7 +74,7 @@ script:
 def test_out_of_range_warning_is_counted_not_logged(scenario_runs):
     # cv1 brakes hard; cv2 is within short-range reach of it, cv3 is not.
     result = scenario_runs("collision_avoidance_20mph")
-    assert result.out_of_range[LinkKind.DSRC, "warning"] == 1
+    assert result.sends[LinkKind.DSRC]["warning"].out_of_range == 1
     logged = [p.rx for p in result.packets if p.kind == "warning" and p.link is LinkKind.DSRC]
     assert logged == ["cv2"]
 
@@ -335,13 +335,23 @@ def test_every_send_is_delivered_in_flight_or_lost(scenario_runs, name):
     assert result.archives[SYSTEM_NODE_ID].appended_total == len(arrived)
 
 
+def out_of_range_counts(result):
+    """The ledger's out-of-range sends, as a ``Counter`` keyed by (link, kind)."""
+    return Counter(
+        {(link, kind): tally.out_of_range for link, kinds in result.sends.items() for kind, tally in kinds.items()}
+    )
+
+
 def recount_figures(result):
-    """``compute_figures``' link statistics and exchange delays as tuples, recounted from the packets one figure at a time."""
+    """``compute_figures``' link statistics and exchange delays as tuples, recounted from the packets one figure at a time.
+
+    Only the out-of-range counts, which no packet records, come from the ledger.
+    """
     end = result.summary.end_time_ms
     stats = []
     for link in LinkKind:
         packets = [p for p in result.packets if p.link is link]
-        out_of_range = sum(n for (on, _), n in result.out_of_range.items() if on is link)
+        out_of_range = sum(tally.out_of_range for tally in result.sends[link].values())
         sent = len(packets) + out_of_range
         if not sent:
             continue
@@ -358,12 +368,33 @@ def recount_figures(result):
     return stats, delays
 
 
+def recount_tallies(result):
+    """Each (link, kind)'s delivered, in-flight and channel-loss counts and latency sum and max, from the packets."""
+    end = result.summary.end_time_ms
+    by_pair = {(link, kind): [] for link in LinkKind for kind in PACKET_KINDS}
+    for p in result.packets:
+        by_pair[p.link, p.kind].append(p)
+    tallies = {}
+    for pair, sends in by_pair.items():
+        latencies = [p.latency_ms for p in sends if p.delivered and p.t_recv <= end]
+        in_flight = sum(p.delivered and p.t_recv > end for p in sends)
+        lost = sum(not p.delivered for p in sends)
+        tallies[pair] = (len(latencies), in_flight, lost, sum(latencies), max(latencies, default=0))
+    return tallies
+
+
 def assert_one_pass_matches_recount(result):
     stats = [
         (s.link, s.sent, s.delivered, s.in_flight, s.lost, s.loss_pct, s.avg_latency_ms, s.max_latency_ms)
         for s in compute_figures(result).links
     ]
     assert (stats, compute_figures(result).delays) == recount_figures(result)
+    ledger = {
+        (link, kind): (t.delivered, t.in_flight, t.channel_loss, t.latency_sum, t.latency_max)
+        for link, kinds in result.sends.items()
+        for kind, t in kinds.items()
+    }
+    assert ledger == recount_tallies(result)
 
 
 @pytest.mark.parametrize("name", bundled_scenario_names())
@@ -380,7 +411,7 @@ def test_link_figures_match_a_recount_with_late_and_out_of_range_sends():
     result = run_scenario(with_beacons(config, latency_mean_ms=30, latency_jitter_ms=20, beacon_p_near=0.3))
     stats = {s.link: s for s in compute_figures(result).links}
     assert stats[LinkKind.DSRC].in_flight and stats[LinkKind.LTE].in_flight
-    assert result.out_of_range[LinkKind.DSRC, "bsm"] and result.out_of_range[LinkKind.DSRC, "beacon"]
+    assert result.sends[LinkKind.DSRC]["bsm"].out_of_range and result.sends[LinkKind.DSRC]["beacon"].out_of_range
     assert any(p.link is LinkKind.DSRC and not p.delivered for p in result.packets)
     assert_one_pass_matches_recount(result)
 
@@ -398,7 +429,7 @@ def test_sends_that_are_only_out_of_range_count_as_lost(tmp_path, kind):
     extra = "script:\n  - {at_s: 2.0, action: hard_brake, vehicle: v1}\n" if braking else ""
     vehicles = [0.9, 0.0] if braking else [0.9]
     result = run_scenario(index_scenario([(0.0, 3000.0)], [("r0", 0.0, 0.0)], vehicles, t_end_s=5.0, extra=extra))
-    assert result.out_of_range[LinkKind.DSRC, kind]
+    assert result.sends[LinkKind.DSRC][kind].out_of_range
     assert not [p for p in result.packets if p.link is LinkKind.DSRC and p.kind == kind]
     dsrc = {s.link: s for s in compute_figures(result).links}[LinkKind.DSRC]
     if braking:
@@ -421,6 +452,35 @@ def test_final_second_queue_status_is_in_flight(scenario_runs):
     assert (stats[LinkKind.WIFI].sent, stats[LinkKind.WIFI].delivered, stats[LinkKind.WIFI].in_flight) == (1591, 1588, 3)
     assert stats[LinkKind.WIFI].lost == 0 and stats[LinkKind.WIFI].avg_latency_ms == 6.0
     assert compute_figures(scenario_runs("corridor_coverage")).delays["system_fixed"] == 6.0
+
+
+@pytest.mark.parametrize("latency_ms, in_flight", [(50, 0), (51, 1)])
+def test_a_send_due_at_the_end_is_delivered_and_one_due_later_is_in_flight(latency_ms, in_flight):
+    """With no RSU, v0's ten BSMs ride cellular, the last leaving at 950 ms of
+    a 1 s run: at 50 ms it is due exactly at the end, fires and is archived;
+    at 51 ms it is due 1 ms after the end and is in flight."""
+    text = f"""\
+name: end_boundary
+t_end_s: 1.0
+corridor:
+  polyline:
+    - [40.0, -75.0]
+    - [40.010792, -75.0]
+links:
+  lte:
+    latency_mean_ms: {latency_ms}
+detection:
+  enabled: false
+vehicles:
+  - {{id: v0, s_m: 100.0, speed_mph: 20.0}}
+"""
+    result = run_scenario(parse_scenario(text))
+    bsm = result.sends[LinkKind.LTE]["bsm"]
+    assert (bsm.sent, bsm.delivered, bsm.in_flight, bsm.lost) == (10, 10 - in_flight, in_flight, 0)
+    assert (bsm.latency_sum, bsm.latency_max) == ((10 - in_flight) * latency_ms, latency_ms)
+    assert result.archives[SYSTEM_NODE_ID].appended_total == bsm.delivered
+    assert max(p.t_recv for p in result.packets) == 1000 + in_flight
+    assert_one_pass_matches_recount(result)
 
 
 def test_wifi_access_override_leaves_the_backhaul_at_6_ms():
@@ -547,7 +607,7 @@ def test_rsu_index_agrees_with_measuring_every_rsu(case):
                 beyond += 1
     sent = [(p.tx, p.rx) for p in result.packets if p.kind == "bsm" and p.link is LinkKind.DSRC]
     assert sorted(sent) == sorted(bsms)
-    assert result.out_of_range == Counter(
+    assert out_of_range_counts(result) == Counter(
         {(LinkKind.DSRC, "beacon"): len(sim.rsus) * len(positions) - len(pairs), (LinkKind.DSRC, "bsm"): beyond}
     )
 
@@ -565,7 +625,7 @@ def assert_matches_measuring_every_rsu(config):
     result, trace = run_traced(Simulation, config)
     expected, expected_trace = run_traced(_MeasureEveryRsuSimulation, config)
     assert result.packets == expected.packets
-    assert result.out_of_range == expected.out_of_range
+    assert out_of_range_counts(result) == out_of_range_counts(expected)
     assert result.handoff_events == expected.handoff_events
     assert trace == expected_trace
     return result
@@ -593,7 +653,7 @@ def test_bsms_beyond_every_rsu_before_the_miss_timeout_are_counted():
     result = assert_matches_measuring_every_rsu(config)
     exit_t = next(e.t for e in result.handoff_events if e.to_link is LinkKind.LTE)
     last_sent = max(p.t_send for p in result.packets if p.kind == "bsm" and p.link is LinkKind.DSRC)
-    assert result.out_of_range[LinkKind.DSRC, "bsm"] == len(range(last_sent + 100, exit_t, 100)) > 0
+    assert result.sends[LinkKind.DSRC]["bsm"].out_of_range == len(range(last_sent + 100, exit_t, 100)) > 0
 
 
 class _CountingSimulation(Simulation):
@@ -628,11 +688,11 @@ def test_beacons_are_logged_or_counted_once_each():
         result = sim.run()
         short_range = config.handoff.short_range
         logged = sum(p.kind == "beacon" for p in result.packets)
-        counted = result.out_of_range[short_range, "beacon"]
+        counted = result.sends[short_range]["beacon"].out_of_range
         assert logged and counted
         assert logged + counted == sim.beacon_pairs
         stats = next(s for s in compute_figures(result).links if s.link is short_range)
-        counted_on_link = sum(n for (link, _), n in result.out_of_range.items() if link is short_range)
+        counted_on_link = sum(tally.out_of_range for tally in result.sends[short_range].values())
         assert stats.sent == sum(p.link is short_range for p in result.packets) + counted_on_link
 
 
@@ -796,7 +856,7 @@ def outcomes(result):
     }
     return (
         result.packets, result.handoff_events, result.avoidance_decisions, result.queue_evals,
-        archives, result.out_of_range, result.summary.end_time_ms,
+        archives, out_of_range_counts(result), result.summary.end_time_ms,
     )
 
 
