@@ -5,9 +5,9 @@ the backend keeps everything. Records are kept in memory in (t, seq) order,
 with a count of the retained records per topic, so ``count`` and ``query``
 match distinct topics, not records.
 Nothing is encoded on append. An export encodes each record's payload once
-(``canonical_json``) and builds the record's line around that encoding
-(``record_line``; ``spliced_line`` adds one key). Keys are sorted, so
-identical runs export byte-identical files. Every file cvsim writes is
+(``canonical_json``, whose encoder is built once, at import) and builds the
+record's line around that encoding (``record_line``; ``spliced_line`` adds one
+key). Keys are sorted, so identical runs export byte-identical files. Every file cvsim writes is
 opened by ``open_text``: UTF-8 with LF line ends on every platform.
 
 A ``Record`` is an immutable ``typing.NamedTuple``, compared as a tuple.
@@ -25,9 +25,22 @@ from typing import Iterator, NamedTuple, TextIO
 
 from .broker import _match_levels, split_filter, split_topic
 
-# One encoder for every export: ``json.dumps`` with options builds a new one per call.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _json_str = json.encoder.encode_basestring_ascii
+_reference = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+if json.encoder.c_make_encoder is None:  # an interpreter without ``_json``
+    canonical_json = _reference.encode
+else:
+    # One C encoder for every export, built once: ``JSONEncoder.encode`` builds a new one, with
+    # a circular-reference dict and a float closure, on every call. ``markers`` is None, so
+    # nothing checks for cycles: every payload comes from cvsim's own ``to_doc`` methods and
+    # holds none, and a shared markers dict would keep a stale entry after any error. The
+    # arguments are those ``JSONEncoder.iterencode`` passes: markers, default, string encoder,
+    # indent, key and item separators, sort_keys, skipkeys, allow_nan.
+    _encoder = json.encoder.c_make_encoder(None, _reference.default, _json_str, None, ":", ",", True, False, True)
+
+    def canonical_json(doc: object) -> str:
+        """``json.dumps(doc, sort_keys=True, separators=(",", ":"))``."""
+        return "".join(_encoder(doc, 0))
 
 
 def open_text(path: str | Path) -> TextIO:

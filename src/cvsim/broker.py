@@ -6,11 +6,14 @@ none). Delivery semantics: exactly-once per matching subscriber (deduplicated
 across overlapping filters), per-publisher FIFO, no retained messages. Channel
 loss belongs to the radio layer, never here.
 
-Each filter is split and validated once, at subscribe time. A filter without
-'+' or '#' can match only the topic spelled the same, so it is kept in a bucket
-under that string and a publish finds it with one lookup. A wildcard filter
-keeps its split levels and every publish tests it with ``_match_levels``, the
-one matcher that ``matches`` and the archive's queries use too.
+Each filter is split and validated once, at subscribe time, and each published
+topic once per broker, at its first publish. A filter without '+' or '#' can
+match only the topic spelled the same, so it is kept in a bucket under that
+string and a publish finds it with one lookup. A wildcard filter keeps its
+split levels and a publish tests it with ``_match_levels``, the one matcher
+that ``matches`` and the archive's queries use too. A publish splits its topic
+only while the broker holds a wildcard filter; without one, a topic that has
+no bucket reaches the taps and no one else.
 """
 
 from __future__ import annotations
@@ -118,6 +121,7 @@ class Broker:
     _next_id: int = field(init=False, default=1)
     _exact: dict[str, dict[int, _Subscription]] = field(init=False, default_factory=dict)  # keyed by filter = topic
     _wild: dict[int, _Subscription] = field(init=False, default_factory=dict)
+    _valid: set[str] = field(init=False, default_factory=set)  # topics that passed split_topic
     taps: list[Callable[[BrokerMessage], None]] = field(init=False, default_factory=list)
 
     def add_tap(self, tap: Callable[[BrokerMessage], None]) -> None:
@@ -162,20 +166,31 @@ class Broker:
         callback of its lowest-numbered matching subscription; subscribers
         are called in ascending order of that subscription's id.
         """
-        levels = split_topic(msg.topic)
+        topic = msg.topic
+        if topic not in self._valid:
+            split_topic(topic)
+            self._valid.add(topic)
         for tap in self.taps:
             tap(msg)
-        found = dict(self._exact.get(msg.topic, ()))
-        for sub_id, sub in self._wild.items():
-            if _match_levels(sub.levels, levels):
-                found[sub_id] = sub
-        reached: set[str] = set()
-        targets: list[_Subscription] = []
-        for sub_id in sorted(found):
-            sub = found[sub_id]
-            if sub.client not in reached:
-                reached.add(sub.client)
-                targets.append(sub)
+        bucket = self._exact.get(topic)
+        if not self._wild:
+            if bucket is None:
+                return 0
+            # Subscriptions are one per (client, pattern), so a bucket holds each client once, in id order.
+            targets = list(bucket.values())
+        else:
+            levels = topic.split("/")
+            found = dict(bucket or ())
+            for sub_id, sub in self._wild.items():
+                if _match_levels(sub.levels, levels):
+                    found[sub_id] = sub
+            reached: set[str] = set()
+            targets = []
+            for sub_id in sorted(found):
+                sub = found[sub_id]
+                if sub.client not in reached:
+                    reached.add(sub.client)
+                    targets.append(sub)
         for sub in targets:
             sub.callback(msg)
         return len(targets)

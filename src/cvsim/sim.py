@@ -102,6 +102,11 @@ class PacketRecord(NamedTuple):
 
     @property
     def delivered(self) -> bool:
+        """True unless the send was lost on the channel.
+
+        So it is also true for a send still in flight at the end of the run
+        (``t_recv > t_end_ms``), which ``SendTally.delivered`` leaves out.
+        """
         return self.t_recv is not None
 
     @property

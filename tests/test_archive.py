@@ -1,12 +1,16 @@
+import importlib.util
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cvsim import archive
 from cvsim.apps import eval_bucket
 from cvsim.archive import Archive, InvalidRangeError, Record, canonical_json, canonical_line, spliced_line
 from cvsim.broker import matches
+from cvsim.config import SYSTEM_NODE_ID, bundled_scenario_names
 from cvsim.report import _BsmTrace
 
 
@@ -212,3 +216,60 @@ def test_trace_line_adds_the_truth_of_its_bucket(payload, t, truth):
     record = Record(seq=0, topic="bsm/raw/v", t=t, payload=payload, origin="v")
     expected = canonical_line(payload if truth is None else {**payload, "truth": truth})
     assert trace.line(record, canonical_json(payload)) == expected
+
+
+# -- the shared encoder against json.dumps ----------------------------------------
+
+def reference_json(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+EDGE_DOCS = [
+    {"text": "caf\u00e9 \u2014 \U0001f697", "ctl": "\x00\x1f\t\n\r\"\\/", "\u00e9\x01": 1},
+    {"zero": -0.0, "small": 1e-7, "big": 10**20, "neg": -(10**20), "nan": float("nan"), "inf": float("inf")},
+    {"b": {"d": [1, {"f": [], "e": {}}], "c": None}, "a": [[], [True, False, None], 0.1]},
+    True,
+    False,
+    None,
+    -0.0,
+    "x\u00ff",
+    [],
+    {},
+]
+
+
+def fallback_archive(monkeypatch):
+    """A second copy of ``cvsim.archive`` imported with no C encoder, as without ``_json``.
+
+    ``JSONEncoder`` reads ``c_make_encoder`` at each call, so it stays ``None`` until the test ends.
+    """
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    spec = importlib.util.spec_from_file_location("cvsim._archive_fallback", archive.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    assert not hasattr(module, "_encoder")  # the fallback path was taken
+    return module
+
+
+@pytest.mark.parametrize("doc", EDGE_DOCS, ids=range(len(EDGE_DOCS)))
+def test_canonical_json_equals_json_dumps_on_edge_documents(doc, monkeypatch):
+    expected = reference_json(doc)
+    assert canonical_json(doc) == expected
+    assert fallback_archive(monkeypatch).canonical_json(doc) == expected
+
+
+def test_the_encoder_still_encodes_after_an_error():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        canonical_json({"a": object()})
+    assert canonical_json({"a": [1]}) == '{"a":[1]}'
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_canonical_json_equals_json_dumps_on_every_backend_payload(name, scenario_runs, monkeypatch):
+    payloads = [r.payload for r in scenario_runs(name).archives[SYSTEM_NODE_ID]]
+    assert payloads
+    expected = [reference_json(payload) for payload in payloads]
+    assert [canonical_json(payload) for payload in payloads] == expected
+    fallback = fallback_archive(monkeypatch).canonical_json
+    assert [fallback(payload) for payload in payloads] == expected

@@ -1,9 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cvsim.broker
 from cvsim.broker import Broker, BrokerMessage, TopicError, matches, split_filter, split_topic
+from cvsim.config import load_scenario
+from cvsim.sim import run_scenario
 
 
 def reference_matches(pattern, topic):
@@ -32,7 +36,10 @@ def test_valid_topics(topic):
     split_topic(topic)
 
 
-@pytest.mark.parametrize("topic", ["", "a//b", "/a", "a/", "a/+/b", "a/#", "x" * 300, "a/\ud800"])
+INVALID_TOPICS = ["", "a//b", "/a", "a/", "a/+/b", "a/#", "x" * 300, "a/\ud800"]
+
+
+@pytest.mark.parametrize("topic", INVALID_TOPICS)
 def test_invalid_topics(topic):
     with pytest.raises(TopicError):
         split_topic(topic)
@@ -167,6 +174,71 @@ def test_malformed_topic_rejected_at_publish():
     broker = Broker()
     with pytest.raises(TopicError):
         broker.publish(msg("bsm/+/v1"))
+
+
+@pytest.mark.parametrize("topic", INVALID_TOPICS)
+def test_malformed_topic_raises_at_every_publish_and_reaches_no_tap(topic):
+    fresh, seasoned = Broker(), Broker()
+    tapped = []
+    for broker in (fresh, seasoned):
+        broker.add_tap(tapped.append)
+        broker.subscribe("c1", "a/b", tapped.append)
+    for good in ("a/b", "a/c", "x" * 250):
+        seasoned.publish(msg(good))
+    tapped.clear()
+    for broker in (fresh, seasoned, fresh, seasoned):
+        with pytest.raises(TopicError):
+            broker.publish(msg(topic))
+    assert tapped == []
+
+
+def test_each_topic_is_validated_once_per_broker(monkeypatch):
+    """Over a whole run, ``split_topic`` runs once per distinct (broker, topic) pair."""
+    config = load_scenario("corridor_coverage")
+    validated = Counter()
+    published = set()
+    split, publish = cvsim.broker.split_topic, Broker.publish
+
+    def counting_split(topic):
+        validated[topic] += 1
+        return split(topic)
+
+    def recording_publish(broker, m):
+        published.add((id(broker), m.topic))
+        return publish(broker, m)
+
+    monkeypatch.setattr(cvsim.broker, "split_topic", counting_split)
+    monkeypatch.setattr(Broker, "publish", recording_publish)
+    run_scenario(config)
+    assert len(published) > len(validated) > 1  # topics repeat across brokers
+    assert validated == Counter(topic for _, topic in published)
+
+
+def test_wildcard_filters_keep_order_dedup_and_callback():
+    """Exact buckets and wildcard filters together, then the exact buckets alone."""
+    broker = Broker()
+    got = []
+
+    def sub(client, pattern):
+        return broker.subscribe(client, pattern, lambda m: got.append((client, pattern)))
+
+    sub("c2", "a/b")
+    wild = [sub("c1", "a/+"), sub("c2", "a/#")]
+    sub("c3", "a/b")
+    sub("c1", "a/b")
+    assert broker.publish(msg("a/b")) == 3
+    assert got == [("c2", "a/b"), ("c1", "a/+"), ("c3", "a/b")]
+    got.clear()
+    assert broker.publish(msg("a/c")) == 2
+    assert got == [("c1", "a/+"), ("c2", "a/#")]
+    for sub_id in wild:
+        broker.unsubscribe(sub_id)
+    got.clear()
+    assert broker.publish(msg("a/b")) == 3
+    assert got == [("c2", "a/b"), ("c3", "a/b"), ("c1", "a/b")]
+    got.clear()
+    assert broker.publish(msg("a/c")) == 0
+    assert got == []
 
 
 def test_per_publisher_fifo_order():
