@@ -7,8 +7,9 @@ match distinct topics, not records.
 Nothing is encoded on append. An export encodes each record's payload once
 (``canonical_json``, whose encoder is built once, at import) and builds the
 record's line around that encoding (``record_line``; ``spliced_line`` adds one
-key). Keys are sorted, so identical runs export byte-identical files. Every file cvsim writes is
-opened by ``open_text``: UTF-8 with LF line ends on every platform.
+key). Keys are sorted, so identical runs export byte-identical files. Every
+file cvsim writes is opened by ``open_text``: UTF-8 with LF line ends on every
+platform.
 
 A ``Record`` is an immutable ``typing.NamedTuple``, compared as a tuple.
 """
@@ -26,21 +27,19 @@ from typing import Iterator, NamedTuple, TextIO
 from .broker import _match_levels, split_filter, split_topic
 
 _json_str = json.encoder.encode_basestring_ascii
-_reference = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-if json.encoder.c_make_encoder is None:  # an interpreter without ``_json``
-    canonical_json = _reference.encode
-else:
-    # One C encoder for every export, built once: ``JSONEncoder.encode`` builds a new one, with
-    # a circular-reference dict and a float closure, on every call. ``markers`` is None, so
-    # nothing checks for cycles: every payload comes from cvsim's own ``to_doc`` methods and
-    # holds none, and a shared markers dict would keep a stale entry after any error. The
-    # arguments are those ``JSONEncoder.iterencode`` passes: markers, default, string encoder,
-    # indent, key and item separators, sort_keys, skipkeys, allow_nan.
-    _encoder = json.encoder.c_make_encoder(None, _reference.default, _json_str, None, ":", ",", True, False, True)
+# One C encoder for every export, built once: ``JSONEncoder.encode`` builds a new one, with a
+# circular-reference dict and a float closure, on every call. CPython's ``json`` always has
+# ``c_make_encoder`` (from ``_json``). ``markers`` is None, so nothing checks for cycles: every
+# payload comes from cvsim's own ``to_doc`` methods and holds none, and a shared markers dict
+# would keep a stale entry after any error. The arguments are those ``JSONEncoder.iterencode``
+# passes: markers, default, string encoder, indent, key and item separators, sort_keys,
+# skipkeys, allow_nan.
+_encoder = json.encoder.c_make_encoder(None, json.JSONEncoder().default, _json_str, None, ":", ",", True, False, True)
 
-    def canonical_json(doc: object) -> str:
-        """``json.dumps(doc, sort_keys=True, separators=(",", ":"))``."""
-        return "".join(_encoder(doc, 0))
+
+def canonical_json(doc: object) -> str:
+    """``json.dumps(doc, sort_keys=True, separators=(",", ":"))``."""
+    return "".join(_encoder(doc, 0))
 
 
 def open_text(path: str | Path) -> TextIO:

@@ -11,9 +11,9 @@ topic once per broker, at its first publish. A filter without '+' or '#' can
 match only the topic spelled the same, so it is kept in a bucket under that
 string and a publish finds it with one lookup. A wildcard filter keeps its
 split levels and a publish tests it with ``_match_levels``, the one matcher
-that ``matches`` and the archive's queries use too. A publish splits its topic
-only while the broker holds a wildcard filter; without one, a topic that has
-no bucket reaches the taps and no one else.
+that ``matches`` and the archive's queries use too. A topic with no bucket,
+published while the broker holds no wildcard filter, reaches the taps and no
+one else: the publish stops there, without splitting the topic.
 """
 
 from __future__ import annotations
@@ -173,24 +173,20 @@ class Broker:
         for tap in self.taps:
             tap(msg)
         bucket = self._exact.get(topic)
-        if not self._wild:
-            if bucket is None:
-                return 0
-            # Subscriptions are one per (client, pattern), so a bucket holds each client once, in id order.
-            targets = list(bucket.values())
-        else:
-            levels = topic.split("/")
-            found = dict(bucket or ())
-            for sub_id, sub in self._wild.items():
-                if _match_levels(sub.levels, levels):
-                    found[sub_id] = sub
-            reached: set[str] = set()
-            targets = []
-            for sub_id in sorted(found):
-                sub = found[sub_id]
-                if sub.client not in reached:
-                    reached.add(sub.client)
-                    targets.append(sub)
+        if bucket is None and not self._wild:
+            return 0
+        levels = topic.split("/")
+        found = dict(bucket or ())
+        for sub_id, sub in self._wild.items():
+            if _match_levels(sub.levels, levels):
+                found[sub_id] = sub
+        reached: set[str] = set()
+        targets: list[_Subscription] = []
+        for sub_id in sorted(found):
+            sub = found[sub_id]
+            if sub.client not in reached:
+                reached.add(sub.client)
+                targets.append(sub)
         for sub in targets:
             sub.callback(msg)
         return len(targets)

@@ -1,12 +1,9 @@
-import importlib.util
 import json
 import random
-import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cvsim import archive
 from cvsim.apps import eval_bucket
 from cvsim.archive import Archive, InvalidRangeError, Record, canonical_json, canonical_line, spliced_line
 from cvsim.broker import matches
@@ -238,25 +235,9 @@ EDGE_DOCS = [
 ]
 
 
-def fallback_archive(monkeypatch):
-    """A second copy of ``cvsim.archive`` imported with no C encoder, as without ``_json``.
-
-    ``JSONEncoder`` reads ``c_make_encoder`` at each call, so it stays ``None`` until the test ends.
-    """
-    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    spec = importlib.util.spec_from_file_location("cvsim._archive_fallback", archive.__file__)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    assert not hasattr(module, "_encoder")  # the fallback path was taken
-    return module
-
-
 @pytest.mark.parametrize("doc", EDGE_DOCS, ids=range(len(EDGE_DOCS)))
-def test_canonical_json_equals_json_dumps_on_edge_documents(doc, monkeypatch):
-    expected = reference_json(doc)
-    assert canonical_json(doc) == expected
-    assert fallback_archive(monkeypatch).canonical_json(doc) == expected
+def test_canonical_json_equals_json_dumps_on_edge_documents(doc):
+    assert canonical_json(doc) == reference_json(doc)
 
 
 def test_the_encoder_still_encodes_after_an_error():
@@ -266,10 +247,7 @@ def test_the_encoder_still_encodes_after_an_error():
 
 
 @pytest.mark.parametrize("name", bundled_scenario_names())
-def test_canonical_json_equals_json_dumps_on_every_backend_payload(name, scenario_runs, monkeypatch):
+def test_canonical_json_equals_json_dumps_on_every_backend_payload(name, scenario_runs):
     payloads = [r.payload for r in scenario_runs(name).archives[SYSTEM_NODE_ID]]
     assert payloads
-    expected = [reference_json(payload) for payload in payloads]
-    assert [canonical_json(payload) for payload in payloads] == expected
-    fallback = fallback_archive(monkeypatch).canonical_json
-    assert [fallback(payload) for payload in payloads] == expected
+    assert [canonical_json(payload) for payload in payloads] == [reference_json(payload) for payload in payloads]
