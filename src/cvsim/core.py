@@ -3,12 +3,18 @@
 Everything internal runs in SI units (meters, meters/second, integer
 milliseconds). Miles-per-hour and feet exist only at the configuration
 boundary and in rendered reports, so conversions live here and nowhere else.
+
+``GeoPoint`` and ``Bsm`` are built once per vehicle per tick in a live run and
+once per line in a trace replay, so they are tuples, not dataclasses. Each
+checks its input in ``__new__``, which every constructor reaches, ``_make`` and
+``_replace`` included.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 MPH_TO_MPS = 0.44704
 FT_TO_M = 0.3048
@@ -48,18 +54,30 @@ def round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
-@dataclass(frozen=True)
-class GeoPoint:
-    """A WGS-84-style decimal-degree coordinate."""
+# ``GeoPoint`` and ``Bsm`` build their tuple with this after validating.
+_tuple_new = tuple.__new__
 
+
+class _GeoPointFields(NamedTuple):
     lat: float
     lon: float
 
-    def __post_init__(self) -> None:
-        if not -90.0 <= self.lat <= 90.0:
-            raise InvalidParameterError(f"latitude out of range: {self.lat}")
-        if not -180.0 <= self.lon <= 180.0:
-            raise InvalidParameterError(f"longitude out of range: {self.lon}")
+
+class GeoPoint(_GeoPointFields):
+    """A WGS-84-style decimal-degree coordinate, validated by every constructor."""
+
+    __slots__ = ()
+
+    def __new__(cls, lat: float, lon: float) -> "GeoPoint":
+        if not -90.0 <= lat <= 90.0:
+            raise InvalidParameterError(f"latitude out of range: {lat}")
+        if not -180.0 <= lon <= 180.0:
+            raise InvalidParameterError(f"longitude out of range: {lon}")
+        return _tuple_new(cls, (lat, lon))
+
+    @classmethod
+    def _make(cls, iterable) -> "GeoPoint":
+        return cls(*iterable)
 
 
 # The types ``json.loads`` gives a JSON number. ``bool`` subclasses ``int``, so
@@ -67,34 +85,37 @@ class GeoPoint:
 _JSON_NUMBER = (int, float)
 
 
-@dataclass(frozen=True)
-class Bsm:
-    """One basic safety message: the per-vehicle 10 Hz record.
-
-    ``t`` is milliseconds since scenario start (emission time). ``heading``
-    is optional; nothing downstream requires it.
-    """
-
+class _BsmFields(NamedTuple):
     t: int
     vehicle_id: str
     pos: GeoPoint
     speed: float
     heading: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.speed < 0:
-            raise InvalidParameterError(f"negative speed: {self.speed}")
+
+class Bsm(_BsmFields):
+    """One basic safety message: the per-vehicle 10 Hz record, validated by every constructor.
+
+    ``t`` is milliseconds since scenario start (emission time). ``heading``
+    is optional; nothing downstream requires it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, t: int, vehicle_id: str, pos: GeoPoint, speed: float, heading: float | None = None) -> "Bsm":
+        if speed < 0:
+            raise InvalidParameterError(f"negative speed: {speed}")
+        return _tuple_new(cls, (t, vehicle_id, pos, speed, heading))
+
+    @classmethod
+    def _make(cls, iterable) -> "Bsm":
+        return cls(*iterable)
 
     def to_doc(self) -> dict:
-        doc = {
-            "t": self.t,
-            "vehicle_id": self.vehicle_id,
-            "lat": self.pos.lat,
-            "lon": self.pos.lon,
-            "speed": self.speed,
-        }
-        if self.heading is not None:
-            doc["heading"] = self.heading
+        t, vehicle_id, (lat, lon), speed, heading = self
+        doc = {"t": t, "vehicle_id": vehicle_id, "lat": lat, "lon": lon, "speed": speed}
+        if heading is not None:
+            doc["heading"] = heading
         return doc
 
     @classmethod
@@ -103,6 +124,9 @@ class Bsm:
 
         Nothing is coerced: ``lat``, ``lon``, ``speed`` and ``heading`` must be
         JSON numbers (an int or a float, never a bool or a string).
+
+        All five required fields are read before any field is checked, so a
+        missing one raises ``KeyError`` ahead of every type or range check.
         """
         t, vehicle_id, lat, lon, speed = doc["t"], doc["vehicle_id"], doc["lat"], doc["lon"], doc["speed"]
         heading = doc.get("heading")

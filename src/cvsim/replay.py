@@ -88,10 +88,10 @@ def parse_trace(path: str | Path, t_end_ms: int | None = None) -> list[TraceReco
                 raise TraceError(source, lineno, "invalid JSON: Extra data")
             if not isinstance(doc, dict):
                 raise TraceError(source, lineno, "expected a JSON object")
-            if not _REQUIRED_FIELDS <= doc.keys():
-                raise TraceError(source, lineno, f"missing fields: {sorted(_REQUIRED_FIELDS - doc.keys())}")
             try:
                 bsm = Bsm.from_doc(doc)
+            except KeyError:  # from_doc reads every required field before it checks any
+                raise TraceError(source, lineno, f"missing fields: {sorted(_REQUIRED_FIELDS - doc.keys())}")
             except (TypeError, ValueError, OverflowError) as exc:
                 raise TraceError(source, lineno, f"bad message fields: {exc}")
             if bsm.t > t_max:

@@ -259,6 +259,7 @@ class _VehicleAgent:
 
     vehicle_id: str
     handoff: ho.HandoffState
+    bsm_topic: str  # the vehicle's telemetry topic, formatted once
     warned_by: set[str] = field(default_factory=set)
     check_ticket: int = -1
 
@@ -333,6 +334,7 @@ class Simulation:
         agent = _VehicleAgent(
             vehicle_id=spawn.vehicle_id,
             handoff=ho.HandoffState(vehicle=spawn.vehicle_id),
+            bsm_topic=BSM_RAW_TOPIC.format(spawn.vehicle_id),
         )
         self.agents[spawn.vehicle_id] = agent
         self.backend.broker.subscribe(
@@ -505,7 +507,7 @@ class Simulation:
             if not ho.can_transmit(agent.handoff, now):
                 continue  # association gap: hard handoff left no usable link
             state = self.world.vehicles[vid]
-            bsm = Bsm(t=now, vehicle_id=vid, pos=self.world.position_geo(vid), speed=state.speed)
+            bsm = Bsm(now, vid, self.world.position_geo(vid), state.speed)
             link = agent.handoff.active
             if link is LinkKind.LTE:
                 self._send(
@@ -513,7 +515,7 @@ class Simulation:
                     tx=vid,
                     rx=SYSTEM_NODE_ID,
                     model=self.links[link],
-                    deliver=lambda b=bsm, v=vid: self._publish(self.backend, BSM_RAW_TOPIC.format(v), b.to_doc(), v),
+                    deliver=lambda b=bsm, a=agent: self._publish(self.backend, a.bsm_topic, b.to_doc(), a.vehicle_id),
                 )
             else:
                 reached = self._reach(vid)
@@ -528,16 +530,16 @@ class Simulation:
                     rx=node.node_id,
                     model=node.bsm_model,
                     distance_m=d,
-                    deliver=lambda b=bsm, n=node: self._rsu_ingest_bsm(n, b),
+                    deliver=lambda b=bsm, n=node, a=agent: self._rsu_ingest_bsm(n, b, a.bsm_topic),
                 )
         self.engine.at(now + self.tick_ms, "app-timer", "bsm-round", self._bsm_round)
 
     # -- data plane ---------------------------------------------------------
 
-    def _rsu_ingest_bsm(self, node: _RsuNode, bsm: Bsm) -> None:
+    def _rsu_ingest_bsm(self, node: _RsuNode, bsm: Bsm, topic: str) -> None:
         if self.config.detection.enabled:
             node.window.append(bsm)
-        self._forward(node, "bsm_forward", BSM_RAW_TOPIC.format(bsm.vehicle_id), bsm.to_doc())
+        self._forward(node, "bsm_forward", topic, bsm.to_doc())
 
     def _emit_warning(self, vehicle_id: str) -> None:
         agent = self.agents.get(vehicle_id)

@@ -1,7 +1,6 @@
 import csv
 import importlib.resources
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -277,16 +276,28 @@ def test_missing_mode_arguments_error():
     assert err.value.code == 2
 
 
-def test_console_entrypoint_runs(tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+def test_console_entrypoint_runs(tmp_path, child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "cvsim.cli", "--scenario", "collision_avoidance_20mph",
          "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert "events" in proc.stdout
     assert (tmp_path / "report.csv").is_file()
+
+
+def test_child_env_puts_src_ahead_of_the_inherited_pythonpath(tmp_path, monkeypatch, child_env):
+    (tmp_path / "inherited_probe.py").write_text("", encoding="utf-8")
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import cvsim, inherited_probe, sys; print(cvsim.__file__); print(*sys.path, sep='\\n')"],
+        capture_output=True, text=True, env=child_env(), check=True, timeout=60,
+    )
+    cvsim_file, *path = proc.stdout.splitlines()
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert Path(cvsim_file).resolve().parent.parent == src
+    assert path.index(str(src)) < path.index(str(tmp_path))
 
 
 def test_missing_trace_file_exit_2(tmp_path, capsys):

@@ -1,7 +1,6 @@
 import importlib.resources
 import io
 import math
-import os
 import re
 import shutil
 import subprocess
@@ -15,7 +14,6 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-import cvsim
 from cvsim import config
 from cvsim.cli import main
 from cvsim.config import (
@@ -482,15 +480,14 @@ def test_loaders_read_what_the_node_graph_holds():
     assert lines[("script", 2, "vehicle")] == 15 and lines[("script", 2, "at_s")] == 17
 
 
-def test_a_million_levels_exit_2_at_line_1(tmp_path):
+def test_a_million_levels_exit_2_at_line_1(tmp_path, child_env):
     """The composer of PyYAML's libyaml binding recurses on the C stack and crashes on this file;
     in a child process such a crash fails the test instead of ending pytest."""
     path = tmp_path / "deep.yaml"
     path.write_text("a: " + "[" * 1_000_000 + "\n", encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(Path(cvsim.__file__).resolve().parent.parent)}
     proc = subprocess.run(
         [sys.executable, "-m", "cvsim.cli", "--scenario", str(path), "--out-dir", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=child_env(), timeout=120,
     )
     assert proc.returncode == 2, (proc.returncode, proc.stderr[-2000:])
     assert proc.stderr.startswith(f"error: {path}:1: nested too deeply"), proc.stderr

@@ -9,7 +9,6 @@ workload in ``perfbench/digests.json``, so both gates read one copy.
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -56,14 +55,13 @@ def test_one_pass_exports_equal_the_single_file_writers(name, scenario_runs, tmp
         assert (tmp_path / "one-pass" / artifact).read_bytes() == (alone / artifact).read_bytes(), artifact
 
 
-def test_byte_identical_across_processes_and_hash_seeds(tmp_path):
+def test_byte_identical_across_processes_and_hash_seeds(tmp_path, child_env):
     dirs = []
     for hash_seed in ("1", "2"):
         out_dir = tmp_path / f"hashseed-{hash_seed}"
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(ROOT / "src")}
         subprocess.run(
             [sys.executable, "-m", "cvsim.cli", "--scenario", HASH_SEED_SCENARIO, "--out-dir", str(out_dir)],
-            env=env, cwd=ROOT, check=True, timeout=120, stdout=subprocess.DEVNULL,
+            env=child_env(PYTHONHASHSEED=hash_seed), cwd=ROOT, check=True, timeout=120, stdout=subprocess.DEVNULL,
         )
         dirs.append(out_dir)
     first, second = dirs

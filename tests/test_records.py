@@ -1,11 +1,7 @@
-"""The per-message records: immutable tuples with fixed fields, built by keyword or by position.
+"""The per-message records: immutable tuples with fixed fields, built by keyword or by position."""
 
-``Bsm`` and ``GeoPoint`` are the exception: they validate what a scenario or a
-trace gives them, so they stay frozen dataclasses.
-"""
-
+import math
 import random
-from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -20,6 +16,8 @@ BSM = Bsm(t=50, vehicle_id="cv1", pos=GeoPoint(40.0, -75.0), speed=3.5)
 
 # Each record type with one value per field, in field order.
 RECORDS = [
+    (GeoPoint, ("lat", "lon"), (40.0, -75.0)),
+    (Bsm, ("t", "vehicle_id", "pos", "speed", "heading"), (50, "cv1", GeoPoint(40.0, -75.0), 3.5, 90.0)),
     (PacketRecord, ("t_send", "t_recv", "tx", "rx", "link", "kind"), (100, 104, "rsu1", "cv1", LinkKind.DSRC, "beacon")),
     (Delivered, ("latency_ms",), (4,)),
     (BrokerMessage, ("topic", "payload", "publisher", "t_pub"), ("bsm/raw/cv1", {"t": 50}, "cv1", 50)),
@@ -64,18 +62,22 @@ def test_sample_delivery_returns_none_or_delivered():
     assert all(type(o) is Delivered and 1 <= o.latency_ms <= 7 for o in delivered)
 
 
-@pytest.mark.parametrize(
-    "value, name",
-    [(GeoPoint(40.0, -75.0), "lat"), (BSM, "speed"), (BSM, "pos")],
-    ids=["GeoPoint.lat", "Bsm.speed", "Bsm.pos"],
-)
-def test_validated_types_are_frozen(value, name):
-    with pytest.raises(FrozenInstanceError):
-        setattr(value, name, getattr(value, name))
-
-
 def test_validated_types_still_validate():
-    with pytest.raises(InvalidParameterError, match="negative speed"):
-        Bsm(t=50, vehicle_id="cv1", pos=GeoPoint(40.0, -75.0), speed=-0.1)
-    with pytest.raises(InvalidParameterError, match="latitude out of range: 90.5"):
-        GeoPoint(90.5, -75.0)
+    """Every constructor path checks, latitude before longitude before speed, with the same messages."""
+    pos = GeoPoint(40.0, -75.0)
+    cases = [
+        (lambda: Bsm(t=50, vehicle_id="cv1", pos=pos, speed=-0.1), "negative speed: -0.1"),
+        (lambda: GeoPoint(90.5, -75.0), "latitude out of range: 90.5"),
+        (lambda: GeoPoint(40.0, -180.5), "longitude out of range: -180.5"),
+        (lambda: GeoPoint(math.nan, -75.0), "latitude out of range: nan"),
+        (lambda: GeoPoint(lat=40.0, lon=math.nan), "longitude out of range: nan"),
+        (lambda: GeoPoint(91.0, 181.0), "latitude out of range: 91.0"),
+        (lambda: GeoPoint._make((91.0, 0.0)), "latitude out of range: 91.0"),
+        (lambda: pos._replace(lon=200.0), "longitude out of range: 200.0"),
+        (lambda: Bsm._make((50, "cv1", pos, -2.0)), "negative speed: -2.0"),
+        (lambda: BSM._replace(speed=-1.0), "negative speed: -1.0"),
+    ]
+    for build, message in cases:
+        with pytest.raises(InvalidParameterError) as err:
+            build()
+        assert str(err.value) == message

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvsim.apps import eval_bucket
+from cvsim.archive import canonical_json, spliced_line
 from cvsim.cli import main
-from cvsim.config import load_scenario
+from cvsim.config import bundled_scenario_names, load_scenario
 from cvsim.replay import MAX_TRACE_T_MS, TraceError, TraceRecord, axis_order_key, parse_trace, replay_trace
-from cvsim.report import write_bsm_trace
+from cvsim.report import write_artifacts, write_bsm_trace
 from cvsim.core import EARTH_RADIUS_M, Bsm, GeoPoint
 from cvsim.radio import LinkKind
 from cvsim.sim import run_scenario
@@ -84,6 +85,10 @@ TRACE_DIAGNOSTICS = {
     ),
     "duplicate_t": (LINE[:-1] + ', "t": -1}', "bad message fields: t must be a non-negative integer, got -1"),
     "truncated_object": (LINE[:41], "invalid JSON: Expecting ',' delimiter"),
+    # A missing field is reported ahead of every wrongly typed one.
+    "missing_and_wrong_typed": (
+        '{"t": -1, "vehicle_id": 7, "lat": "40.0"}', "missing fields: ['lon', 'speed']"
+    ),
     # The value checks keep their order: speed and heading, then the position, then the sign of speed.
     "nan_latitude_negative_speed": (
         LINE.replace("40.0", "NaN").replace("0.0}", "-1}"),
@@ -167,6 +172,23 @@ def test_replay_decides_nothing_when_no_vehicle_is_connected(tmp_path):
     assert (live / "trace.ndjson").read_bytes() == b""
     assert len((live / "queue_decisions.csv").read_text(encoding="utf-8").splitlines()) == 1 + 167
     assert len((replayed / "queue_decisions.csv").read_text(encoding="utf-8").splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_parsed_trace_re_encodes_to_every_byte_of_its_line(scenario_runs, tmp_path, name):
+    """The parser drops no field and no float digit: each record, encoded as the exporter encodes it, is its line."""
+    write_artifacts(scenario_runs(name), tmp_path)
+    path = tmp_path / "trace.ndjson"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    records = parse_trace(path)
+    assert len(records) == len(lines)
+    for record, line in zip(records, lines):
+        doc = record.bsm.to_doc()
+        payload_json = canonical_json(doc)
+        if record.truth is None:
+            assert payload_json + "\n" == line
+        else:
+            assert spliced_line(doc, payload_json, "truth", record.truth, canonical_json(record.truth)) == line
 
 
 def test_axis_fallback_matches_corridor_projection_on_straight_road(scenario_runs, tmp_path):
