@@ -62,6 +62,18 @@ def test_sample_delivery_returns_none_or_delivered():
     assert all(type(o) is Delivered and 1 <= o.latency_ms <= 7 for o in delivered)
 
 
+@pytest.mark.parametrize(
+    "value, name",
+    [(GeoPoint(40.0, -75.0), "lat"), (BSM, "speed"), (BSM, "pos")],
+    ids=["GeoPoint.lat", "Bsm.speed", "Bsm.pos"],
+)
+def test_validated_types_are_frozen(value, name):
+    before = tuple(value)
+    with pytest.raises(AttributeError):
+        setattr(value, name, getattr(value, name))
+    assert tuple(value) == before
+
+
 def test_validated_types_still_validate():
     """Every constructor path checks, latitude before longitude before speed, with the same messages."""
     pos = GeoPoint(40.0, -75.0)
