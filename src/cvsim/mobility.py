@@ -154,7 +154,8 @@ class TrafficWorld:
     vehicles: dict[str, VehicleState] = field(init=False, default_factory=dict)
     t_state_ms: int = field(init=False, default=0)  # the instant the current vehicle states describe
     _red_until: dict[str, tuple[int, int]] = field(init=False, default_factory=dict)
-    _geo: dict[str, GeoPoint] = field(init=False, default_factory=dict)  # position_geo until the next step
+    # Per vehicle, the arc length ``position_geo`` last saw and the point it gave there.
+    _geo: dict[str, tuple[float, GeoPoint]] = field(init=False, default_factory=dict)
 
     def spawn(self, state: VehicleState) -> None:
         if state.id in self.vehicles:
@@ -218,7 +219,6 @@ class TrafficWorld:
                 v.accel = mob.resume_accel_mps2
             else:
                 v.accel = 0.0
-        self._geo.clear()
         for v in order:
             self._integrate(v, dt_s)
         self._check_order(order)
@@ -245,10 +245,18 @@ class TrafficWorld:
                 raise OvertakeError(f"{behind.id} overtook {ahead.id}")
 
     def position_geo(self, vehicle_id: str) -> GeoPoint:
-        """The vehicle's coordinates, computed once per ``step``: only ``step`` moves vehicles."""
-        pos = self._geo.get(vehicle_id)
-        if pos is None:
-            pos = self._geo[vehicle_id] = self.corridor.position_geo(self.vehicles[vehicle_id].s)
+        """The vehicle's coordinates, computed once per position.
+
+        The point is a pure function of the arc length, so it is computed
+        again only when ``step`` has moved the vehicle: a stopped vehicle
+        keeps one ``GeoPoint`` for the whole stop.
+        """
+        s = self.vehicles[vehicle_id].s
+        held = self._geo.get(vehicle_id)
+        if held is not None and held[0] == s:
+            return held[1]
+        pos = self.corridor.position_geo(s)
+        self._geo[vehicle_id] = (s, pos)
         return pos
 
     def ground_truth_queue(self, zone: tuple[float, float], min_vehicles: int = QUEUE_MIN_VEHICLES) -> bool:

@@ -27,6 +27,12 @@ class LinkKind(enum.Enum):
     WIFI = "wifi"
 
 
+class Delivered(NamedTuple):
+    """A send that got through, ``latency_ms`` after it left."""
+
+    latency_ms: int
+
+
 @dataclass(frozen=True)
 class LinkModel:
     """Radio parameters for one link kind.
@@ -34,7 +40,10 @@ class LinkModel:
     ``range_m=None`` means unbounded (cellular) or fixed point-to-point
     (backhaul); both skip range gating. ``obstruction`` belongs to one
     receiver and scales the effective range, set once, down to
-    range*(1-obstruction).
+    range*(1-obstruction). ``mean_delivery`` is the outcome of every
+    delivery on a zero-jitter link, ``Delivered(latency_mean_ms)``; like
+    ``effective_range`` it is computed when the model is built, so
+    ``replace()`` rebuilds both.
     """
 
     kind: LinkKind
@@ -46,6 +55,7 @@ class LinkModel:
     ramp_start_frac: float = 0.8
     obstruction: float = 0.0
     effective_range: float | None = field(init=False, repr=False, compare=False)
+    mean_delivery: Delivered = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.range_m is not None and not 0 < self.range_m < math.inf:
@@ -66,6 +76,8 @@ class LinkModel:
             raise InvalidParameterError(f"obstruction must be in [0, 1], got {self.obstruction}")
         r_eff = None if self.range_m is None else self.range_m * (1.0 - self.obstruction)
         object.__setattr__(self, "effective_range", r_eff)
+        # The mean is at least 1 ms, so this is the jitter-free draw's ``max(1, mean)``.
+        object.__setattr__(self, "mean_delivery", Delivered(self.latency_mean_ms))
 
     def for_warnings(self) -> LinkModel:
         """The model sudden-stop warnings ride: this link with the warning latency as its mean.
@@ -76,12 +88,6 @@ class LinkModel:
         if self.warning_latency_mean_ms is None:
             return self
         return replace(self, latency_mean_ms=self.warning_latency_mean_ms)
-
-
-class Delivered(NamedTuple):
-    """A send that got through, ``latency_ms`` after it left."""
-
-    latency_ms: int
 
 
 def in_range(distance_m: float, model: LinkModel) -> bool:
@@ -111,16 +117,17 @@ def sample_delivery(distance_m: float, model: LinkModel, rng: random.Random) -> 
 
     Loss is a normal outcome, not an error. The loss draw happens even when
     the probability is zero so that enabling loss later never shifts another
-    model's stream.
+    model's stream. A zero-jitter link draws nothing more and returns the
+    model's one ``mean_delivery``; a jittered one draws its latency too.
     """
     p_loss = loss_probability(distance_m, model)
-    draw = rng.random()
-    if draw < p_loss:
+    if rng.random() < p_loss:
         return None
-    mean = model.latency_mean_ms
     jitter = model.latency_jitter_ms
-    latency = rng.randint(mean - jitter, mean + jitter) if jitter > 0 else mean
-    return Delivered(max(1, latency))
+    if not jitter:
+        return model.mean_delivery
+    mean = model.latency_mean_ms
+    return Delivered(max(1, rng.randint(mean - jitter, mean + jitter)))
 
 
 # Log-distance path loss for the coverage report: physically plausible for a

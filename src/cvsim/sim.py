@@ -17,7 +17,11 @@ Layer wiring:
   FlowMonitor's ``FlowStats``): beyond the link's effective range it is
   ``out_of_range`` and not logged; in range it draws its loss and latency,
   is logged, and unless lost goes to ``Engine.deliver``. The run ends at
-  ``t_end_ms``, so a delivery due later is ``in_flight`` when it is sent;
+  ``t_end_ms``, so a delivery due later is ``in_flight`` when it is sent.
+  Each route a send can take is one ``_Channel``, resolved at set-up: its
+  link model, packet kind, the link's delivery stream and the kind's tally
+  (each RSU's beacon and BSM routes, the cellular BSM route, the two
+  backhaul routes and the two warning routes);
 * a roadside node keeps a window of received telemetry only while the
   detector runs: each tick summarises it once per vehicle
   (``apps.window_by_vehicle``), decides and publishes the processed data from
@@ -30,7 +34,9 @@ Layer wiring:
   the miss timeout: the handoff onto that link arms it, and a check that
   hands nothing off re-arms at the latest beacon's deadline under the engine
   ticket that beacon reserved, so it fires exactly where a check per beacon
-  would have (RFC 6298 section 5's one restartable timer).
+  would have (RFC 6298 section 5's one restartable timer). Each vehicle's
+  beacon handler is bound once, when it spawns, and only the first beacon
+  of a millisecond does anything: the later ones find it already done.
 
 Recurring activities are phase-offset inside each 100 ms period (kinematics at
 +0, beacons at +10, telemetry at +50, detector on the whole second), so at the
@@ -43,11 +49,12 @@ second k and the ground-truth sample beside it both see the world exactly as
 the newest telemetry in its window reported it.
 
 Roadside nodes are found through ``_RsuIndex``, a sorted projection of their
-positions onto one fixed axis. Each vehicle is measured, once per kinematics
-step, against only the nodes the index cannot rule out at the short-range
-link's range (``Simulation._reach``); the beacon round and the telemetry
-round both read that one list, and give exactly what measuring every node
-would.
+positions onto one fixed axis. Each vehicle is measured, once per position,
+against only the nodes the index cannot rule out at the short-range link's
+range (``Simulation._reach``); the beacon round and the telemetry round both
+read that one list, and give exactly what measuring every node would. A
+stopped vehicle keeps its one position object (``TrafficWorld.position_geo``),
+and with it its list, for the whole stop.
 
 ``PacketRecord`` is an immutable ``typing.NamedTuple``, compared as a tuple;
 the README's ``sim`` entry says why each per-message record is one.
@@ -56,9 +63,11 @@ the README's ``sim`` entry says why each per-message record is one.
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, TextIO
+from functools import partial
+from typing import Callable, NamedTuple, TextIO
 
 from . import handoff as ho
 from .apps import (
@@ -158,6 +167,21 @@ class SendTally:
 Ledger = dict[LinkKind, dict[str, SendTally]]
 
 
+class _Channel(NamedTuple):
+    """One route a send takes: its link model, packet kind, the link's delivery stream and the kind's tally."""
+
+    model: LinkModel
+    kind: str  # one of PACKET_KINDS
+    stream: random.Random
+    tally: SendTally
+
+    def obstructed(self, obstruction: float) -> _Channel:
+        """This route with its model's obstruction set; the same route when it is already that."""
+        if obstruction == self.model.obstruction:
+            return self
+        return self._replace(model=replace(self.model, obstruction=obstruction))
+
+
 @dataclass(frozen=True)
 class QueueEval:
     decision: QueueDecision
@@ -193,17 +217,17 @@ class _Node:
 
 
 class _RsuNode(_Node):
-    """A roadside edge node: its position, its own link models and the detector's message window.
+    """A roadside edge node: its position, its own send routes and the detector's message window.
 
-    Its obstruction is fixed where it is installed, so it is set once, in its
-    beacon model and its short-range BSM model.
+    Its obstruction is fixed where it is installed, so it is set once, in the
+    models of its beacon route and its short-range BSM route.
     """
 
-    def __init__(self, spec: RsuSpec, max_age_ms: int, pos: GeoPoint, beacon: LinkModel, bsm: LinkModel):
+    def __init__(self, spec: RsuSpec, max_age_ms: int, pos: GeoPoint, beacon: _Channel, bsm: _Channel):
         super().__init__(spec.rsu_id, max_age_ms)
         self.pos = pos
-        self.beacon_model = replace(beacon, obstruction=spec.obstruction)
-        self.bsm_model = replace(bsm, obstruction=spec.obstruction)
+        self.beacon_channel = beacon.obstructed(spec.obstruction)
+        self.bsm_channel = bsm.obstructed(spec.obstruction)
         self.window: list[Bsm] = []
 
 
@@ -254,7 +278,8 @@ class _VehicleAgent:
     on; only the first copy from a source decides. ``check_ticket`` is the
     engine ticket of the first beacon delivered in the millisecond
     ``handoff.last_beacon_at``. A ``handoff-check`` is queued exactly while
-    the short-range link is active.
+    the short-range link is active. ``on_beacon`` is the delivery of every
+    beacon to this vehicle, bound once.
     """
 
     vehicle_id: str
@@ -262,6 +287,7 @@ class _VehicleAgent:
     bsm_topic: str  # the vehicle's telemetry topic, formatted once
     warned_by: set[str] = field(default_factory=set)
     check_ticket: int = -1
+    on_beacon: Callable[[], None] = field(init=False, repr=False, compare=False)
 
 
 class Simulation:
@@ -278,35 +304,44 @@ class Simulation:
         self.world = TrafficWorld(corridor=self.corridor, constants=self.constants, mobility=config.mobility)
 
         self.backend = _Node(SYSTEM_NODE_ID)
+        self.agents: dict[str, _VehicleAgent] = {}
+        self.packets: list[PacketRecord] = []
+        self.sends: Ledger = {link: {kind: SendTally(link) for kind in PACKET_KINDS} for link in LinkKind}
+        # Each link's delivery stream, looked up once. Streams are seeded by name: no draw moves.
+        streams = {link: self.engine.stream(f"radio.{link.value}.delivery") for link in LinkKind}
+
+        def channel(model: LinkModel, kind: str) -> _Channel:
+            return _Channel(model, kind, streams[model.kind], self.sends[model.kind][kind])
+
         # Beacons are pure range-gated liveness probes: flat loss out to the
         # effective range edge (no distance ramp), so a zero beacon_p_near
         # really means zero loss and one coverage pass is exactly two
         # handoffs. Raising beacon_p_near reintroduces spurious exits.
         short_range = self.links[config.handoff.short_range]
-        self._beacon_model = replace(short_range, p_near=config.handoff.beacon_p_near, ramp_start_frac=1.0)
+        beacon_model = replace(short_range, p_near=config.handoff.beacon_p_near, ramp_start_frac=1.0)
+        # Each RSU's routes are these two with its obstruction; their tallies count the sends no RSU takes.
+        self._beacon = channel(beacon_model, "beacon")
+        self._short_range_bsm = channel(short_range, "bsm")
         retention_ms = config.fixed_edge_retention_ms
         self.rsus = [
-            _RsuNode(spec, retention_ms, self.corridor.position_geo(spec.s_m), self._beacon_model, short_range)
+            _RsuNode(spec, retention_ms, self.corridor.position_geo(spec.s_m), self._beacon, self._short_range_bsm)
             for spec in self.corridor.rsus
         ]
         self._rsu_index = _RsuIndex(self.rsus, self.corridor.polyline)
-        self._reached: dict[str, list[tuple[int, float]]] = {}  # _reach until the next step
+        # Per vehicle, the position ``_reach`` last measured and what it found there.
+        self._reached: dict[str, tuple[GeoPoint, list[tuple[int, float]]]] = {}
+        self._lte_bsm = channel(self.links[LinkKind.LTE], "bsm")
+        self._bsm_forward = channel(BACKHAUL, "bsm_forward")
+        self._queue_status = channel(BACKHAUL, "queue_status")
+        # Sudden-stop warnings ride each link at their own measured latency.
+        self._dsrc_warning = channel(self.links[LinkKind.DSRC].for_warnings(), "warning")
+        self._lte_warning = channel(self.links[LinkKind.LTE].for_warnings(), "warning")
 
-        self.agents: dict[str, _VehicleAgent] = {}
-        self.packets: list[PacketRecord] = []
-        self.sends: Ledger = {link: {kind: SendTally(link) for kind in PACKET_KINDS} for link in LinkKind}
         self.handoff_events: list[ho.HandoffEvent] = []
         self.avoidance_decisions: list[AvoidanceDecision] = []
         self.queue_evals: list[QueueEval] = []
         self._warning_topic = WARNING_TOPIC.format(config.region)
         self._pending: list[Directive] = self._build_directives()
-        # Sudden-stop warnings ride each link at their own measured latency.
-        self._dsrc_warning_model = self.links[LinkKind.DSRC].for_warnings()
-        self._lte_warning_model = self.links[LinkKind.LTE].for_warnings()
-        # Each link's delivery stream and ledger, one lookup per send. Streams are seeded by name: no draw moves.
-        self._per_link = {
-            link: (self.engine.stream(f"radio.{link.value}.delivery"), self.sends[link]) for link in LinkKind
-        }
         self._prune_interval_ms = max(1, config.fixed_edge_retention_ms // 4)
         self._ran = False
 
@@ -336,6 +371,7 @@ class Simulation:
             handoff=ho.HandoffState(vehicle=spawn.vehicle_id),
             bsm_topic=BSM_RAW_TOPIC.format(spawn.vehicle_id),
         )
+        agent.on_beacon = partial(self._on_beacon, agent)
         self.agents[spawn.vehicle_id] = agent
         self.backend.broker.subscribe(
             client=spawn.vehicle_id,
@@ -348,50 +384,39 @@ class Simulation:
     def _publish(self, node: _Node, topic: str, payload: dict, publisher: str) -> None:
         node.broker.publish(BrokerMessage(topic, payload, publisher, self.engine.now))
 
-    def _forward(self, node: _RsuNode, kind: str, topic: str, payload: dict) -> None:
+    def _forward(self, node: _RsuNode, channel: _Channel, topic: str, payload: dict) -> None:
         """Publish at ``node``, then send over the backhaul for the backend to publish the same payload."""
         self._publish(node, topic, payload, node.node_id)
         self._send(
-            kind=kind,
-            tx=node.node_id,
-            rx=SYSTEM_NODE_ID,
-            model=BACKHAUL,
-            deliver=lambda: self._publish(self.backend, topic, payload, node.node_id),
+            channel, node.node_id, SYSTEM_NODE_ID, lambda: self._publish(self.backend, topic, payload, node.node_id)
         )
 
-    def _send(
-        self,
-        kind: str,
-        tx: str,
-        rx: str,
-        model: LinkModel,
-        deliver,
-        distance_m: float = 0.0,
-    ) -> None:
-        """Decide one send: range gate, loss and latency draw, packet log, delivery, ledger.
+    def _send(self, channel: _Channel, tx: str, rx: str, deliver: Callable[[], None], distance_m: float = 0.0) -> None:
+        """Decide one send on ``channel``: range gate, loss and latency draw, packet log, delivery, ledger.
 
-        A send beyond the receiver's effective range is only counted as
-        ``out_of_range``. Deliveries one handler sends for one millisecond
-        share one engine event. The distance defaults to 0, which is all an
-        unbounded link needs.
+        The channel carries everything fixed at set-up, so a send looks
+        nothing up. A send beyond the receiver's effective range is only
+        counted as ``out_of_range``. Deliveries one handler sends for one
+        millisecond share one engine event. The distance defaults to 0,
+        which is all an unbounded link needs.
         """
-        stream, tallies = self._per_link[model.kind]
-        tally = tallies[kind]
+        model, kind, stream, tally = channel
         if not in_range(distance_m, model):
             tally.out_of_range += 1
             return
         now = self.engine.now
         outcome = sample_delivery(distance_m, model, stream)
-        t_recv = None if outcome is None else now + outcome.latency_ms  # None: lost on the channel
-        self.packets.append(PacketRecord(now, t_recv, tx, rx, model.kind, kind))
-        if t_recv is None:
+        if outcome is None:  # lost on the channel
+            self.packets.append(PacketRecord(now, None, tx, rx, model.kind, kind))
             tally.channel_loss += 1
             return
+        latency = outcome.latency_ms
+        t_recv = now + latency
+        self.packets.append(PacketRecord(now, t_recv, tx, rx, model.kind, kind))
         self.engine.deliver(t_recv, kind, deliver)
         if t_recv > self.config.t_end_ms:  # the run ends before it arrives
             tally.in_flight += 1
             return
-        latency = outcome.latency_ms
         tally.delivered += 1
         tally.latency_sum += latency
         if latency > tally.latency_max:
@@ -402,20 +427,23 @@ class Simulation:
 
         Beacons and short-range BSMs both ride the short-range link, so its
         range bounds both; obstruction only shrinks it. Each list is kept
-        until ``_mobility_tick`` moves the vehicles.
+        while the vehicle's position object is the same, which
+        ``TrafficWorld.position_geo`` keeps for as long as the vehicle
+        stands still.
         """
-        reached = self._reached.get(vid)
-        if reached is None:
-            pos = self.world.position_geo(vid)
-            within = self._rsu_index.within(pos, self._beacon_model.range_m)
-            reached = self._reached[vid] = [(i, distance(self.rsus[i].pos, pos)) for i in within]
+        pos = self.world.position_geo(vid)
+        held = self._reached.get(vid)
+        if held is not None and held[0] is pos:
+            return held[1]
+        within = self._rsu_index.within(pos, self._beacon.model.range_m)
+        reached = [(i, distance(self.rsus[i].pos, pos)) for i in within]
+        self._reached[vid] = (pos, reached)
         return reached
 
     # -- recurring events ---------------------------------------------------
 
     def _mobility_tick(self) -> None:
         self.world.step(self.tick_ms / 1000.0)
-        self._reached.clear()
         self._apply_due_directives()
         self.engine.at(self.engine.now + self.tick_ms, "mobility-tick", "world", self._mobility_tick)
 
@@ -441,34 +469,34 @@ class Simulation:
         random stream and event where it was.
         """
         now = self.engine.now
-        cfg = self.config.handoff
-        receivers: list[list[tuple[str, float]]] = [[] for _ in self.rsus]
-        for vid in self.agents:
+        receivers: list[list[tuple[str, float, Callable[[], None]]]] = [[] for _ in self.rsus]
+        for vid, agent in self.agents.items():
             for i, d in self._reach(vid):
-                receivers[i].append((vid, d))
+                receivers[i].append((vid, d, agent.on_beacon))
+        send = self._send
         for node, reached in zip(self.rsus, receivers):
-            for vid, d in reached:
-                self._send(
-                    kind="beacon",
-                    tx=node.node_id,
-                    rx=vid,
-                    model=node.beacon_model,
-                    distance_m=d,
-                    deliver=lambda a=self.agents[vid]: self._on_beacon(a),
-                )
+            channel, tx = node.beacon_channel, node.node_id
+            for vid, d, on_beacon in reached:
+                send(channel, tx, vid, on_beacon, d)
         pruned = len(self.rsus) * len(self.agents) - sum(map(len, receivers))
-        self.sends[self._beacon_model.kind]["beacon"].out_of_range += pruned
-        self.engine.at(now + cfg.beacon_interval_ms, "beacon", "rsus", self._beacon_round)
+        self._beacon.tally.out_of_range += pruned
+        self.engine.at(now + self.config.handoff.beacon_interval_ms, "beacon", "rsus", self._beacon_round)
 
     def _on_beacon(self, agent: _VehicleAgent) -> None:
         """Refresh the vehicle's liveness; arm its check on the handoff onto the short-range link.
 
-        The first beacon of a millisecond reserves a ticket, where a
-        per-beacon check would have been scheduled; only that check could act.
+        Only the first beacon of a millisecond acts. It reserves a ticket,
+        where a per-beacon check would have been scheduled (only that check
+        could act), and hands off if the vehicle was on cellular. A later
+        beacon of the same millisecond would only set ``last_beacon_at`` to
+        what it already is: the vehicle is on the short-range link by then,
+        and no check can hand it back within the millisecond, since none
+        acts before ``timeout_ms`` has passed.
         """
         now = self.engine.now
-        if agent.handoff.last_beacon_at != now:
-            agent.check_ticket = self.engine.ticket()
+        if agent.handoff.last_beacon_at == now:
+            return
+        agent.check_ticket = self.engine.ticket()
         event = ho.on_beacon(agent.handoff, self.config.handoff, now)
         if event is not None:
             self.handoff_events.append(event)
@@ -508,29 +536,26 @@ class Simulation:
                 continue  # association gap: hard handoff left no usable link
             state = self.world.vehicles[vid]
             bsm = Bsm(now, vid, self.world.position_geo(vid), state.speed)
-            link = agent.handoff.active
-            if link is LinkKind.LTE:
+            if agent.handoff.active is LinkKind.LTE:
                 self._send(
-                    kind="bsm",
-                    tx=vid,
-                    rx=SYSTEM_NODE_ID,
-                    model=self.links[link],
-                    deliver=lambda b=bsm, a=agent: self._publish(self.backend, a.bsm_topic, b.to_doc(), a.vehicle_id),
+                    self._lte_bsm,
+                    vid,
+                    SYSTEM_NODE_ID,
+                    lambda b=bsm, a=agent: self._publish(self.backend, a.bsm_topic, b.to_doc(), a.vehicle_id),
                 )
             else:
                 reached = self._reach(vid)
                 if not reached:  # every RSU is beyond the link's range
-                    self.sends[link]["bsm"].out_of_range += 1
+                    self._short_range_bsm.tally.out_of_range += 1
                     continue
                 d, _, i = min((d, self.rsus[i].node_id, i) for i, d in reached)
                 node = self.rsus[i]
                 self._send(
-                    kind="bsm",
-                    tx=vid,
-                    rx=node.node_id,
-                    model=node.bsm_model,
-                    distance_m=d,
-                    deliver=lambda b=bsm, n=node, a=agent: self._rsu_ingest_bsm(n, b, a.bsm_topic),
+                    node.bsm_channel,
+                    vid,
+                    node.node_id,
+                    lambda b=bsm, n=node, a=agent: self._rsu_ingest_bsm(n, b, a.bsm_topic),
+                    d,
                 )
         self.engine.at(now + self.tick_ms, "app-timer", "bsm-round", self._bsm_round)
 
@@ -539,7 +564,7 @@ class Simulation:
     def _rsu_ingest_bsm(self, node: _RsuNode, bsm: Bsm, topic: str) -> None:
         if self.config.detection.enabled:
             node.window.append(bsm)
-        self._forward(node, "bsm_forward", topic, bsm.to_doc())
+        self._forward(node, self._bsm_forward, topic, bsm.to_doc())
 
     def _emit_warning(self, vehicle_id: str) -> None:
         agent = self.agents.get(vehicle_id)
@@ -555,22 +580,20 @@ class Simulation:
                 continue
             d = distance(src_pos, self.world.position_geo(vid))
             self._send(
-                kind="warning",
-                tx=vehicle_id,
-                rx=vid,
-                model=self._dsrc_warning_model,
-                distance_m=d,
-                deliver=lambda a=agent, w=warning: self._handle_warning(a, w, LinkKind.DSRC),
+                self._dsrc_warning,
+                vehicle_id,
+                vid,
+                lambda a=agent, w=warning: self._handle_warning(a, w, LinkKind.DSRC),
+                d,
             )
         # Region-wide relay rides cellular into the backend broker; fan-out to
         # subscribers models the whole relay path, so its latency is the
         # end-to-end warning delay.
         self._send(
-            kind="warning",
-            tx=vehicle_id,
-            rx=SYSTEM_NODE_ID,
-            model=self._lte_warning_model,
-            deliver=lambda: self._publish(self.backend, self._warning_topic, warning.to_doc(), vehicle_id),
+            self._lte_warning,
+            vehicle_id,
+            SYSTEM_NODE_ID,
+            lambda: self._publish(self.backend, self._warning_topic, warning.to_doc(), vehicle_id),
         )
 
     def _on_warning_via_broker(self, agent: _VehicleAgent, msg: BrokerMessage) -> None:
@@ -615,7 +638,7 @@ class Simulation:
             docs = {v.vehicle_id: v.to_doc() for v in sorted(vehicles, key=lambda v: v.vehicle_id)}
             processed = {"t": now, "rsu": node.node_id, "vehicles": docs}
             self._publish(node, BSM_PROCESSED_TOPIC.format(node.node_id), processed, node.node_id)
-            self._forward(node, "queue_status", QUEUE_STATUS_TOPIC.format(node.node_id), decision.to_doc())
+            self._forward(node, self._queue_status, QUEUE_STATUS_TOPIC.format(node.node_id), decision.to_doc())
             # Every message held was sent at or before ``now``, so no later window holds it.
             node.window = []
         self.engine.at(now + WINDOW_MS, "detector-tick", "rsus", self._detector_tick)

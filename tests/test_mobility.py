@@ -64,6 +64,46 @@ def test_position_geo_endpoints_and_midpoint():
     assert mid.lon == -75.0
 
 
+class _CountingCorridor(Corridor):
+    """A corridor that counts the arc lengths it converts to coordinates."""
+
+    measured = 0
+
+    def position_geo(self, s):
+        self.measured += 1
+        return super().position_geo(s)
+
+
+def test_a_vehicle_is_measured_once_per_position():
+    """A stopped vehicle keeps one ``GeoPoint`` for the whole stop and is
+    measured once per stop; a moving one is measured again after every step."""
+    corridor = _CountingCorridor([GeoPoint(40.0, -75.0), GeoPoint(40.0072, -75.0)])
+    world = TrafficWorld(corridor=corridor, constants=CONSTANTS)
+    world.spawn(cruise("stopped", 50.0, 0.0))
+    world.spawn(cruise("moving", 20.0, 10.0))
+    stopped = world.position_geo("stopped")
+    moving = [world.position_geo("moving")]
+    assert corridor.measured == 2
+    for _ in range(5):
+        world.step(0.1)
+        assert world.position_geo("stopped") is stopped
+        assert world.position_geo("moving") is world.position_geo("moving")  # once per step, however often asked
+        moving.append(world.position_geo("moving"))
+    assert corridor.measured == 2 + 5
+    assert len({(p.lat, p.lon) for p in moving}) == 6
+    assert moving[-1] == corridor.position_geo(world.vehicles["moving"].s)
+    # Braking to a halt moves it each step until it stops, then never again.
+    world.latch_stop("moving")
+    while world.vehicles["moving"].speed > 0:
+        world.step(0.1)
+    halt = world.position_geo("moving")
+    before = corridor.measured
+    for _ in range(5):
+        world.step(0.1)
+        assert world.position_geo("moving") is halt
+    assert corridor.measured == before
+
+
 def test_project_inverts_position_geo():
     corridor = Corridor(
         [GeoPoint(40.0, -75.0), GeoPoint(40.004, -75.0), GeoPoint(40.004, -74.996)]

@@ -91,6 +91,36 @@ def test_latency_uniform_within_jitter_and_clamped_positive():
     assert seen == set(range(1, 8))
 
 
+def test_zero_jitter_delivery_is_the_models_one_outcome_after_one_draw():
+    rng, twin = random.Random(11), random.Random(11)
+    outcomes = [sample_delivery(10.0, DSRC, rng) for _ in range(3)]
+    assert all(outcome is DSRC.mean_delivery for outcome in outcomes)
+    assert DSRC.mean_delivery == Delivered(4) and isinstance(DSRC.mean_delivery, Delivered)
+    for _ in range(3):
+        twin.random()  # the loss draw, and nothing more
+    assert rng.getstate() == twin.getstate()
+
+
+def test_jittered_delivery_still_draws_its_latency():
+    model = replace(DSRC, latency_jitter_ms=2)
+    rng, twin = random.Random(11), random.Random(11)
+    outcome = sample_delivery(10.0, model, rng)
+    twin.random()
+    assert outcome == Delivered(twin.randint(2, 6)) and outcome is not model.mean_delivery
+    assert rng.getstate() == twin.getstate()
+
+
+def test_replace_rebuilds_the_held_outcome():
+    slower = replace(DSRC, latency_mean_ms=9)
+    assert slower.mean_delivery == Delivered(9) and DSRC.mean_delivery == Delivered(4)
+    assert sample_delivery(1.0, slower, random.Random(3)) is slower.mean_delivery
+    assert DSRC.for_warnings().mean_delivery == Delivered(4)
+    warning = replace(DSRC, warning_latency_mean_ms=88).for_warnings()
+    assert warning.mean_delivery == Delivered(88)
+    # Not part of a model's value: two equal models may hold two equal outcomes.
+    assert slower == replace(DSRC, latency_mean_ms=9) and "mean_delivery" not in repr(slower)
+
+
 def test_warning_model_takes_the_warning_mean():
     model = LinkModel(
         kind=LinkKind.DSRC, range_m=300.0, latency_mean_ms=4, warning_latency_mean_ms=88

@@ -836,6 +836,29 @@ def test_checks_due_in_one_millisecond_keep_the_per_beacon_order():
     assert len(expected.handoff_events) > 100
 
 
+def test_co_located_rsus_refresh_a_vehicle_once_per_millisecond(monkeypatch):
+    """Twin RSUs deliver two beacons to each vehicle in one millisecond; only
+    the first calls ``handoff.on_beacon``, and a check per beacon still agrees."""
+    config = index_scenario(
+        [(0.0, 1000.0)], [("r0", 0.5, 0.0), ("r1", 0.5, 0.0)], [0.45, 0.5], t_end_s=3.0, speed_mph=10.0
+    )
+    calls = Counter()
+    on_beacon = ho.on_beacon
+
+    def counted(state, cfg, t):
+        calls[state.vehicle, t] += 1
+        return on_beacon(state, cfg, t)
+
+    monkeypatch.setattr(ho, "on_beacon", counted)
+    result = Simulation(config).run()
+    monkeypatch.undo()
+    end = result.summary.end_time_ms
+    beacons = Counter((p.rx, p.t_recv) for p in result.packets if p.kind == "beacon" and p.delivered and p.t_recv <= end)
+    assert len(beacons) == 2 * 30 and set(beacons.values()) == {2}
+    assert calls == Counter(dict.fromkeys(beacons, 1))
+    assert assert_matches_per_beacon(config).handoff_events == result.handoff_events
+
+
 # -- delivery batches against one event per delivered packet ----------------------
 
 
@@ -891,3 +914,37 @@ def test_batched_deliveries_match_one_event_per_packet(config):
 @pytest.mark.parametrize("name", bundled_scenario_names())
 def test_bundled_scenarios_match_one_event_per_packet(scenario_runs, name):
     assert_matches_per_packet(scenario_runs(name), _PerPacketSimulation(load_scenario(name)).run())
+
+
+# -- geometry kept per position against computing it at every use -----------------
+
+
+class _FreshGeometrySimulation(Simulation):
+    """The reference: each vehicle's position and reach are computed afresh at every use, with no memo."""
+
+    def __init__(self, config, trace=None):
+        super().__init__(config, trace=trace)
+        world = self.world
+        world.position_geo = lambda vid: world.corridor.position_geo(world.vehicles[vid].s)
+
+    def _reach(self, vid):
+        pos = self.world.position_geo(vid)
+        within = self._rsu_index.within(pos, self._beacon.model.range_m)
+        return [(i, distance(self.rsus[i].pos, pos)) for i in within]
+
+
+@settings(max_examples=40, deadline=None)
+@given(per_packet_cases())
+def test_geometry_kept_per_position_matches_computing_it_at_every_use(config):
+    """A hard brake stops vehicles, which then keep one position and one reach list for the whole stop."""
+    (result, trace), (expected, expected_trace) = (
+        run_traced(cls, config) for cls in (Simulation, _FreshGeometrySimulation)
+    )
+    assert outcomes(result) == outcomes(expected)
+    assert trace == expected_trace
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_bundled_scenarios_match_fresh_geometry(scenario_runs, name):
+    """The queue scenarios hold most of their vehicles still for most of the run."""
+    assert outcomes(scenario_runs(name)) == outcomes(_FreshGeometrySimulation(load_scenario(name)).run())
