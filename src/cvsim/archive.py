@@ -6,10 +6,9 @@ with a count of the retained records per topic, so ``count`` and ``query``
 match distinct topics, not records.
 Nothing is encoded on append. An export encodes each record's payload once
 (``canonical_json``, whose encoder is built once, at import) and builds the
-record's line around that encoding (``record_line``; ``spliced_line`` adds one
-key). Keys are sorted, so identical runs export byte-identical files. Every
-file cvsim writes is opened by ``open_text``: UTF-8 with LF line ends on every
-platform.
+record's line around that encoding (``record_line``). Keys are sorted, so
+identical runs export byte-identical files. Every file cvsim writes is opened
+by ``open_text``: UTF-8 with LF line ends on every platform.
 
 A ``Record`` is an immutable ``typing.NamedTuple``, compared as a tuple.
 """
@@ -17,7 +16,7 @@ A ``Record`` is an immutable ``typing.NamedTuple``, compared as a tuple.
 from __future__ import annotations
 
 import json
-from bisect import bisect, bisect_left, insort
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -79,28 +78,6 @@ def record_line(record: Record, payload_json: str) -> str:
         f'{{"origin":{_json_str(record.origin)},"payload":{payload_json},'
         f'"seq":{record.seq},"t":{record.t},"topic":{_json_str(record.topic)}}}\n'
     )
-
-
-def spliced_line(payload: dict, payload_json: str, key: str, value: object, value_json: str) -> str:
-    """``canonical_line({**payload, key: value})``, given the encodings of ``payload`` and ``value``.
-
-    Into a flat payload (one ``{``, no ``[``: no dict or list values) that
-    lacks ``key``, the item is spliced at its sorted place. An unescaped
-    ``"`` inside an encoded string never follows a ``,``, so ``,"<next key>":``
-    occurs only where that key opens. Any other payload is encoded whole.
-    Payload keys are strings, as in every message document.
-    """
-    if key in payload or "[" in payload_json or payload_json.count("{") != 1:
-        return canonical_line({**payload, key: value})
-    keys = sorted(payload)
-    i = bisect(keys, key)
-    item = f"{_json_str(key)}:{value_json}"
-    if i == len(keys):
-        return f"{payload_json[:-1]},{item}}}\n" if keys else f"{{{item}}}\n"
-    if i == 0:
-        return f"{{{item},{payload_json[1:]}\n"
-    j = payload_json.index(f",{_json_str(keys[i])}:") + 1
-    return f"{payload_json[:j]}{item},{payload_json[j:]}\n"
 
 
 @dataclass

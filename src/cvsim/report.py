@@ -15,17 +15,19 @@ by the end of the run. ``link_stats`` sums each link's tallies into one more
 ``SendTally``, and the exchange delays read the ledger itself; nothing here
 reads the packet log.
 ``archive.ndjson`` and ``trace.ndjson`` are written in one pass over the
-backend's records, each payload encoded once for both lines.
+backend's records; a BSM's two lines are built from its five fields
+(``_bsm_halves``), any other payload is encoded by ``canonical_json``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .apps import QueueDecision, accuracy, eval_bucket
-from .archive import Record, canonical_json, open_text, record_line, spliced_line
+from .archive import Record, _json_str, canonical_json, canonical_line, open_text, record_line
 from .core import m_to_ft, mps_to_mph, round_half_away
 from .config import BSM_RAW_PATTERN, QUEUE_STATUS_PATTERN, SYSTEM_NODE_ID, ScenarioConfig
 from .radio import LinkKind, loss_probability, rssi_dbm
@@ -162,7 +164,26 @@ def coverage_rows(config: ScenarioConfig) -> list[tuple[str, float, float, float
     return rows
 
 
-_TRUTH_JSON = {truth: canonical_json(truth) for truth in (False, True)}
+_BSM_KEYS = frozenset(("t", "vehicle_id", "lat", "lon", "speed"))
+
+
+def _bsm_halves(payload: dict) -> tuple[str, str] | None:
+    """``canonical_json`` of a BSM document, cut before ``"vehicle_id"``; None for any other payload.
+
+    Its keys are ``_BSM_KEYS``: an exact ``int`` ``t``, an exact ``str`` ``vehicle_id`` and finite
+    exact ``int``s or ``float``s, which the C encoder writes as their ``repr`` and through
+    ``encode_basestring_ascii``, in sorted key order: lat, lon, speed, t, (truth,) vehicle_id.
+    """
+    if payload.keys() != _BSM_KEYS:
+        return None
+    t, vehicle_id = payload["t"], payload["vehicle_id"]
+    lat, lon, speed = payload["lat"], payload["lon"], payload["speed"]
+    if type(t) is not int or type(vehicle_id) is not str:
+        return None
+    for x in (lat, lon, speed):
+        if type(x) is not int and (type(x) is not float or not isfinite(x)):
+            return None
+    return f'{{"lat":{lat!r},"lon":{lon!r},"speed":{speed!r},"t":{t},', f'"vehicle_id":{_json_str(vehicle_id)}}}'
 
 
 @dataclass(frozen=True)
@@ -170,52 +191,54 @@ class _BsmTrace:
     """Which backend records the BSM trace holds, and the line each one gets."""
 
     topics: set[str]  # the backend's bsm/raw topics
-    truth_at: dict[int, tuple[bool, str]]  # eval bucket -> the live truth and its JSON
+    truth_at: dict[int, bool]  # eval bucket -> the live truth of its first evaluation
 
     @classmethod
     def of(cls, result: RunResult) -> _BsmTrace:
-        truth_at: dict[int, tuple[bool, str]] = {}
-        for e in result.queue_evals:
-            if e.decision.t not in truth_at:
-                truth_at[e.decision.t] = (e.truth, _TRUTH_JSON[e.truth])
+        truth_at = {e.decision.t: e.truth for e in reversed(result.queue_evals)}
         return cls(result.archives[SYSTEM_NODE_ID].topics(BSM_RAW_PATTERN), truth_at)
 
-    def line(self, record: Record, payload_json: str) -> str:
-        truth = self.truth_at.get(eval_bucket(int(record.payload["t"])))
-        if truth is None:
-            return payload_json + "\n"
-        return spliced_line(record.payload, payload_json, "truth", *truth)
+    def line(self, record: Record) -> tuple[str, str]:
+        """The record's payload JSON, and its trace line: the payload plus the truth of its bucket, if any."""
+        payload = record.payload
+        truth = self.truth_at.get(eval_bucket(int(payload["t"])))
+        halves = _bsm_halves(payload)
+        if halves is None:
+            return canonical_json(payload), canonical_line(payload if truth is None else {**payload, "truth": truth})
+        head, tail = halves
+        truth_json = "" if truth is None else f'"truth":{"true" if truth else "false"},'
+        return head + tail, f"{head}{truth_json}{tail}\n"
 
 
 def write_bsm_trace(result: RunResult, path: Path) -> int:
     """Export the backend's telemetry stream for offline replay; returns the line count.
 
-    One line per backend ``bsm/raw`` record, in (t, seq) order: the
-    message's payload, plus ``truth``, the live ground truth of the
-    one-second evaluation its timestamp falls into (omitted when the run had
-    no detector or the bucket was never evaluated). The payload is encoded
-    once and ``truth`` spliced into it (``archive.spliced_line``);
-    ``write_artifacts`` writes the same lines in its one pass.
+    One line per backend ``bsm/raw`` record, in (t, seq) order, the same as
+    ``write_artifacts``' (``_BsmTrace.line``): the message's payload, plus
+    ``truth``, the live ground truth of the one-second evaluation its timestamp
+    falls into (omitted when the run had no detector or the bucket was never evaluated).
     """
     trace = _BsmTrace.of(result)
     n = 0
     with open_text(path) as fh:
         for record in result.archives[SYSTEM_NODE_ID]:
             if record.topic in trace.topics:
-                fh.write(trace.line(record, canonical_json(record.payload)))
+                fh.write(trace.line(record)[1])
                 n += 1
     return n
 
 
 def _write_backend_exports(result: RunResult, archive_path: Path, trace_path: Path) -> None:
-    """``archive.ndjson`` and ``trace.ndjson`` in one pass, each backend payload encoded once."""
+    """``archive.ndjson`` and ``trace.ndjson`` in one pass, each BSM formatted once for both."""
     trace = _BsmTrace.of(result)
     with open_text(archive_path) as archive_fh, open_text(trace_path) as trace_fh:
         for record in result.archives[SYSTEM_NODE_ID]:
-            payload_json = canonical_json(record.payload)
-            archive_fh.write(record_line(record, payload_json))
             if record.topic in trace.topics:
-                trace_fh.write(trace.line(record, payload_json))
+                payload_json, line = trace.line(record)
+                trace_fh.write(line)
+            else:
+                payload_json = canonical_json(record.payload)
+            archive_fh.write(record_line(record, payload_json))
 
 
 def report_rows(result: RunResult, figures: ReportFigures) -> list[tuple[str, str, str]]:

@@ -11,14 +11,16 @@ from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from cvsim.apps import Verdict
 from cvsim.broker import Broker, BrokerMessage, matches
-from cvsim.config import load_scenario
+from cvsim.config import bundled_scenario_names, load_scenario
 from cvsim.core import distance, ft_to_m, m_to_ft, min_safety_distance, mph_to_mps, round_half_away
 from cvsim.radio import Delivered, LinkKind, LinkModel, loss_probability, sample_delivery
 from cvsim.replay import parse_trace, replay_trace
-from cvsim.report import write_artifacts, write_bsm_trace
-from cvsim.sim import SYSTEM_NODE_ID
+from cvsim.report import compute_figures, write_artifacts, write_bsm_trace
+from cvsim.sim import SYSTEM_NODE_ID, run_scenario
 
 from test_broker import reference_matches
 
@@ -290,8 +292,6 @@ def test_criterion_8_radio_statistics():
 
 @_criterion(9, "determinism: byte-identical artifacts, replay reproduces live decisions")
 def test_criterion_9_determinism(tmp_path):
-    from cvsim.sim import run_scenario
-
     dirs = []
     for tag in ("a", "b"):
         config = load_scenario("queue_mixed_penetration")
@@ -331,3 +331,26 @@ def test_criterion_10_archive_conservation(scenario_runs):
     expected = 10 * coverage_s * n_vehicles
     count = result.archives[SYSTEM_NODE_ID].count("bsm/raw/#")
     assert abs(count - expected) <= n_vehicles
+
+
+# -- the paper's figures at every seed ----------------------------------------
+
+SEEDS = range(1, 11)
+
+
+def paper_figures(result):
+    """What the paper reports of a run: each avoidance decision, both exchange delays, queue accuracy, handoffs."""
+    decisions = [
+        (d.vehicle, d.link_used, round_half_away(m_to_ft(d.d_min_m)), d.latency_ms, d.verdict)
+        for d in result.avoidance_decisions
+    ]
+    return decisions, compute_figures(result).delays, result.queue_accuracy(), len(result.handoff_events)
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_paper_figures_hold_at_every_seed(name, scenario_runs):
+    """The seed moves loss and jitter draws, and nothing the paper reports."""
+    config = load_scenario(name)
+    expected = paper_figures(scenario_runs(name))
+    for seed in SEEDS:
+        assert paper_figures(run_scenario(replace(config, seed=seed))) == expected, f"{name} at seed {seed}"

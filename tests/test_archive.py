@@ -1,14 +1,15 @@
 import json
+import math
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cvsim.apps import eval_bucket
-from cvsim.archive import Archive, InvalidRangeError, Record, canonical_json, canonical_line, spliced_line
+from cvsim.archive import Archive, InvalidRangeError, Record, canonical_json, canonical_line
 from cvsim.broker import matches
 from cvsim.config import SYSTEM_NODE_ID, bundled_scenario_names
-from cvsim.report import _BsmTrace
+from cvsim.report import _BsmTrace, _bsm_halves
 
 
 def test_append_returns_increasing_seq():
@@ -175,44 +176,103 @@ def test_topic_counts_equal_a_brute_force_count(steps, wild, max_age_ms):
             assert [(r.t, r.seq, r.topic) for r in arch.query(0, 200, pattern)] == hits, pattern
 
 
-# -- hypothesis property: splicing one item into an encoded payload -----------
+# -- hypothesis properties: the trace's lines against the generic encoder -------
 
 KEYS = ["a", "heading", "t", "tru", "truth", "truth0", "truthy", "u", "vehicle_id", "}", "é", "~"]
 keys = st.one_of(st.sampled_from(KEYS), st.text(max_size=6))
 tricky = st.sampled_from(['"', "\\", ",", ',"vehicle_id":', '","truth":', "x,", "\\\"", "é☃", "\ud800", "}"])
+tricky_text = st.one_of(tricky, st.lists(tricky, max_size=3).map("".join), st.text())
 scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
     st.floats(allow_nan=False),
     st.sampled_from([-0.0, 1e-320, 5e-324, 1e308]),
-    tricky,
-    st.lists(tricky, max_size=3).map("".join),
-    st.text(),
+    tricky_text,
 )
 values = st.one_of(scalars, st.lists(scalars, max_size=2), st.dictionaries(st.sampled_from(KEYS), scalars, max_size=4))
 flat_payloads = st.dictionaries(keys, scalars, max_size=6)
 payloads = st.dictionaries(keys, values, max_size=6)
 
+numbers = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**63, max_value=10**40).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0, -0.0, 5e-324, 1e-320, 1e308, -1e308]),
+)
+bsm_docs = st.fixed_dictionaries(
+    {"t": st.integers(), "vehicle_id": tricky_text, "lat": numbers, "lon": numbers, "speed": numbers}
+)
+truths = st.sampled_from([None, False, True])
+
+
+class Float(float):
+    pass
+
+
+class Text(str):
+    pass
+
+
+def trace_lines(doc, truth):
+    """``_BsmTrace.line`` of a ``bsm/raw`` record holding ``doc``, with ``truth`` for its bucket."""
+    t = int(doc["t"])
+    truth_at = {} if truth is None else {eval_bucket(t): truth}
+    trace = _BsmTrace(topics={"bsm/raw/v"}, truth_at=truth_at)
+    return trace.line(Record(seq=0, topic="bsm/raw/v", t=t, payload=doc, origin="v"))
+
+
+def generic_lines(doc, truth):
+    return canonical_json(doc), canonical_line(doc if truth is None else {**doc, "truth": truth})
+
 
 @settings(max_examples=500, deadline=None)
-@given(payload=st.one_of(flat_payloads, payloads), key=st.sampled_from(["truth", "a", "vehicle_id"]), value=scalars)
-@example(payload={"a": {"t": 1, "vehicle_id": 2}, "vehicle_id": "v"}, key="truth", value=True)
-@example(payload={"a": "x,", "vehicle_id": ',"vehicle_id":'}, key="truth", value=False)
-def test_spliced_line_equals_the_whole_encode(payload, key, value):
-    expected = canonical_line({**payload, key: value})
-    assert spliced_line(payload, canonical_json(payload), key, value, canonical_json(value)) == expected
+@given(doc=bsm_docs, truth=truths)
+@example(doc={"t": 0, "vehicle_id": ',"vehicle_id":', "lat": -0.0, "lon": 5e-324, "speed": 1e308}, truth=True)
+@example(doc={"t": -1, "vehicle_id": '\\"\ud800é', "lat": 10**40, "lon": -(2**63), "speed": 0}, truth=False)
+def test_bsm_lines_are_formatted_from_their_five_fields(doc, truth):
+    assert _bsm_halves(doc) is not None
+    assert trace_lines(doc, truth) == generic_lines(doc, truth)
+
+
+DROP = object()
+
+
+def fallback(doc, change):
+    """``doc`` with one key set to a value (or dropped) that takes it off the BSM formatter."""
+    key, value = change
+    doc = dict(doc)
+    if value is DROP:
+        del doc[key]
+    else:
+        doc[key] = value
+    return doc
+
+
+changes = st.one_of(
+    st.tuples(st.sampled_from(["t", "lat", "lon", "speed"]), st.booleans()),
+    st.tuples(st.sampled_from(["lat", "lon", "speed"]), st.sampled_from([math.nan, math.inf, -math.inf])),
+    st.tuples(st.just("heading"), numbers),
+    st.tuples(keys.filter(lambda k: k not in {"t", "vehicle_id", "lat", "lon", "speed"}), scalars),
+    st.tuples(st.sampled_from(["vehicle_id", "lat", "lon", "speed"]), st.just(DROP)),
+    st.tuples(st.sampled_from(["lat", "lon", "speed"]), st.floats(allow_nan=False).map(Float)),
+    st.tuples(st.just("vehicle_id"), tricky_text.map(Text)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(doc=bsm_docs, change=changes, truth=truths)
+def test_other_documents_take_the_generic_encode(doc, change, truth):
+    doc = fallback(doc, change)
+    assert _bsm_halves(doc) is None
+    assert trace_lines(doc, truth) == generic_lines(doc, truth)
 
 
 @settings(max_examples=300, deadline=None)
-@given(payload=flat_payloads, t=st.integers(0, 5000), truth=st.sampled_from([None, False, True]))
+@given(payload=st.one_of(flat_payloads, payloads), t=st.integers(0, 5000), truth=truths)
 def test_trace_line_adds_the_truth_of_its_bucket(payload, t, truth):
     payload = {**payload, "t": t}
-    truth_at = {} if truth is None else {eval_bucket(t): (truth, canonical_json(truth))}
-    trace = _BsmTrace(topics={"bsm/raw/v"}, truth_at=truth_at)
-    record = Record(seq=0, topic="bsm/raw/v", t=t, payload=payload, origin="v")
-    expected = canonical_line(payload if truth is None else {**payload, "truth": truth})
-    assert trace.line(record, canonical_json(payload)) == expected
+    assert trace_lines(payload, truth) == generic_lines(payload, truth)
 
 
 # -- the shared encoder against json.dumps ----------------------------------------

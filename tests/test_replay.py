@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvsim.apps import eval_bucket
-from cvsim.archive import canonical_json, spliced_line
+from cvsim.archive import canonical_json, canonical_line
 from cvsim.cli import main
 from cvsim.config import bundled_scenario_names, load_scenario
 from cvsim.replay import MAX_TRACE_T_MS, TraceError, TraceRecord, axis_order_key, parse_trace, replay_trace
@@ -184,11 +184,10 @@ def test_parsed_trace_re_encodes_to_every_byte_of_its_line(scenario_runs, tmp_pa
     assert len(records) == len(lines)
     for record, line in zip(records, lines):
         doc = record.bsm.to_doc()
-        payload_json = canonical_json(doc)
         if record.truth is None:
-            assert payload_json + "\n" == line
+            assert canonical_json(doc) + "\n" == line
         else:
-            assert spliced_line(doc, payload_json, "truth", record.truth, canonical_json(record.truth)) == line
+            assert canonical_line({**doc, "truth": record.truth}) == line
 
 
 def test_axis_fallback_matches_corridor_projection_on_straight_road(scenario_runs, tmp_path):
