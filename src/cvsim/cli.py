@@ -104,6 +104,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("either --scenario or --trace is required")
     if args.trace and args.event_trace:
         parser.error("--event-trace records a scenario run; replay with --trace has no event trace")
+    if args.trace and args.seed is not None:
+        parser.error("--seed seeds a scenario run; replay with --trace draws no random numbers")
     try:
         if args.trace:
             return _replay(args)

@@ -85,6 +85,11 @@ class GeoPoint(_GeoPointFields):
 _JSON_NUMBER = (int, float)
 
 
+# The keys of every BSM document: ``Bsm.to_doc`` writes them, ``Bsm.from_doc`` requires
+# them; ``heading`` is the one optional key.
+BSM_KEYS = frozenset(("t", "vehicle_id", "lat", "lon", "speed"))
+
+
 class _BsmFields(NamedTuple):
     t: int
     vehicle_id: str

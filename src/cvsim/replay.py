@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .apps import WINDOW_MS, QueueDecision, accuracy, detect_queue, eval_bucket, window_by_vehicle
-from .core import Bsm, GeoPoint, SimConstants, distance
+from .core import BSM_KEYS, Bsm, GeoPoint, SimConstants, distance
 from .mobility import Corridor
 from .report import QUEUE_HEADER, queue_rows, write_csv
 
@@ -36,7 +36,6 @@ REPLAY_RSU_ID = "replay"
 # decision per second up to the largest ``t``, so this caps a trace at
 # 86,400 decisions however few lines it has.
 MAX_TRACE_T_MS = 24 * 3600 * 1000
-_REQUIRED_FIELDS = frozenset(("t", "vehicle_id", "lat", "lon", "speed"))
 # On a stripped line, ``json.loads`` is this decode plus a BOM check and an
 # extra-data check; ``parse_trace`` makes both itself, with the same messages.
 _decode = json.JSONDecoder().raw_decode
@@ -91,7 +90,7 @@ def parse_trace(path: str | Path, t_end_ms: int | None = None) -> list[TraceReco
             try:
                 bsm = Bsm.from_doc(doc)
             except KeyError:  # from_doc reads every required field before it checks any
-                raise TraceError(source, lineno, f"missing fields: {sorted(_REQUIRED_FIELDS - doc.keys())}")
+                raise TraceError(source, lineno, f"missing fields: {sorted(BSM_KEYS - doc.keys())}")
             except (TypeError, ValueError, OverflowError) as exc:
                 raise TraceError(source, lineno, f"bad message fields: {exc}")
             if bsm.t > t_max:

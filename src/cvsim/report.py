@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator
 
 from .apps import QueueDecision, accuracy, eval_bucket
 from .archive import Record, _json_str, canonical_json, canonical_line, open_text, record_line
-from .core import m_to_ft, mps_to_mph, round_half_away
+from .core import BSM_KEYS, m_to_ft, mps_to_mph, round_half_away
 from .config import BSM_RAW_PATTERN, QUEUE_STATUS_PATTERN, SYSTEM_NODE_ID, ScenarioConfig
 from .radio import LinkKind, loss_probability, rssi_dbm
 from .sim import Ledger, RunResult, SendTally
@@ -164,17 +164,14 @@ def coverage_rows(config: ScenarioConfig) -> list[tuple[str, float, float, float
     return rows
 
 
-_BSM_KEYS = frozenset(("t", "vehicle_id", "lat", "lon", "speed"))
-
-
 def _bsm_halves(payload: dict) -> tuple[str, str] | None:
     """``canonical_json`` of a BSM document, cut before ``"vehicle_id"``; None for any other payload.
 
-    Its keys are ``_BSM_KEYS``: an exact ``int`` ``t``, an exact ``str`` ``vehicle_id`` and finite
+    Its keys are ``BSM_KEYS``: an exact ``int`` ``t``, an exact ``str`` ``vehicle_id`` and finite
     exact ``int``s or ``float``s, which the C encoder writes as their ``repr`` and through
     ``encode_basestring_ascii``, in sorted key order: lat, lon, speed, t, (truth,) vehicle_id.
     """
-    if payload.keys() != _BSM_KEYS:
+    if payload.keys() != BSM_KEYS:
         return None
     t, vehicle_id = payload["t"], payload["vehicle_id"]
     lat, lon, speed = payload["lat"], payload["lon"], payload["speed"]

@@ -19,7 +19,7 @@ from cvsim.config import bundled_scenario_names, load_scenario
 from cvsim.core import distance, ft_to_m, m_to_ft, min_safety_distance, mph_to_mps, round_half_away
 from cvsim.radio import Delivered, LinkKind, LinkModel, loss_probability, sample_delivery
 from cvsim.replay import parse_trace, replay_trace
-from cvsim.report import compute_figures, write_artifacts, write_bsm_trace
+from cvsim.report import compute_figures, write_artifacts
 from cvsim.sim import SYSTEM_NODE_ID, run_scenario
 
 from test_broker import reference_matches
@@ -167,15 +167,14 @@ def test_criterion_5_queue_mixed_penetration(scenario_runs, tmp_path):
         assert d.n_cvs >= 2
         assert d.avg_speed_mps < config.constants.queue_speed_threshold_mps
         assert d.avg_gap_m >= config.constants.queue_gap_threshold_m, "cause must be the gap"
-    trace_path = tmp_path / "mixed.ndjson"
-    write_bsm_trace(result, trace_path)
+    trace_path = write_artifacts(result, tmp_path)["trace.ndjson"]
     assert _oracle_accuracy_from_trace(trace_path) == acc
 
 
 # -- 6 ----------------------------------------------------------------------
 
 @_criterion(6, "handoff: 2 events per pass, DSRC discipline, Wi-Fi gaps 25 s / 28 s")
-def test_criterion_6_handoff_correctness(scenario_runs):
+def test_criterion_6_handoff_correctness(scenario_runs, tmp_path):
     result = scenario_runs("rsu_coverage_pass")
     transitions = [(e.from_link, e.to_link) for e in result.handoff_events]
     assert transitions == [(LinkKind.LTE, LinkKind.DSRC), (LinkKind.DSRC, LinkKind.LTE)]
@@ -202,9 +201,9 @@ def test_criterion_6_handoff_correctness(scenario_runs):
 
     for name, gap_ms in (("wifi_lte_handoff_udp", 25_000), ("wifi_lte_handoff_tcp", 28_000)):
         res = scenario_runs(name)
-        arrivals = sorted(
-            r.t for r in res.archives[SYSTEM_NODE_ID].query(0, 10**9, "bsm/raw/#")
-        )
+        archive = write_artifacts(res, tmp_path / name)["archive.ndjson"]
+        records = map(json.loads, archive.read_text(encoding="utf-8").splitlines())
+        arrivals = sorted(r["t"] for r in records if matches("bsm/raw/#", r["topic"]))
         largest = max(b - a for a, b in zip(arrivals, arrivals[1:]))
         period = res.config.constants.bsm_interval_ms
         assert gap_ms - period <= largest <= gap_ms + period
@@ -306,8 +305,7 @@ def test_criterion_9_determinism(tmp_path):
 
     config = load_scenario("queue_mixed_penetration")
     live = run_scenario(config)
-    trace_path = tmp_path / "trace.ndjson"
-    write_bsm_trace(live, trace_path)
+    trace_path = write_artifacts(live, tmp_path / "live")["trace.ndjson"]
     replay = replay_trace(parse_trace(trace_path), constants=config.constants,
                           corridor=config.corridor)
     live_rows = [

@@ -444,14 +444,17 @@ def test_replay_without_a_scenario_honours_the_t_end_flag(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_event_trace_with_replay_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("flag", ["--event-trace", "--seed"])
+def test_event_trace_with_replay_is_a_usage_error(tmp_path, capsys, flag):
+    """Replay runs no engine: it has no event trace to write and draws no random number to seed."""
     trace = tmp_path / "t.ndjson"
     trace.write_text(json.dumps({"t": 50, "vehicle_id": "v", "lat": 40.0, "lon": -75.0, "speed": 0.0}) + "\n")
     dump = tmp_path / "events.log"
+    value = {"--event-trace": str(dump), "--seed": "7"}[flag]
     with pytest.raises(SystemExit) as err:
-        main(["--trace", str(trace), "--event-trace", str(dump), "--out-dir", str(tmp_path / "out")])
+        main(["--trace", str(trace), flag, value, "--out-dir", str(tmp_path / "out")])
     assert err.value.code == 2
-    assert "--event-trace" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"cvsim: error: {flag} ")
     assert not dump.exists() and not (tmp_path / "out").exists()
 
 

@@ -16,7 +16,7 @@ from cvsim.archive import canonical_json, canonical_line
 from cvsim.cli import main
 from cvsim.config import bundled_scenario_names, load_scenario
 from cvsim.replay import MAX_TRACE_T_MS, TraceError, TraceRecord, axis_order_key, parse_trace, replay_trace
-from cvsim.report import write_artifacts, write_bsm_trace
+from cvsim.report import write_artifacts
 from cvsim.core import EARTH_RADIUS_M, Bsm, GeoPoint
 from cvsim.radio import LinkKind
 from cvsim.sim import run_scenario
@@ -123,8 +123,8 @@ def test_one_line_trace_diagnostic(tmp_path, capsys, line, message):
     assert not (tmp_path / "out").exists()
 
 
-def assert_replay_reproduces_live(result, config, trace_path):
-    write_bsm_trace(result, trace_path)
+def assert_replay_reproduces_live(result, config, out_dir):
+    trace_path = write_artifacts(result, out_dir)["trace.ndjson"]
     replay = replay_trace(parse_trace(trace_path), constants=config.constants, corridor=config.corridor)
     live = [e.decision for e in result.queue_evals]
     assert len(replay.decisions) == len(live) == 167
@@ -141,7 +141,7 @@ def assert_replay_reproduces_live(result, config, trace_path):
 
 def test_replay_reproduces_live_decisions_exactly(scenario_runs, tmp_path):
     for name in ("queue_full_penetration", "queue_mixed_penetration"):
-        assert_replay_reproduces_live(scenario_runs(name), load_scenario(name), tmp_path / f"{name}.ndjson")
+        assert_replay_reproduces_live(scenario_runs(name), load_scenario(name), tmp_path / name)
 
 
 @pytest.mark.parametrize("latency_ms", [4, 25, 49])
@@ -154,7 +154,7 @@ def test_replay_reproduces_live_while_every_message_lands_before_its_decision(tm
     config = load_scenario(name)
     dsrc = replace(config.links[LinkKind.DSRC], latency_mean_ms=latency_ms)
     config = replace(config, links={**config.links, LinkKind.DSRC: dsrc})
-    assert_replay_reproduces_live(run_scenario(config), config, tmp_path / "trace.ndjson")
+    assert_replay_reproduces_live(run_scenario(config), config, tmp_path)
 
 
 def test_replay_decides_nothing_when_no_vehicle_is_connected(tmp_path):
@@ -192,9 +192,7 @@ def test_parsed_trace_re_encodes_to_every_byte_of_its_line(scenario_runs, tmp_pa
 
 def test_axis_fallback_matches_corridor_projection_on_straight_road(scenario_runs, tmp_path):
     result = scenario_runs("queue_full_penetration")
-    trace_path = tmp_path / "full.ndjson"
-    write_bsm_trace(result, trace_path)
-    records = parse_trace(trace_path)
+    records = parse_trace(write_artifacts(result, tmp_path)["trace.ndjson"])
     config = load_scenario("queue_full_penetration")
     with_corridor = replay_trace(records, constants=config.constants, corridor=config.corridor)
     without = replay_trace(records, constants=config.constants)

@@ -2,9 +2,12 @@
 
 import importlib.resources
 import io
+import json
 import math
+import tempfile
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from statistics import fmean
 
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from cvsim import handoff as ho
 from cvsim.apps import WINDOW_MS, Verdict
+from cvsim.broker import matches
 from cvsim.config import Directive, bundled_scenario_names, load_scenario, parse_scenario
 from cvsim.core import GeoPoint, distance
 from cvsim.engine import DELIVERY_KIND
@@ -90,7 +94,13 @@ def test_braking_response_stops_receivers(scenario_runs):
     assert result.summary.end_time_ms == 10_000
 
 
-def test_telemetry_continues_through_the_backhaul_after_hard_brake(scenario_runs):
+def exported_records(result, out_dir, pattern):
+    """The records of the ``archive.ndjson`` that ``write_artifacts`` writes whose topic ``pattern`` matches."""
+    lines = write_artifacts(result, out_dir)["archive.ndjson"].read_text(encoding="utf-8").splitlines()
+    return [record for record in map(json.loads, lines) if matches(pattern, record["topic"])]
+
+
+def test_telemetry_continues_through_the_backhaul_after_hard_brake(scenario_runs, tmp_path):
     # the braking vehicle keeps reporting: short-range hop to the roadside
     # node, then the backhaul forward into the backend archive
     result = scenario_runs("collision_avoidance_20mph")
@@ -106,7 +116,7 @@ def test_telemetry_continues_through_the_backhaul_after_hard_brake(scenario_runs
         if p.kind == "bsm_forward" and p.link is LinkKind.WIFI and p.delivered
     ]
     assert forwards, "roadside node must forward telemetry to the backend"
-    archived = result.archives[SYSTEM_NODE_ID].query(brake_t, 10_000, "bsm/raw/cv1")
+    archived = [r for r in exported_records(result, tmp_path, "bsm/raw/cv1") if brake_t <= r["t"] <= 10_000]
     assert len(archived) >= 70
 
 
@@ -306,13 +316,12 @@ def test_simulation_objects_are_single_use():
         sim.run()
 
 
-def test_bsm_timestamps_monotone_per_vehicle(scenario_runs):
+def test_bsm_timestamps_monotone_per_vehicle(scenario_runs, tmp_path):
     result = scenario_runs("queue_full_penetration")
     last: dict[str, int] = {}
-    records = result.archives[SYSTEM_NODE_ID].query(0, 10**9, "bsm/raw/#")
-    for record in records:
-        vid = record.payload["vehicle_id"]
-        t = record.payload["t"]
+    for record in exported_records(result, tmp_path, "bsm/raw/#"):
+        vid = record["payload"]["vehicle_id"]
+        t = record["payload"]["t"]
         assert last.get(vid, -1) < t
         last[vid] = t
 
@@ -333,13 +342,6 @@ def test_every_send_is_delivered_in_flight_or_lost(scenario_runs, name):
         assert s.in_flight == len(late)
     arrived = [p for p in result.packets if p.rx == SYSTEM_NODE_ID and p.delivered and p.t_recv <= end]
     assert result.archives[SYSTEM_NODE_ID].appended_total == len(arrived)
-
-
-def out_of_range_counts(result):
-    """The ledger's out-of-range sends, as a ``Counter`` keyed by (link, kind)."""
-    return Counter(
-        {(link, kind): tally.out_of_range for link, kinds in result.sends.items() for kind, tally in kinds.items()}
-    )
 
 
 def recount_figures(result):
@@ -508,6 +510,56 @@ def test_hard_brake_at_its_spawn_millisecond_runs():
     assert {d.vehicle for d in result.avoidance_decisions} == {"cv2", "cv3"}
 
 
+# -- each shortcut against a reference that undoes it ------------------------------
+#
+# Differential testing (McKeeman, "Differential Testing for Software", 1998): each
+# reference below is a ``Simulation`` subclass that undoes one shortcut, and
+# ``_NaiveSimulation`` undoes all of them. Every reference is held to one outcome
+# definition through one helper, and names in ``dropped`` the event-trace lines it
+# changes by design.
+
+# The artifacts that record what a run did. ``report.txt`` and ``report.csv`` also
+# print the event count, which a reference changes by design.
+BEHAVIOURAL_ARTIFACTS = (
+    "decisions.csv", "queue_decisions.csv", "handoffs.csv", "coverage.csv", "archive.ndjson", "trace.ndjson",
+)
+
+
+def outcomes(result):
+    """Everything a run decides and stores, by name; its event count and event trace are compared apart."""
+    with tempfile.TemporaryDirectory() as out:
+        written = write_artifacts(result, Path(out))
+        artifacts = {name: written[name].read_bytes() for name in BEHAVIOURAL_ARTIFACTS}
+    return {
+        "packets": result.packets,
+        "sends": result.sends,
+        "handoffs": result.handoff_events,
+        "avoidance": result.avoidance_decisions,
+        "queue": result.queue_evals,
+        "archives": {node: (archive.appended_total, list(archive)) for node, archive in result.archives.items()},
+        "artifacts": artifacts,
+        "end": result.summary.end_time_ms,
+    }
+
+
+def assert_agrees(config, reference):
+    """``Simulation`` and ``reference`` run ``config`` to the same ``outcomes`` and the same event
+    trace, both without the lines that hold one of ``reference.dropped``, and ``Simulation`` runs
+    no more events. Returns the ``Simulation`` run."""
+
+    def run(cls):
+        sink = io.StringIO()
+        result = cls(config, trace=sink).run()
+        lines = sink.getvalue().splitlines()
+        return result, [line for line in lines if not any(drop in line for drop in reference.dropped)]
+
+    (result, trace), (expected, expected_trace) = run(Simulation), run(reference)
+    assert outcomes(result) == outcomes(expected)
+    assert trace == expected_trace
+    assert result.summary.events_processed <= expected.summary.events_processed
+    return result
+
+
 # -- the RSU index against measuring every RSU ---------------------------------
 
 
@@ -607,7 +659,10 @@ def test_rsu_index_agrees_with_measuring_every_rsu(case):
                 beyond += 1
     sent = [(p.tx, p.rx) for p in result.packets if p.kind == "bsm" and p.link is LinkKind.DSRC]
     assert sorted(sent) == sorted(bsms)
-    assert out_of_range_counts(result) == Counter(
+    out_of_range = Counter(
+        {(link, kind): tally.out_of_range for link, kinds in result.sends.items() for kind, tally in kinds.items()}
+    )
+    assert out_of_range == Counter(
         {(LinkKind.DSRC, "beacon"): len(sim.rsus) * len(positions) - len(pairs), (LinkKind.DSRC, "bsm"): beyond}
     )
 
@@ -615,33 +670,24 @@ def test_rsu_index_agrees_with_measuring_every_rsu(case):
 class _MeasureEveryRsuSimulation(Simulation):
     """The reference: each lookup measures the vehicle against every RSU, with no index and no memo."""
 
+    dropped = ()
+
     def _reach(self, vid):
         pos = self.world.position_geo(vid)
         return [(i, distance(node.pos, pos)) for i, node in enumerate(self.rsus)]
-
-
-def assert_matches_measuring_every_rsu(config):
-    """Same packets, counts, handoffs and event trace as measuring every RSU at every lookup."""
-    result, trace = run_traced(Simulation, config)
-    expected, expected_trace = run_traced(_MeasureEveryRsuSimulation, config)
-    assert result.packets == expected.packets
-    assert out_of_range_counts(result) == out_of_range_counts(expected)
-    assert result.handoff_events == expected.handoff_events
-    assert trace == expected_trace
-    return result
 
 
 @settings(max_examples=100, deadline=None)
 @given(index_cases(), st.sampled_from([0.0, 30.0, 60.0]))
 def test_one_lookup_per_step_matches_measuring_every_rsu(case, speed_mph):
     """Unbounded range, twin RSUs tied on distance and roads folded back on themselves."""
-    assert_matches_measuring_every_rsu(index_config(case, t_end_s=2.0, speed_mph=speed_mph))
+    assert_agrees(index_config(case, t_end_s=2.0, speed_mph=speed_mph), _MeasureEveryRsuSimulation)
 
 
 def test_bsms_go_to_the_twin_rsu_of_least_id():
     """Twin RSUs tie on distance; the one later in the RSU list has the lesser id."""
     config = index_scenario([(0.0, 1000.0)], [("rb", 0.5, 0.0), ("ra", 0.5, 0.0)], [0.45], t_end_s=1.0)
-    result = assert_matches_measuring_every_rsu(config)
+    result = assert_agrees(config, _MeasureEveryRsuSimulation)
     assert {p.rx for p in result.packets if p.kind == "bsm"} == {"ra"}
 
 
@@ -650,7 +696,7 @@ def test_bsms_beyond_every_rsu_before_the_miss_timeout_are_counted():
     until its miss timeout: its BSMs beyond the 60 m range are counted, not
     sent or drawn."""
     config = index_scenario([(0.0, 1000.0)], [("r0", 0.1, 0.0)], [0.05], range_m=60.0, t_end_s=8.0, speed_mph=60.0)
-    result = assert_matches_measuring_every_rsu(config)
+    result = assert_agrees(config, _MeasureEveryRsuSimulation)
     exit_t = next(e.t for e in result.handoff_events if e.to_link is LinkKind.LTE)
     last_sent = max(p.t_send for p in result.packets if p.kind == "bsm" and p.link is LinkKind.DSRC)
     assert result.sends[LinkKind.DSRC]["bsm"].out_of_range == len(range(last_sent + 100, exit_t, 100)) > 0
@@ -715,6 +761,8 @@ def test_return_leg_hands_off_through_an_outbound_rsu():
 class _PerBeaconSimulation(Simulation):
     """The reference: one ``handoff-check`` scheduled per delivered beacon."""
 
+    dropped = (",handoff-check:",)
+
     def _on_beacon(self, agent):
         now = self.engine.now
         cfg = self.config.handoff
@@ -772,39 +820,20 @@ def with_beacons(config, latency_mean_ms, latency_jitter_ms, **handoff):
     return replace(config, links={**config.links, LinkKind.DSRC: dsrc}, handoff=replace(config.handoff, **handoff))
 
 
-def run_traced(cls, config, drop=None):
-    """The run of ``cls`` on ``config`` and its event trace, without the lines holding ``drop``."""
-    sink = io.StringIO()
-    result = cls(config, trace=sink).run()
-    trace = [line for line in sink.getvalue().splitlines() if drop is None or drop not in line]
-    return result, trace
-
-
-def assert_matches_per_beacon(config):
-    """Same handoffs, packets and event order (checks aside) as a check per beacon."""
-    result, trace = run_traced(Simulation, config, drop=",handoff-check:")
-    expected, expected_trace = run_traced(_PerBeaconSimulation, config, drop=",handoff-check:")
-    assert result.handoff_events == expected.handoff_events
-    assert result.packets == expected.packets
-    assert trace == expected_trace
-    assert result.summary.events_processed <= expected.summary.events_processed
-    return expected
-
-
 @settings(max_examples=60, deadline=None)
 @given(handoff_cases())
 def test_one_pending_check_per_vehicle_matches_one_per_beacon(config):
     """Ties are the point: a zero jitter lands a vehicle's check in the same
     millisecond as a later beacon round's deliveries, and a latency of 40 ms
     past a beacon phase lands beacons on the telemetry round."""
-    assert_matches_per_beacon(config)
+    assert_agrees(config, _PerBeaconSimulation)
 
 
 @settings(max_examples=60, deadline=None)
 @given(handoff_cases())
 def test_one_lookup_per_step_matches_measuring_every_rsu_through_handoffs(config):
     """Beacon intervals of 20 to 200 ms, association gaps, and 60 mph at 60 m range."""
-    assert_matches_measuring_every_rsu(config)
+    assert_agrees(config, _MeasureEveryRsuSimulation)
 
 
 @settings(max_examples=60, deadline=None)
@@ -832,8 +861,7 @@ def test_checks_due_in_one_millisecond_keep_the_per_beacon_order():
     config = with_beacons(
         config, latency_mean_ms=2, latency_jitter_ms=20, beacon_p_near=0.3, miss_threshold=1, beacon_interval_ms=130
     )
-    expected = assert_matches_per_beacon(config)
-    assert len(expected.handoff_events) > 100
+    assert len(assert_agrees(config, _PerBeaconSimulation).handoff_events) > 100
 
 
 def test_co_located_rsus_refresh_a_vehicle_once_per_millisecond(monkeypatch):
@@ -856,7 +884,7 @@ def test_co_located_rsus_refresh_a_vehicle_once_per_millisecond(monkeypatch):
     beacons = Counter((p.rx, p.t_recv) for p in result.packets if p.kind == "beacon" and p.delivered and p.t_recv <= end)
     assert len(beacons) == 2 * 30 and set(beacons.values()) == {2}
     assert calls == Counter(dict.fromkeys(beacons, 1))
-    assert assert_matches_per_beacon(config).handoff_events == result.handoff_events
+    assert assert_agrees(config, _PerBeaconSimulation).handoff_events == result.handoff_events
 
 
 # -- delivery batches against one event per delivered packet ----------------------
@@ -865,27 +893,12 @@ def test_co_located_rsus_refresh_a_vehicle_once_per_millisecond(monkeypatch):
 class _PerPacketSimulation(Simulation):
     """The reference: its engine schedules one ``radio-delivery`` event per delivered packet."""
 
+    dropped = (",radio-delivery,",)
+
     def __init__(self, config, trace=None):
         super().__init__(config, trace=trace)
         engine = self.engine
         engine.deliver = lambda fire_at, subject, fn: engine.at(fire_at, DELIVERY_KIND, subject, fn)
-
-
-def outcomes(result):
-    """Everything a run decides and stores: only its event count is left out."""
-    archives = {
-        node: (archive.appended_total, archive.query(0, result.summary.end_time_ms))
-        for node, archive in result.archives.items()
-    }
-    return (
-        result.packets, result.handoff_events, result.avoidance_decisions, result.queue_evals,
-        archives, out_of_range_counts(result), result.summary.end_time_ms,
-    )
-
-
-def assert_matches_per_packet(result, expected):
-    assert outcomes(result) == outcomes(expected)
-    assert result.summary.events_processed <= expected.summary.events_processed
 
 
 @st.composite
@@ -904,16 +917,7 @@ def per_packet_cases(draw):
 def test_batched_deliveries_match_one_event_per_packet(config):
     """Jittered and late deliveries and twin RSUs: batches run exactly where
     one event per packet would, so the rest of the event trace is the same."""
-    (result, trace), (expected, expected_trace) = (
-        run_traced(cls, config, drop=",radio-delivery,") for cls in (Simulation, _PerPacketSimulation)
-    )
-    assert_matches_per_packet(result, expected)
-    assert trace == expected_trace
-
-
-@pytest.mark.parametrize("name", bundled_scenario_names())
-def test_bundled_scenarios_match_one_event_per_packet(scenario_runs, name):
-    assert_matches_per_packet(scenario_runs(name), _PerPacketSimulation(load_scenario(name)).run())
+    assert_agrees(config, _PerPacketSimulation)
 
 
 # -- geometry kept per position against computing it at every use -----------------
@@ -921,6 +925,8 @@ def test_bundled_scenarios_match_one_event_per_packet(scenario_runs, name):
 
 class _FreshGeometrySimulation(Simulation):
     """The reference: each vehicle's position and reach are computed afresh at every use, with no memo."""
+
+    dropped = ()
 
     def __init__(self, config, trace=None):
         super().__init__(config, trace=trace)
@@ -937,14 +943,38 @@ class _FreshGeometrySimulation(Simulation):
 @given(per_packet_cases())
 def test_geometry_kept_per_position_matches_computing_it_at_every_use(config):
     """A hard brake stops vehicles, which then keep one position and one reach list for the whole stop."""
-    (result, trace), (expected, expected_trace) = (
-        run_traced(cls, config) for cls in (Simulation, _FreshGeometrySimulation)
+    assert_agrees(config, _FreshGeometrySimulation)
+
+
+# -- every shortcut at once against the naive model ----------------------------------
+
+
+class _NaiveSimulation(
+    _MeasureEveryRsuSimulation, _FreshGeometrySimulation, _PerBeaconSimulation, _PerPacketSimulation
+):
+    """The naive model: every reference above at once, through the method resolution order.
+
+    Each lookup measures every RSU (``_MeasureEveryRsuSimulation._reach``) from a
+    position computed afresh (``_FreshGeometrySimulation``), each delivered beacon
+    schedules its own check, and each delivered packet is its own event. A later
+    shortcut adds its one override here.
+    """
+
+    dropped = (
+        *_MeasureEveryRsuSimulation.dropped, *_FreshGeometrySimulation.dropped,
+        *_PerBeaconSimulation.dropped, *_PerPacketSimulation.dropped,
     )
-    assert outcomes(result) == outcomes(expected)
-    assert trace == expected_trace
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(per_packet_cases())
+def test_every_shortcut_agrees_with_the_naive_model(config):
+    """The per-packet cases, with the detector on or off and maybe a hard brake; derandomized, so
+    every run checks the same cases."""
+    assert_agrees(config, _NaiveSimulation)
 
 
 @pytest.mark.parametrize("name", bundled_scenario_names())
-def test_bundled_scenarios_match_fresh_geometry(scenario_runs, name):
+def test_bundled_scenarios_agree_with_the_naive_model(name):
     """The queue scenarios hold most of their vehicles still for most of the run."""
-    assert outcomes(scenario_runs(name)) == outcomes(_FreshGeometrySimulation(load_scenario(name)).run())
+    assert_agrees(load_scenario(name), _NaiveSimulation)
