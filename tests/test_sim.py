@@ -920,6 +920,11 @@ def test_batched_deliveries_match_one_event_per_packet(config):
     assert_agrees(config, _PerPacketSimulation)
 
 
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_bundled_scenarios_match_one_event_per_packet(name):
+    assert_agrees(load_scenario(name), _PerPacketSimulation)
+
+
 # -- geometry kept per position against computing it at every use -----------------
 
 
@@ -944,6 +949,12 @@ class _FreshGeometrySimulation(Simulation):
 def test_geometry_kept_per_position_matches_computing_it_at_every_use(config):
     """A hard brake stops vehicles, which then keep one position and one reach list for the whole stop."""
     assert_agrees(config, _FreshGeometrySimulation)
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_bundled_scenarios_match_fresh_geometry(name):
+    """The queue scenarios hold most of their vehicles still for most of the run."""
+    assert_agrees(load_scenario(name), _FreshGeometrySimulation)
 
 
 # -- every shortcut at once against the naive model ----------------------------------
