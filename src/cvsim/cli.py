@@ -59,8 +59,12 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
 
 def _run(args: argparse.Namespace) -> int:
     config = _load(args)
-    # Opened before the run, so an aborted run leaves the trace up to the event that raised.
-    trace = nullcontext() if args.event_trace is None else open_text(args.event_trace)
+    # Opened before the run, so an aborted run leaves the trace up to the event that raised;
+    # its directory is made first, as ``write_artifacts`` makes ``--out-dir``.
+    trace = nullcontext()
+    if args.event_trace is not None:
+        Path(args.event_trace).parent.mkdir(parents=True, exist_ok=True)
+        trace = open_text(args.event_trace)
     with trace as sink:
         result = Simulation(config, trace=sink).run()
     out_dir = Path(args.out_dir)

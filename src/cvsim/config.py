@@ -42,6 +42,9 @@ QUEUE_STATUS_TOPIC = "queue/status/{}"
 WARNING_TOPIC = "warning/region/{}"
 BSM_RAW_PATTERN = BSM_RAW_TOPIC.format("#")
 QUEUE_STATUS_PATTERN = QUEUE_STATUS_TOPIC.format("#")
+# Vehicle and RSU ids are written unquoted into the CSV artifacts and into the event
+# trace's ``t_ms,kind,subject`` lines, so none may hold a field or line separator.
+ID_FORBIDDEN = ',"\r\n'
 
 
 class ConfigError(ValueError):
@@ -320,6 +323,15 @@ class _Section:
             except TopicError as exc:
                 raise self.error(f"{key} {value!r} cannot form a topic: {exc}", key)
 
+    def check_id(self, key: str, value: str, *templates: str) -> None:
+        """Reject the vehicle or RSU id ``value``, read under ``key``, unless it holds none of
+        ``ID_FORBIDDEN`` and fills every topic template into a valid topic."""
+        bad = next((c for c in value if c in ID_FORBIDDEN), None)
+        if bad is not None:
+            message = f"{key} {value!r} holds {bad!r}: ids are written unquoted into CSV files and the event trace"
+            raise self.error(message, key)
+        self.check_topic(key, value, *templates)
+
     def either(self, to_si: dict[str, Callable[[float], float]], owner: str) -> tuple[str, float]:
         """``(key, value in SI)`` for the one of the two keys of ``to_si`` that is set; a null is unset."""
         first, second = to_si
@@ -474,7 +486,7 @@ def _parse_corridor(section: _Section) -> Corridor:
             s_m=s.get("s_m", float, required=True),
             **s.present({"obstruction": float}),
         )
-        s.check_topic("id", rsu.rsu_id, BSM_PROCESSED_TOPIC, QUEUE_STATUS_TOPIC)
+        s.check_id("id", rsu.rsu_id, BSM_PROCESSED_TOPIC, QUEUE_STATUS_TOPIC)
         if rsu.rsu_id == SYSTEM_NODE_ID:
             raise s.error(f"RSU id {SYSTEM_NODE_ID!r} is reserved for the backend node", "id")
         if any(r.rsu_id == rsu.rsu_id for r in rsus):
@@ -545,7 +557,7 @@ def _parse_vehicle(s: _Section, corridor_length_m: float) -> VehicleSpawn:
     """One ``vehicles`` entry; it enters the road at its ``spawn_t_s``, 0 by default."""
     spawn_t_ms = s.get_ms("spawn_t_s", positive=False, default=0.0)
     vid = s.get("id", str, required=True)
-    s.check_topic("id", vid, BSM_RAW_TOPIC)
+    s.check_id("id", vid, BSM_RAW_TOPIC)
     _, s_pos = s.either(_POSITION_KEYS, f"vehicle {vid!r}")
     if not 0.0 <= s_pos <= corridor_length_m:  # also false for NaN
         raise s.error(f"vehicle {vid!r} spawns outside the corridor")

@@ -67,6 +67,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import pairwise
 from typing import Callable, NamedTuple, TextIO
 
 from . import handoff as ho
@@ -82,7 +83,8 @@ from .apps import (
 )
 from .archive import Archive
 from .broker import Broker, BrokerMessage
-from .config import BSM_PROCESSED_TOPIC, BSM_RAW_TOPIC, QUEUE_STATUS_TOPIC, SYSTEM_NODE_ID, WARNING_TOPIC
+from .config import BSM_PROCESSED_TOPIC, BSM_RAW_PATTERN, BSM_RAW_TOPIC, QUEUE_STATUS_PATTERN, QUEUE_STATUS_TOPIC
+from .config import SYSTEM_NODE_ID, WARNING_TOPIC
 from .config import Directive, ScenarioConfig, VehicleSpawn
 from .core import Bsm, GeoPoint, distance, ecef
 from .engine import Engine, SimSummary
@@ -679,3 +681,53 @@ class Simulation:
 
 def run_scenario(config: ScenarioConfig, trace: TextIO | None = None) -> RunResult:
     return Simulation(config, trace=trace).run()
+
+
+def check_run(result: RunResult) -> list[str]:
+    """One line for each cross-layer invariant the run breaks; empty when every one holds.
+
+    It reads the ledger, the archives, the queue evaluations and the
+    handoffs, never the packet log. A send counts here when it was
+    delivered by the end of the run, and each such delivery stores exactly
+    one message:
+
+    * the backend archived one ``bsm/raw`` record per cellular BSM and per
+      backhaul forward, one ``queue/status`` record per backhaul status and
+      one warning record per cellular warning;
+    * the RSUs appended one record per short-range BSM and two per queue
+      evaluation (the processed window and the status);
+    * the backend archive, which never prunes, holds every record it appended;
+    * every archive's records are in (t, seq) order;
+    * each vehicle's handoffs alternate links, the first leaving cellular.
+
+    No run calls it, and no flag turns it on: it is a check, not behaviour.
+    """
+    errors = []
+    sends = result.sends
+    backend = result.archives[SYSTEM_NODE_ID]
+    lte, backhaul = LinkKind.LTE, BACKHAUL.kind
+    for pattern, routes in (
+        (BSM_RAW_PATTERN, ((lte, "bsm"), (backhaul, "bsm_forward"))),
+        (QUEUE_STATUS_PATTERN, ((backhaul, "queue_status"),)),
+        (WARNING_TOPIC.format("#"), ((lte, "warning"),)),
+    ):
+        archived = backend.count(pattern)
+        delivered = sum(sends[link][kind].delivered for link, kind in routes)
+        if archived != delivered:
+            errors.append(f"the backend archived {archived} {pattern} records, but {delivered} were delivered")
+    appended = sum(archive.appended_total for node, archive in result.archives.items() if node != SYSTEM_NODE_ID)
+    evals = len(result.queue_evals)
+    bsms = sends[result.config.handoff.short_range]["bsm"].delivered
+    if appended != bsms + 2 * evals:
+        errors.append(f"the RSUs appended {appended} records, not {bsms} short-range BSMs + 2 x {evals} evaluations")
+    if backend.appended_total != len(backend):
+        errors.append(f"the backend archive appended {backend.appended_total} records but holds {len(backend)}")
+    for node, archive in result.archives.items():
+        if any(a >= b for a, b in pairwise((r.t, r.seq) for r in archive)):
+            errors.append(f"the archive of {node} is out of (t, seq) order")
+    last: dict[str, LinkKind] = {}
+    for event in result.handoff_events:
+        if event.from_link is not last.get(event.vehicle, lte) or event.to_link is event.from_link:
+            errors.append(f"the handoff of {event.vehicle} at {event.t} ms does not alternate links")
+        last[event.vehicle] = event.to_link
+    return errors

@@ -1,4 +1,6 @@
+import hashlib
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,23 +11,48 @@ from cvsim.sim import run_scenario
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-@pytest.fixture(scope="session")
-def scenario_runs():
-    """Session cache of bundled scenario runs (each is deterministic anyway)."""
-    cache = {}
+class _Sha256Sink:
+    """A text sink that keeps only the SHA-256 of what is written to it."""
 
-    def run(name, seed=None):
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode("utf-8"))
+
+
+def run_traced(config):
+    """Run ``config`` once; returns the run and the SHA-256 of its event trace."""
+    sink = _Sha256Sink()
+    return run_scenario(config, trace=sink), sink.hash.hexdigest()
+
+
+class ScenarioRuns:
+    """Session cache of bundled scenario runs (each is deterministic anyway).
+
+    ``scenario_runs(name, seed=None)`` is the run; ``scenario_runs.traced(name,
+    seed=None)`` is the same run and the SHA-256 of its event trace.
+    """
+
+    def __init__(self):
+        self._runs = {}
+
+    def traced(self, name, seed=None):
         key = (name, seed)
-        if key not in cache:
+        if key not in self._runs:
             config = load_scenario(name)
             if seed is not None:
-                from dataclasses import replace
-
                 config = replace(config, seed=seed)
-            cache[key] = run_scenario(config)
-        return cache[key]
+            self._runs[key] = run_traced(config)
+        return self._runs[key]
 
-    return run
+    def __call__(self, name, seed=None):
+        return self.traced(name, seed)[0]
+
+
+@pytest.fixture(scope="session")
+def scenario_runs():
+    return ScenarioRuns()
 
 
 @pytest.fixture

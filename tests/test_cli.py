@@ -259,6 +259,14 @@ def test_event_trace_dump(tmp_path):
     assert {"mobility-tick", "beacon", "radio-delivery", "app-timer"} <= kinds
 
 
+def test_event_trace_into_a_directory_not_made_yet(tmp_path, monkeypatch):
+    """The README's example in an empty working directory: the trace's directory is made, as
+    ``--out-dir`` is, before the trace is opened."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["--scenario", "corridor_coverage", "--event-trace", "out/events.log"]) == 0
+    assert (tmp_path / "out" / "events.log").stat().st_size > 0
+
+
 def test_aborted_run_leaves_the_event_trace_up_to_the_aborting_event(tmp_path, capsys):
     bad = tmp_path / "crash.yaml"
     bad.write_text(CRASH_YAML)
@@ -386,6 +394,7 @@ def test_bad_rsu_id_exit_2(tmp_path, capsys, rsus, line, message):
     "tail,line,message",
     [
         ("vehicles:\n  - {id: \"c+v\", s_m: 10.0, speed_mph: 20.0}\n", 8, "id 'c+v' cannot form a topic"),
+        ("vehicles:\n  - {id: \"cv,1\", s_m: 10.0, speed_mph: 20.0}\n", 8, "id 'cv,1' holds ','"),
         ("vehicles:\n  - {id: cv2, s_m: 1.0e+9, speed_mph: 20.0}\n", 8, "vehicle 'cv2' spawns outside the corridor"),
         (
             "vehicles:\n  - {id: cv2, s_m: 1.0e+9, speed_mph: 20.0, spawn_t_s: 1.0}\n",

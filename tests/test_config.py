@@ -512,6 +512,15 @@ def test_name_that_cannot_form_a_topic_rejected_with_line(key, old, line, value)
     assert f"case.yaml:{line}" in str(err.value) and "cannot form a topic" in str(err.value)
 
 
+@pytest.mark.parametrize("value,char", [('"a,b"', ","), ('"a\\"b"', '"'), ('"a\\rb"', "\r"), ('"a\\nb"', "\n")])
+@pytest.mark.parametrize("old,line", [("id: cv1", 10), ("id: rsu1", 8)])
+def test_id_that_would_split_a_csv_field_or_an_event_trace_line_rejected_with_line(old, line, value, char):
+    """Vehicle and RSU ids are written unquoted into the CSV artifacts and the event trace."""
+    with pytest.raises(ConfigError) as err:
+        parse(RSU_BASE.replace(old, f"id: {value}"), source="case.yaml")
+    assert str(err.value).startswith(f"case.yaml:{line}: id ") and f"holds {char!r}" in str(err.value)
+
+
 def test_vehicle_id_and_region_with_slashes_run():
     cfg = parse(MINIMAL.replace("id: cv1", "id: a/b") + "region: north/east\n")
     assert cfg.vehicles[0].vehicle_id == "a/b" and cfg.region == "north/east"
@@ -523,10 +532,10 @@ def test_vehicle_id_and_region_with_slashes_run():
 # YAML spellings that PyYAML resolves to floats/ints: nan, inf, -inf, -1, 0, 1e-9, a
 # subnormal 1e-320, 1e12; then a quoted number, which is a string, and a boolean.
 BOUNDARY_VALUES = (".nan", ".inf", "-.inf", "-1", "0", "1.0e-9", "1.0e-320", "1.0e+12", '"40.0"', "true")
-# Names that no topic can hold, and the backend's reserved id. Each base's own
-# names are drawn too, so a name can also take a sibling's id.
+# Names that no topic can hold, an id that would split a CSV field, and the backend's
+# reserved id. Each base's own names are drawn too, so a name can also take a sibling's id.
 NAME_KEYS = {"id", "vehicle", "signal", "region"}
-NAME_VALUES = ('"a+b"', '"#"', '"a//b"', '"x/"', "system")
+NAME_VALUES = ('"a+b"', '"#"', '"a//b"', '"x/"', '"a,b"', "system")
 # Long enough for every bundled topic to be published: the first detector tick
 # at 1 s and the README example's late vehicle cv9, whose spawn_t_s is 3 s.
 RUN_MS = 4000

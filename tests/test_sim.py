@@ -22,7 +22,7 @@ from cvsim.engine import DELIVERY_KIND
 from cvsim.mobility import DEG_TO_M, Corridor
 from cvsim.radio import LinkKind, in_range
 from cvsim.report import EXCHANGE_ROWS, compute_figures, coverage_rows, write_artifacts
-from cvsim.sim import PACKET_KINDS, SYSTEM_NODE_ID, Simulation, run_scenario
+from cvsim.sim import PACKET_KINDS, SYSTEM_NODE_ID, Simulation, check_run, run_scenario
 
 
 def test_collision_scenario_decisions(scenario_runs):
@@ -510,6 +510,28 @@ def test_hard_brake_at_its_spawn_millisecond_runs():
     assert {d.vehicle for d in result.avoidance_decisions} == {"cv2", "cv3"}
 
 
+# Script actions and spawns are applied after each kinematics tick, every ``bsm_interval_s``
+# (100 ms here), so one due between two ticks takes effect at the later tick.
+
+
+def test_a_script_action_between_ticks_takes_effect_at_the_next_kinematics_tick():
+    """The hard brake due at 2.05 s sends its warning at the 2.1 s tick; cv2 hears it 88 ms later."""
+    text = bundled_text("collision_avoidance_20mph").replace("at_s: 2.0", "at_s: 2.05")
+    result = run_scenario(replace(parse_scenario(text), t_end_ms=3_000))
+    cv2 = next(d for d in result.avoidance_decisions if d.vehicle == "cv2")
+    assert (cv2.t_recv - cv2.latency_ms, cv2.t_recv) == (2100, 2188)
+
+
+def test_a_spawn_between_ticks_enters_at_the_next_kinematics_tick():
+    """A vehicle due at 3.05 s enters at the 3.1 s tick, so it first reports in the 3.15 s round,
+    not in the 3.05 s one."""
+    late = "  - id: cv4\n    s_m: 50.0\n    speed_mph: 20.0\n    spawn_t_s: 3.05\n"
+    text = bundled_text("collision_avoidance_20mph").replace("  - id: cv3\n", late + "  - id: cv3\n")
+    result = run_scenario(replace(parse_scenario(text), t_end_ms=4_000))
+    sent = [r.payload["t"] for r in result.archives[SYSTEM_NODE_ID] if r.topic == "bsm/raw/cv4"]
+    assert min(sent) == 3150
+
+
 # -- each shortcut against a reference that undoes it ------------------------------
 #
 # Differential testing (McKeeman, "Differential Testing for Software", 1998): each
@@ -544,8 +566,8 @@ def outcomes(result):
 
 def assert_agrees(config, reference):
     """``Simulation`` and ``reference`` run ``config`` to the same ``outcomes`` and the same event
-    trace, both without the lines that hold one of ``reference.dropped``, and ``Simulation`` runs
-    no more events. Returns the ``Simulation`` run."""
+    trace, both without the lines that hold one of ``reference.dropped``, ``Simulation`` runs no
+    more events, and ``check_run`` finds nothing wrong with its run. Returns the ``Simulation`` run."""
 
     def run(cls):
         sink = io.StringIO()
@@ -557,6 +579,7 @@ def assert_agrees(config, reference):
     assert outcomes(result) == outcomes(expected)
     assert trace == expected_trace
     assert result.summary.events_processed <= expected.summary.events_processed
+    assert check_run(result) == []
     return result
 
 
