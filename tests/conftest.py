@@ -1,14 +1,24 @@
 import hashlib
+import importlib.util
 import os
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from cvsim.config import load_scenario
-from cvsim.sim import run_scenario
+from cvsim.config import load_scenario, parse_scenario
+from cvsim.replay import parse_trace, replay_trace, write_replay_csv
+from cvsim.report import write_artifacts
+from cvsim.sim import check_run, run_scenario
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+# The golden cases beyond the bundled scenarios: the benchmark's seed-1 corridors, as
+# corridor_yaml(n_vehicles, n_rsus, seed, t_end_s); trace_replay's is the run the benchmark replays.
+CORRIDORS = {"corridor_fleet": (100, 5, 1, 6.0), "rsu_dense": (20, 40, 1, 10.0), "trace_replay": (100, 5, 1, 15.0)}
+_SPEC = importlib.util.spec_from_file_location("perfbench_corridor", ROOT / "perfbench" / "corridor.py")
+GENERATOR = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(GENERATOR)
 
 
 class _Sha256Sink:
@@ -53,6 +63,39 @@ class ScenarioRuns:
 @pytest.fixture(scope="session")
 def scenario_runs():
     return ScenarioRuns()
+
+
+def config_of(name):
+    """The config of golden case ``name``: a corridor built by the benchmark's generator, or a bundled scenario."""
+    return parse_scenario(GENERATOR.corridor_yaml(*CORRIDORS[name])) if name in CORRIDORS else load_scenario(name)
+
+
+def write_case(name, result, out_dir):
+    """The run's artifacts and, for ``trace_replay``, the replay of its trace under ``replay/``."""
+    write_artifacts(result, out_dir)
+    if name == "trace_replay":
+        (out_dir / "replay").mkdir()
+        config, records = result.config, parse_trace(out_dir / "trace.ndjson")
+        replayed = replay_trace(records, constants=config.constants, corridor=config.corridor)
+        write_replay_csv(replayed, out_dir / "replay" / "queue_decisions.csv")
+
+
+@pytest.fixture(scope="session")
+def run_case(scenario_runs, tmp_path_factory):
+    """Golden case ``name``, simulated once and written once: ``(out_dir, event-trace SHA-256)``.
+    A bundled case is the cached run; a corridor's run is dropped once its artifacts are written."""
+    cases = {}
+
+    def run(name):
+        if name not in cases:
+            result, events = run_traced(config_of(name)) if name in CORRIDORS else scenario_runs.traced(name)
+            assert check_run(result) == [], name
+            out_dir = tmp_path_factory.mktemp(name)
+            write_case(name, result, out_dir)
+            cases[name] = out_dir, events
+        return cases[name]
+
+    return run
 
 
 @pytest.fixture

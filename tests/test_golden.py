@@ -1,16 +1,17 @@
-"""The one golden gate. Each case runs once, with an event trace that keeps only its SHA-256,
-and writes its artifacts once; that run must pass ``sim.check_run`` and match every digest
-recorded for it: ``perfbench/digests.json`` (the behavioural artifacts, and ``trace_replay``'s
-replay of its ``trace.ndjson``; only ``perfbench/record_digests.py`` writes it),
-``data/report_digests.json`` (``report.txt``, ``report.csv``) and ``data/event_trace_digests.json``.
-The cases are the bundled scenarios, from ``conftest.py``'s session cache, and the benchmark's
-seed-1 corridors from ``perfbench/corridor.py``, loaded read-only. Re-record both ``data`` files
-with ``PYTHONPATH=src python tests/test_golden.py`` after a change that moves reports or events
-on purpose, and say why in ``CHANGES.md``.
+"""The golden gate. Each case runs once, with an event trace that keeps only its SHA-256, and
+writes its artifacts once (``conftest.run_case``); that run must pass ``sim.check_run`` and match
+every digest recorded for it. This module checks ``perfbench/digests.json`` (the behavioural
+artifacts, and ``trace_replay``'s replay of its ``trace.ndjson``; only
+``perfbench/record_digests.py`` writes it) and loads the two ``data`` files, whose checks from the
+same run are ``test_report_golden.py`` (``report.txt``, ``report.csv``) and
+``test_event_trace_golden.py`` (the event trace). The cases are the bundled scenarios, from
+``conftest.py``'s session cache, and the benchmark's seed-1 corridors from
+``perfbench/corridor.py``, loaded read-only. Re-record both ``data`` files with
+``PYTHONPATH=src python tests/test_golden.py`` after a change that moves reports or events on
+purpose, and say why in ``CHANGES.md``.
 """
 
 import hashlib
-import importlib.util
 import json
 import subprocess
 import sys
@@ -19,31 +20,19 @@ from pathlib import Path
 
 import pytest
 
-from conftest import run_traced
-from cvsim.config import SYSTEM_NODE_ID, bundled_scenario_names, load_scenario, parse_scenario
-from cvsim.replay import parse_trace, replay_trace, write_replay_csv
+from conftest import CORRIDORS, ROOT, config_of, run_traced
+from cvsim.config import SYSTEM_NODE_ID, bundled_scenario_names
 from cvsim.report import ARTIFACTS, write_artifacts, write_bsm_trace
-from cvsim.sim import check_run
 
-ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 REPORTS_PATH, EVENTS_PATH = DATA / "report_digests.json", DATA / "event_trace_digests.json"
 BENCH = json.loads((ROOT / "perfbench" / "digests.json").read_text())
 GOLDEN = BENCH["paper_scenarios"]
 REPORTS, EVENTS = (json.loads(path.read_text()) for path in (REPORTS_PATH, EVENTS_PATH))
 HASH_SEED_SCENARIO = "queue_mixed_penetration"
-# corridor_yaml(n_vehicles, n_rsus, seed, t_end_s); trace_replay's is the run the benchmark replays.
-CORRIDORS = {"corridor_fleet": (100, 5, 1, 6.0), "rsu_dense": (20, 40, 1, 10.0), "trace_replay": (100, 5, 1, 15.0)}
-# Each case's key in the event-trace digests; trace_replay has none.
-EVENT_KEYS = {name: name for name in bundled_scenario_names()}
-EVENT_KEYS |= {"corridor_fleet": "corridor_100x5", "rsu_dense": "corridor_20x40"}
-_SPEC = importlib.util.spec_from_file_location("perfbench_corridor", ROOT / "perfbench" / "corridor.py")
-GENERATOR = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(GENERATOR)
-
-
-def config_of(name):
-    return parse_scenario(GENERATOR.corridor_yaml(*CORRIDORS[name])) if name in CORRIDORS else load_scenario(name)
+# Each event-trace digest's key and the case whose run it pins; trace_replay has none.
+EVENT_CASES = {name: name for name in bundled_scenario_names()}
+EVENT_CASES |= {"corridor_100x5": "corridor_fleet", "corridor_20x40": "rsu_dense"}
 
 
 def sha256(path):
@@ -51,73 +40,43 @@ def sha256(path):
 
 
 def recorded(name):
-    """Every digest recorded for case ``name``, by artifact path in its directory; ``events`` is the event trace."""
+    """The benchmark's digests for case ``name``, by artifact path in its directory."""
     if name == "trace_replay":
         return BENCH[name]["input"] | {f"replay/{a}": digest for a, digest in BENCH[name]["replay"].items()}
-    return (GOLDEN.get(name) or BENCH[name]) | REPORTS.get(name, {}) | {"events": EVENTS[EVENT_KEYS[name]]}
+    return GOLDEN.get(name) or BENCH[name]
 
 
-def write_case(name, result, out_dir):
-    """The run's artifacts and, for ``trace_replay``, the replay of its trace under ``replay/``."""
-    write_artifacts(result, out_dir)
-    if name == "trace_replay":
-        (out_dir / "replay").mkdir()
-        config, records = result.config, parse_trace(out_dir / "trace.ndjson")
-        replayed = replay_trace(records, constants=config.constants, corridor=config.corridor)
-        write_replay_csv(replayed, out_dir / "replay" / "queue_decisions.csv")
-
-
-def assert_recorded(name, out_dir, events):
-    for artifact, digest in recorded(name).items():
-        actual = events if artifact == "events" else sha256(out_dir / artifact)
-        assert actual == digest, f"{name}: {artifact} digest changed"
-
-
-@pytest.fixture(scope="session")
-def run_case(scenario_runs, tmp_path_factory):
-    """Simulate case ``name`` once and write its artifacts once: ``(out_dir, result, event-trace SHA-256)``.
-    A bundled case is the cached run and stays written; a corridor is run where it is checked."""
-    bundled = {}
-
-    def run(name):
-        if name in bundled:
-            return bundled[name]
-        result, events = run_traced(config_of(name)) if name in CORRIDORS else scenario_runs.traced(name)
-        out_dir = tmp_path_factory.mktemp(name)
-        write_case(name, result, out_dir)
-        assert check_run(result) == [], name
-        if name not in CORRIDORS:
-            bundled[name] = out_dir, result, events
-        return out_dir, result, events
-
-    return run
+def assert_recorded(name, out_dir, digests):
+    for artifact, digest in digests.items():
+        assert sha256(out_dir / artifact) == digest, f"{name}: {artifact} digest changed"
 
 
 def test_every_bundled_scenario_has_digests():
-    """Every bundled scenario has all three digest sets, and every recorded key has a case."""
-    assert sorted(GOLDEN) == sorted(REPORTS) == sorted(bundled_scenario_names())
+    """Every bundled scenario has benchmark digests, which with its report digests cover every
+    artifact, and every benchmark key has a case."""
+    assert sorted(GOLDEN) == sorted(bundled_scenario_names())
     for name in GOLDEN:
         assert sorted(GOLDEN[name].keys() | REPORTS[name].keys()) == sorted(ARTIFACTS), name
-    assert sorted(EVENTS) == sorted(EVENT_KEYS.values())
     assert sorted(BENCH) == sorted(["paper_scenarios", *CORRIDORS])
     assert sorted(BENCH["trace_replay"]) == ["input", "replay"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifacts_match_golden_digests(name, run_case):
-    out_dir, _, events = run_case(name)
-    assert_recorded(name, out_dir, events)
+    out_dir, _ = run_case(name)
+    assert_recorded(name, out_dir, recorded(name))
 
 
 @pytest.mark.parametrize("name", sorted(CORRIDORS))
 def test_corridor_artifacts_match_the_benchmark_digests(name, run_case):
-    out_dir, _, events = run_case(name)
-    assert_recorded(name, out_dir, events)
+    out_dir, _ = run_case(name)
+    assert_recorded(name, out_dir, recorded(name))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_one_pass_exports_equal_the_single_file_writers(name, run_case, tmp_path):
-    out_dir, result, _ = run_case(name)
+def test_one_pass_exports_equal_the_single_file_writers(name, run_case, scenario_runs, tmp_path):
+    out_dir, _ = run_case(name)
+    result = scenario_runs(name)
     result.archives[SYSTEM_NODE_ID].export_ndjson(str(tmp_path / "archive.ndjson"))
     write_bsm_trace(result, tmp_path / "trace.ndjson")
     for artifact in ("archive.ndjson", "trace.ndjson"):
@@ -125,7 +84,7 @@ def test_one_pass_exports_equal_the_single_file_writers(name, run_case, tmp_path
 
 
 def test_byte_identical_across_processes_and_hash_seeds(tmp_path, child_env):
-    """``cvsim`` in two processes under two hash seeds writes the recorded bytes each time."""
+    """``cvsim`` in two processes under two hash seeds writes the recorded bytes and event trace each time."""
     for hash_seed in ("1", "2"):
         out_dir, events = tmp_path / f"hashseed-{hash_seed}", tmp_path / f"events-{hash_seed}.log"
         subprocess.run(
@@ -134,13 +93,14 @@ def test_byte_identical_across_processes_and_hash_seeds(tmp_path, child_env):
             env=child_env(PYTHONHASHSEED=hash_seed), cwd=ROOT, check=True, timeout=120, stdout=subprocess.DEVNULL,
         )
         assert sorted(p.name for p in out_dir.iterdir()) == sorted(ARTIFACTS)
-        assert_recorded(HASH_SEED_SCENARIO, out_dir, sha256(events))
+        assert_recorded(HASH_SEED_SCENARIO, out_dir, recorded(HASH_SEED_SCENARIO) | REPORTS[HASH_SEED_SCENARIO])
+        assert sha256(events) == EVENTS[HASH_SEED_SCENARIO]
 
 
 if __name__ == "__main__":
     reports, events = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, key in EVENT_KEYS.items():
+        for key, name in EVENT_CASES.items():
             result, events[key] = run_traced(config_of(name))
             if name not in CORRIDORS:
                 written = write_artifacts(result, Path(tmp) / name)
