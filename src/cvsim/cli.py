@@ -1,7 +1,8 @@
 """Command-line entry point: scenario runs and offline trace replay.
 
-Exit codes: 0 clean run, 1 runtime abort inside the simulation, 2 invalid
-configuration or trace input (diagnostics carry file and line).
+Exit codes: 0 clean run, 1 runtime abort inside the simulation, 2 invalid or
+unreadable configuration or trace input: one ``error: <file>[:<line>]: <message>``
+line on stderr, and nothing written.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from .archive import open_text
-from .config import ConfigError, ScenarioConfig, bundled_scenario_names, load_scenario, seconds_to_ms
+from .config import ScenarioConfig, bundled_scenario_names, load_scenario, seconds_to_ms
+from .core import InputError
 from .engine import SimulationAborted
-from .replay import TraceError, parse_trace, replay_trace, write_replay_csv
+from .replay import parse_trace, replay_trace, write_replay_csv
 from .report import write_artifacts
 from .sim import Simulation
 
@@ -114,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.trace:
             return _replay(args)
         return _run(args)
-    except (ConfigError, TraceError, OSError) as exc:
+    except (InputError, OSError) as exc:  # an OSError here is an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SimulationAborted as exc:

@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 import yaml
 
 from .broker import TopicError, split_topic
-from .core import MAX_SPEED_MPS, GeoPoint, SimConstants, ft_to_m, mph_to_mps, mps_to_mph
+from .core import MAX_SPEED_MPS, GeoPoint, InputError, SimConstants, ft_to_m, mph_to_mps, mps_to_mph
 from .mobility import QUEUE_MIN_VEHICLES, Corridor, MobilityConfig, RsuSpec, SignalSpec
 from .radio import LinkKind, LinkModel, default_link_models
 from .handoff import BeaconConfig
@@ -43,18 +43,13 @@ WARNING_TOPIC = "warning/region/{}"
 BSM_RAW_PATTERN = BSM_RAW_TOPIC.format("#")
 QUEUE_STATUS_PATTERN = QUEUE_STATUS_TOPIC.format("#")
 # Vehicle and RSU ids are written unquoted into the CSV artifacts and into the event
-# trace's ``t_ms,kind,subject`` lines, so none may hold a field or line separator.
+# trace's ``t_ms,kind,subject`` lines, and the scenario name into both reports, so
+# none may hold a field or line separator.
 ID_FORBIDDEN = ',"\r\n'
 
 
-class ConfigError(ValueError):
-    """Invalid scenario config, anchored to a source line when known."""
-
-    def __init__(self, message: str, source: str = "<config>", line: int | None = None):
-        self.source = source
-        self.line = line
-        anchor = f"{source}:{line}" if line is not None else source
-        super().__init__(f"{anchor}: {message}")
+class ConfigError(InputError):
+    """Invalid scenario config."""
 
 
 def seconds_to_ms(seconds: float, name: str, positive: bool, source: str, line: int | None) -> int:
@@ -323,13 +318,13 @@ class _Section:
             except TopicError as exc:
                 raise self.error(f"{key} {value!r} cannot form a topic: {exc}", key)
 
-    def check_id(self, key: str, value: str, *templates: str) -> None:
-        """Reject the vehicle or RSU id ``value``, read under ``key``, unless it holds none of
-        ``ID_FORBIDDEN`` and fills every topic template into a valid topic."""
+    def check_id(self, key: str, value: str, *templates: str,
+                 written: str = "ids are written unquoted into CSV files and the event trace") -> None:
+        """Reject the vehicle or RSU id (or scenario name) ``value``, read under ``key``, unless it holds
+        none of ``ID_FORBIDDEN``, which ``written`` explains, and fills every topic template into a valid topic."""
         bad = next((c for c in value if c in ID_FORBIDDEN), None)
         if bad is not None:
-            message = f"{key} {value!r} holds {bad!r}: ids are written unquoted into CSV files and the event trace"
-            raise self.error(message, key)
+            raise self.error(f"{key} {value!r} holds {bad!r}: {written}", key)
         self.check_topic(key, value, *templates)
 
     def either(self, to_si: dict[str, Callable[[float], float]], owner: str) -> tuple[str, float]:
@@ -603,6 +598,7 @@ def parse_scenario(text: str, source: str = "<config>") -> ScenarioConfig:
     root = _Section(data, lines, (), source)
 
     name = root.get("name", str, required=True)
+    root.check_id("name", name, written="the name is written unquoted into report.csv and report.txt")
     description = root.get("description", str, default="")
     seed = root.get("seed", int, default=0)
     t_end_ms = root.get_ms("t_end_s", positive=True, default=None)

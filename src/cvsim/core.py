@@ -27,6 +27,15 @@ class InvalidParameterError(ValueError):
     """A physically meaningless parameter (e.g. non-positive deceleration)."""
 
 
+class InputError(ValueError):
+    """Malformed input, anchored to its source and, when known, its line: ``<source>[:<line>]: <message>``."""
+
+    def __init__(self, message: str, source: str, line: int | None = None):
+        self.source = source
+        self.line = line
+        super().__init__(f"{source}: {message}" if line is None else f"{source}:{line}: {message}")
+
+
 def mph_to_mps(mph: float) -> float:
     """Convert miles/hour to meters/second (exact factor 0.44704)."""
     return mph * MPH_TO_MPS

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .apps import WINDOW_MS, QueueDecision, accuracy, detect_queue, eval_bucket, window_by_vehicle
-from .core import BSM_KEYS, Bsm, GeoPoint, SimConstants, distance
+from .core import BSM_KEYS, Bsm, GeoPoint, InputError, SimConstants, distance
 from .mobility import Corridor
 from .report import QUEUE_HEADER, queue_rows, write_csv
 
@@ -41,11 +41,8 @@ MAX_TRACE_T_MS = 24 * 3600 * 1000
 _decode = json.JSONDecoder().raw_decode
 
 
-class TraceError(ValueError):
-    """Malformed trace line, anchored to its line number."""
-
-    def __init__(self, source: str, lineno: int, message: str):
-        super().__init__(f"{source}:{lineno}: {message}")
+class TraceError(InputError):
+    """Unreadable trace, or a malformed line of one."""
 
 
 class TraceRecord(NamedTuple):
@@ -67,12 +64,16 @@ def parse_trace(path: str | Path, t_end_ms: int | None = None) -> list[TraceReco
     t_max = MAX_TRACE_T_MS if t_end_ms is None else min(t_end_ms, MAX_TRACE_T_MS)
     records: list[TraceRecord] = []
     source = str(path)
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise TraceError(f"cannot read trace: {exc}", source)
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
-                raise TraceError(source, lineno, f"not UTF-8: {exc.reason} at byte {exc.start} of the line")
+                raise TraceError(f"not UTF-8: {exc.reason} at byte {exc.start} of the line", source, lineno)
             if not line:
                 continue
             try:
@@ -80,25 +81,25 @@ def parse_trace(path: str | Path, t_end_ms: int | None = None) -> list[TraceReco
             except json.JSONDecodeError as exc:
                 # A leading BOM fails the decode at its first character.
                 msg = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if line[0] == "\ufeff" else exc.msg
-                raise TraceError(source, lineno, f"invalid JSON: {msg}")
+                raise TraceError(f"invalid JSON: {msg}", source, lineno)
             except RecursionError:
-                raise TraceError(source, lineno, "invalid JSON: nested too deeply")
+                raise TraceError("invalid JSON: nested too deeply", source, lineno)
             if end != len(line):
-                raise TraceError(source, lineno, "invalid JSON: Extra data")
+                raise TraceError("invalid JSON: Extra data", source, lineno)
             if not isinstance(doc, dict):
-                raise TraceError(source, lineno, "expected a JSON object")
+                raise TraceError("expected a JSON object", source, lineno)
             try:
                 bsm = Bsm.from_doc(doc)
             except KeyError:  # from_doc reads every required field before it checks any
-                raise TraceError(source, lineno, f"missing fields: {sorted(BSM_KEYS - doc.keys())}")
+                raise TraceError(f"missing fields: {sorted(BSM_KEYS - doc.keys())}", source, lineno)
             except (TypeError, ValueError, OverflowError) as exc:
-                raise TraceError(source, lineno, f"bad message fields: {exc}")
+                raise TraceError(f"bad message fields: {exc}", source, lineno)
             if bsm.t > t_max:
                 limit = "the replay ceiling" if t_max == MAX_TRACE_T_MS else "the scenario's t_end"
-                raise TraceError(source, lineno, f"t={bsm.t} ms is past {limit} of {t_max} ms")
+                raise TraceError(f"t={bsm.t} ms is past {limit} of {t_max} ms", source, lineno)
             truth = doc.get("truth")
             if truth is not None and not isinstance(truth, bool):
-                raise TraceError(source, lineno, "truth must be a boolean")
+                raise TraceError("truth must be a boolean", source, lineno)
             records.append(TraceRecord(bsm, truth))
     return records
 

@@ -30,12 +30,12 @@ from .apps import QueueDecision, accuracy, eval_bucket
 from .archive import Record, _json_str, canonical_json, canonical_line, open_text, record_line
 from .core import BSM_KEYS, m_to_ft, mps_to_mph, round_half_away
 from .config import BSM_RAW_PATTERN, QUEUE_STATUS_PATTERN, SYSTEM_NODE_ID, ScenarioConfig
-from .radio import LinkKind, loss_probability, rssi_dbm
+from .radio import BACKHAUL, LinkKind, loss_probability, rssi_dbm
 from .sim import Ledger, RunResult, SendTally
 
 EXCHANGE_ROWS = (
     ("mobile_fixed", "Mobile Edge (CV) - Fixed Edge", LinkKind.DSRC, "bsm", "Basic safety messages"),
-    ("system_fixed", "System Edge - Fixed Edge", LinkKind.WIFI, "queue_status", "Queue detection information"),
+    ("system_fixed", "System Edge - Fixed Edge", BACKHAUL.kind, "queue_status", "Queue detection information"),
 )
 
 

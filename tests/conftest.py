@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,6 +20,22 @@ CORRIDORS = {"corridor_fleet": (100, 5, 1, 6.0), "rsu_dense": (20, 40, 1, 10.0),
 _SPEC = importlib.util.spec_from_file_location("perfbench_corridor", ROOT / "perfbench" / "corridor.py")
 GENERATOR = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(GENERATOR)
+# ``assert_rejected``'s ``line`` where the diagnostic may name a line or none.
+ANY_LINE = "any"
+
+
+def assert_rejected(argv, rc, err, source, line=None, message=""):
+    """The rejection contract of ``cvsim`` run with ``argv``, from its exit code and stderr: exit 2,
+    one stderr line ``error: <source>[:<line>]: <diagnostic>`` whose diagnostic holds ``message``,
+    and neither the ``--out-dir`` nor the ``--event-trace`` path of ``argv`` written. ``line`` is
+    None where no line applies. Returns the diagnostic, for a test that pins more of it."""
+    assert rc == 2, (rc, err)
+    anchor = "(?::[0-9]+)?" if line == ANY_LINE else "" if line is None else f":{line}"
+    match = re.fullmatch(f"error: {re.escape(str(source))}{anchor}: ([^\n]+)\n", err)
+    assert match and message in match[1], err
+    outputs = [argv[i + 1] for i, flag in enumerate(argv) if flag in ("--out-dir", "--event-trace")]
+    assert "--out-dir" in argv and not any(map(os.path.lexists, outputs)), outputs
+    return match[1]
 
 
 class _Sha256Sink:

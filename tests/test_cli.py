@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from cvsim.cli import main
+from conftest import assert_rejected
 
 EXPECTED_ARTIFACTS = {
     "report.txt",
@@ -24,6 +25,18 @@ EXPECTED_ARTIFACTS = {
 def csv_rows(path):
     with path.open(newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def rejects(capsys, argv, source, line=None, message=""):
+    """``main(argv)`` held to ``assert_rejected``; returns the diagnostic."""
+    return assert_rejected(argv, main(argv), capsys.readouterr().err, source, line, message)
+
+
+def rejects_scenario(tmp_path, capsys, text, line, message):
+    """``text`` as ``bad.yaml``, run with ``--out-dir out`` and held to ``assert_rejected``."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    return rejects(capsys, ["--scenario", str(bad), "--out-dir", str(tmp_path / "out")], bad, line, message)
 
 
 def test_run_writes_all_artifacts(tmp_path, capsys):
@@ -85,11 +98,8 @@ def test_same_seed_twice_byte_identical(tmp_path):
 
 
 def test_invalid_config_exit_2(tmp_path, capsys):
-    bad = tmp_path / "bad.yaml"
-    bad.write_text("name: x\nt_end_s: -1\ncorridor:\n  polyline:\n    - [40.0, -75.0]\n    - [40.01, -75.0]\n")
-    rc = main(["--scenario", str(bad), "--out-dir", str(tmp_path / "out")])
-    assert rc == 2
-    assert "t_end_s" in capsys.readouterr().err
+    text = "name: x\nt_end_s: -1\ncorridor:\n  polyline:\n    - [40.0, -75.0]\n    - [40.01, -75.0]\n"
+    rejects_scenario(tmp_path, capsys, text, 2, "t_end_s must be finite and round to at least 1 ms, got -1")
 
 
 # Two vehicles on the same spot, one stopped and one at speed: the mover
@@ -135,37 +145,24 @@ POLYLINE = "corridor:\n  polyline:\n    - [40.0, -75.0]\n    - [40.01, -75.0]\n"
     ],
 )
 def test_boundary_values_exit_2_at_parse_time(tmp_path, capsys, body, line, key):
-    bad = tmp_path / "bad.yaml"
-    bad.write_text("name: x\n" + body + POLYLINE)
-    rc = main(["--scenario", str(bad), "--out-dir", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert f"bad.yaml:{line}" in err and key in err
-    assert not (tmp_path / "out").exists()
+    rejects_scenario(tmp_path, capsys, "name: x\n" + body + POLYLINE, line, key)
 
 
 @pytest.mark.parametrize("point", ['["40.01", -75.0]', "[40.01, true]"])
 def test_polyline_coordinate_that_is_not_a_number_exit_2(tmp_path, capsys, point):
-    bad = tmp_path / "bad.yaml"
-    bad.write_text("name: x\nt_end_s: 1.0\n" + POLYLINE.replace("[40.01, -75.0]", point))
-    rc = main(["--scenario", str(bad), "--out-dir", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "bad.yaml:6" in err and "polyline coordinates must be numbers" in err
-    assert not (tmp_path / "out").exists()
+    text = "name: x\nt_end_s: 1.0\n" + POLYLINE.replace("[40.01, -75.0]", point)
+    rejects_scenario(tmp_path, capsys, text, 6, "polyline coordinates must be numbers")
 
 
 @pytest.mark.parametrize("t_end", ["inf", "nan", "1e-9"])
 def test_non_finite_t_end_flag_exit_2(tmp_path, capsys, t_end):
-    rc = main(["--scenario", "collision_avoidance_20mph", "--t-end", t_end, "--out-dir", str(tmp_path / "out")])
-    assert rc == 2
-    assert "--t-end" in capsys.readouterr().err
+    argv = ["--scenario", "collision_avoidance_20mph", "--t-end", t_end, "--out-dir", str(tmp_path / "out")]
+    rejects(capsys, argv, "<cli>", None, f"--t-end must be finite and round to at least 1 ms, got {float(t_end)}")
 
 
 def test_unknown_bundled_name_exit_2(tmp_path, capsys):
-    rc = main(["--scenario", "definitely_not_a_scenario", "--out-dir", str(tmp_path)])
-    assert rc == 2
-    assert "bundled" in capsys.readouterr().err
+    argv = ["--scenario", "definitely_not_a_scenario", "--out-dir", str(tmp_path / "out")]
+    rejects(capsys, argv, "definitely_not_a_scenario", None, "no such file, and no bundled scenario named")
 
 
 def test_replay_mode_roundtrip(tmp_path, capsys):
@@ -192,9 +189,7 @@ def test_replay_mode_roundtrip(tmp_path, capsys):
 def test_replay_malformed_trace_exit_2(tmp_path, capsys):
     trace = tmp_path / "t.ndjson"
     trace.write_text('{"t": 50, "vehicle_id": "v"}\n')
-    rc = main(["--trace", str(trace), "--out-dir", str(tmp_path / "out")])
-    assert rc == 2
-    assert ":1" in capsys.readouterr().err
+    rejects(capsys, ["--trace", str(trace), "--out-dir", str(tmp_path / "out")], trace, 1, "missing fields")
 
 
 @pytest.mark.parametrize(
@@ -204,11 +199,8 @@ def test_replay_malformed_trace_exit_2(tmp_path, capsys):
 def test_replay_trace_that_is_not_utf8_exit_2(tmp_path, capsys, data, line):
     trace = tmp_path / "t.ndjson"
     trace.write_bytes(data)
-    rc = main(["--trace", str(trace), "--out-dir", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert f"t.ndjson:{line}: not UTF-8" in err
-    assert not (tmp_path / "out").exists()
+    diagnostic = rejects(capsys, ["--trace", str(trace), "--out-dir", str(tmp_path / "out")], trace, line)
+    assert diagnostic.startswith("not UTF-8")
 
 
 @pytest.mark.parametrize(
@@ -229,11 +221,7 @@ def test_replay_trace_field_of_the_wrong_json_type_exit_2(tmp_path, capsys, fiel
     trace = tmp_path / "t.ndjson"
     doc = {"t": 950, "vehicle_id": "v", "lat": 40.0, "lon": -75.0, "speed": 0.0}
     trace.write_text(json.dumps({**doc, "t": 50}) + "\n" + json.dumps({**doc, field: value}) + "\n")
-    rc = main(["--trace", str(trace), "--out-dir", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert f"{trace}:2" in err and message in err
-    assert not (tmp_path / "out").exists()
+    rejects(capsys, ["--trace", str(trace), "--out-dir", str(tmp_path / "out")], trace, 2, message)
 
 
 def test_replay_without_truth_omits_accuracy(tmp_path, capsys):
@@ -309,14 +297,20 @@ def test_child_env_puts_src_ahead_of_the_inherited_pythonpath(tmp_path, monkeypa
 
 
 def test_missing_trace_file_exit_2(tmp_path, capsys):
-    rc = main(["--trace", str(tmp_path / "nope.ndjson"), "--out-dir", str(tmp_path)])
-    assert rc == 2
-    assert "error" in capsys.readouterr().err
+    trace = tmp_path / "nope.ndjson"
+    argv = ["--trace", str(trace), "--out-dir", str(tmp_path / "out")]
+    rejects(capsys, argv, trace, None, "cannot read trace: [Errno 2] No such file or directory")
+
+
+def test_trace_that_is_a_directory_exit_2(tmp_path, capsys):
+    trace = tmp_path / "trace.ndjson"
+    trace.mkdir()
+    rejects(capsys, ["--trace", str(trace), "--out-dir", str(tmp_path / "out")], trace, None, "cannot read trace: ")
 
 
 def test_unreadable_config_path_exit_2(tmp_path, capsys):
-    rc = main(["--scenario", str(tmp_path), "--out-dir", str(tmp_path / "out")])
-    assert rc == 2
+    argv = ["--scenario", str(tmp_path), "--out-dir", str(tmp_path / "out")]
+    rejects(capsys, argv, tmp_path, None, "no such file, and no bundled scenario named")
 
 
 @pytest.mark.parametrize("with_trace", [False, True])
@@ -328,10 +322,7 @@ def test_scenario_that_is_not_utf8_exit_2(tmp_path, capsys, with_trace):
         trace = tmp_path / "t.ndjson"
         trace.write_text(json.dumps({"t": 950, "vehicle_id": "v", "lat": 40.0, "lon": -75.0, "speed": 0.0}) + "\n")
         args += ["--trace", str(trace)]
-    rc = main(args)
-    assert rc == 2
-    assert "bad.yaml:2: not UTF-8" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    assert rejects(capsys, args, bad, 2).startswith("not UTF-8")
 
 
 def test_runtime_abort_exit_1(tmp_path, capsys):
@@ -343,33 +334,23 @@ def test_runtime_abort_exit_1(tmp_path, capsys):
 
 
 def test_hard_brake_before_spawn_exit_2(tmp_path, capsys):
-    bad = tmp_path / "bad.yaml"
-    bad.write_text(
+    text = (
         "name: x\nt_end_s: 5.0\n" + POLYLINE
         + "vehicles:\n  - {id: cv1, s_m: 10.0, speed_mph: 20.0, spawn_t_s: 2.0}\n"
         + "script:\n  - {at_s: 1.0, action: hard_brake, vehicle: cv1}\n"
     )
-    rc = main(["--scenario", str(bad), "--out-dir", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "bad.yaml:10" in err and "precedes the spawn of 'cv1'" in err
-    assert not (tmp_path / "out").exists()
+    rejects_scenario(tmp_path, capsys, text, 10, "precedes the spawn of 'cv1'")
 
 
 def test_script_spawn_action_exit_2(tmp_path, capsys):
-    bad = tmp_path / "bad.yaml"
-    bad.write_text(
+    text = (
         "name: x\nt_end_s: 5.0\n" + POLYLINE
         + "script:\n"
         + "  - at_s: 1.0\n    action: spawn\n"
         + "    vehicle_spec: {id: cv2, s_m: 5.0, speed_mph: 20.0}\n"
     )
-    rc = main(["--scenario", str(bad), "--out-dir", str(tmp_path / "out")])
-    assert rc == 2
-    assert capsys.readouterr().err == (
-        f"error: {bad}:9: unknown action 'spawn' (expected hard_brake or signal_red)\n"
-    )
-    assert not (tmp_path / "out").exists()
+    diagnostic = rejects_scenario(tmp_path, capsys, text, 9, "")
+    assert diagnostic == "unknown action 'spawn' (expected hard_brake or signal_red)"
 
 
 @pytest.mark.parametrize(
@@ -381,13 +362,7 @@ def test_script_spawn_action_exit_2(tmp_path, capsys):
     ],
 )
 def test_bad_rsu_id_exit_2(tmp_path, capsys, rsus, line, message):
-    bad = tmp_path / "bad.yaml"
-    bad.write_text("name: x\nt_end_s: 5.0\n" + POLYLINE + "  rsus:\n" + rsus)
-    rc = main(["--scenario", str(bad), "--out-dir", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert f"bad.yaml:{line}" in err and message in err
-    assert not (tmp_path / "out").exists()
+    rejects_scenario(tmp_path, capsys, "name: x\nt_end_s: 5.0\n" + POLYLINE + "  rsus:\n" + rsus, line, message)
 
 
 @pytest.mark.parametrize(
@@ -404,13 +379,18 @@ def test_bad_rsu_id_exit_2(tmp_path, capsys, rsus, line, message):
     ],
 )
 def test_bad_spawn_exit_2(tmp_path, capsys, tail, line, message):
-    bad = tmp_path / "bad.yaml"
-    bad.write_text("name: x\nt_end_s: 5.0\n" + POLYLINE + tail)
-    rc = main(["--scenario", str(bad), "--out-dir", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert f"bad.yaml:{line}" in err and message in err
-    assert not (tmp_path / "out").exists()
+    rejects_scenario(tmp_path, capsys, "name: x\nt_end_s: 5.0\n" + POLYLINE + tail, line, message)
+
+
+@pytest.mark.parametrize(
+    "value,char",
+    [('"a,b"', ","), ('"a\\"b"', '"'), ('"a\\rb"', "\r"), ('"a\\nb"', "\n")],
+    ids=["comma", "quote", "cr", "lf"],
+)
+def test_name_that_would_split_a_report_line_exit_2(tmp_path, capsys, value, char):
+    """The scenario name is written unquoted into report.csv and report.txt."""
+    text, message = f"name: {value}\nt_end_s: 5.0\n" + POLYLINE, f"holds {char!r}: the name is written unquoted"
+    assert rejects_scenario(tmp_path, capsys, text, 1, message).startswith("name ")
 
 
 @pytest.mark.parametrize(
@@ -424,11 +404,7 @@ def test_replay_time_past_its_limit_exit_2(tmp_path, capsys, t, with_scenario, m
     scenario = tmp_path / "s.yaml"
     scenario.write_text("name: x\nt_end_s: 5.0\n" + POLYLINE)
     argv = ["--trace", str(trace), "--out-dir", str(tmp_path / "out")]
-    rc = main(argv + (["--scenario", str(scenario)] if with_scenario else []))
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert f"{trace}:2" in err and message in err
-    assert not (tmp_path / "out").exists()
+    rejects(capsys, argv + (["--scenario", str(scenario)] if with_scenario else []), trace, 2, message)
 
 
 def test_replay_honours_the_t_end_flag(tmp_path, capsys):
@@ -446,11 +422,9 @@ def test_replay_without_a_scenario_honours_the_t_end_flag(tmp_path, capsys):
     trace = tmp_path / "t.ndjson"
     doc = {"t": 9000, "vehicle_id": "v", "lat": 40.0, "lon": -75.0, "speed": 0.0}
     trace.write_text(json.dumps({**doc, "t": 50}) + "\n" + json.dumps(doc) + "\n")
-    rc = main(["--trace", str(trace), "--t-end", "5", "--out-dir", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert f"{trace}:2" in err and "t=9000 ms is past" in err and "of 5000 ms" in err
-    assert not (tmp_path / "out").exists()
+    argv = ["--trace", str(trace), "--t-end", "5", "--out-dir", str(tmp_path / "out")]
+    diagnostic = rejects(capsys, argv, trace, 2, "t=9000 ms is past")
+    assert diagnostic.endswith("of 5000 ms")
 
 
 @pytest.mark.parametrize("flag", ["--event-trace", "--seed"])
@@ -483,8 +457,4 @@ def test_lone_surrogate_exits_2_at_its_line(tmp_path, capsys, old, new, line):
     """A string that is not Unicode text (a lone surrogate escape) is rejected at its line, before the run."""
     case = tmp_path / "case.yaml"
     case.write_text(QUEUE_FULL.replace(old, new), encoding="utf-8")
-    rc = main(["--scenario", str(case), "--out-dir", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {case}:{line}: ") and err.count("\n") == 1, err
-    assert not (tmp_path / "out").exists()
+    rejects(capsys, ["--scenario", str(case), "--out-dir", str(tmp_path / "out")], case, line)

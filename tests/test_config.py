@@ -25,6 +25,7 @@ from cvsim.mobility import OvertakeError
 from cvsim.radio import LinkKind
 from cvsim.report import ARTIFACTS
 from cvsim.sim import run_scenario
+from conftest import ANY_LINE, assert_rejected
 
 MINIMAL = """\
 name: tiny
@@ -485,13 +486,11 @@ def test_a_million_levels_exit_2_at_line_1(tmp_path, child_env):
     in a child process such a crash fails the test instead of ending pytest."""
     path = tmp_path / "deep.yaml"
     path.write_text("a: " + "[" * 1_000_000 + "\n", encoding="utf-8")
+    argv = ["--scenario", str(path), "--out-dir", str(tmp_path / "out")]
     proc = subprocess.run(
-        [sys.executable, "-m", "cvsim.cli", "--scenario", str(path), "--out-dir", str(tmp_path / "out")],
-        capture_output=True, text=True, env=child_env(), timeout=120,
+        [sys.executable, "-m", "cvsim.cli", *argv], capture_output=True, text=True, env=child_env(), timeout=120
     )
-    assert proc.returncode == 2, (proc.returncode, proc.stderr[-2000:])
-    assert proc.stderr.startswith(f"error: {path}:1: nested too deeply"), proc.stderr
-    assert not (tmp_path / "out").exists()
+    assert assert_rejected(argv, proc.returncode, proc.stderr, path, 1).startswith("nested too deeply")
 
 
 @pytest.mark.parametrize(
@@ -532,9 +531,9 @@ def test_vehicle_id_and_region_with_slashes_run():
 # YAML spellings that PyYAML resolves to floats/ints: nan, inf, -inf, -1, 0, 1e-9, a
 # subnormal 1e-320, 1e12; then a quoted number, which is a string, and a boolean.
 BOUNDARY_VALUES = (".nan", ".inf", "-.inf", "-1", "0", "1.0e-9", "1.0e-320", "1.0e+12", '"40.0"', "true")
-# Names that no topic can hold, an id that would split a CSV field, and the backend's
+# Names that no topic can hold, a name that would split a CSV field, and the backend's
 # reserved id. Each base's own names are drawn too, so a name can also take a sibling's id.
-NAME_KEYS = {"id", "vehicle", "signal", "region"}
+NAME_KEYS = {"name", "id", "vehicle", "signal", "region"}
 NAME_VALUES = ('"a+b"', '"#"', '"a//b"', '"x/"', '"a,b"', "system")
 # Long enough for every bundled topic to be published: the first detector tick
 # at 1 s and the README example's late vehicle cv9, whose spawn_t_s is 3 s.
@@ -696,18 +695,16 @@ def test_mutated_scenario_exits_0_or_2_at_its_line(tmp_path_factory, edit, value
     path, out = base / "mutated.yaml", base / "mutated-out"
     shutil.rmtree(out, ignore_errors=True)
     path.write_text(text[:start] + (value if kind == "node" else "") + text[end:], encoding="utf-8")
-    stderr = io.StringIO()
+    argv, stderr = ["--scenario", str(path), "--out-dir", str(out), "--t-end", "3"], io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
-        rc = main(["--scenario", str(path), "--out-dir", str(out), "--t-end", "3"])
+        rc = main(argv)
     err = stderr.getvalue()
     if rc == 0:
         assert err == "" and all((out / artifact).is_file() for artifact in ARTIFACTS), err
     elif rc == 1:
         assert err.startswith("run aborted: ") and "raised OvertakeError(" in err, err
     else:
-        assert rc == 2, (rc, err)
-        assert re.fullmatch(f"error: {re.escape(str(path))}(:[0-9]+)?: [^\n]+\n", err), err
-        assert not out.exists()
+        assert_rejected(argv, rc, err, path, ANY_LINE)
 
 
 # -- one knob per setting, each checked by the dataclass that owns it ---------

@@ -20,6 +20,7 @@ from cvsim.report import write_artifacts
 from cvsim.core import EARTH_RADIUS_M, Bsm, GeoPoint
 from cvsim.radio import LinkKind
 from cvsim.sim import run_scenario
+from conftest import assert_rejected
 
 GOLDEN_MIXED_TRACE = Path(__file__).parent / "data" / "golden_mixed_40s.ndjson"
 # Frozen from the committed trace by the independent brute-force recount
@@ -109,8 +110,8 @@ TRACE_DIAGNOSTICS = {
 def test_one_line_trace_diagnostic(tmp_path, capsys, line, message):
     path = tmp_path / "t.ndjson"
     path.write_text(line + "\n", encoding="utf-8")
-    rc = main(["--trace", str(path), "--out-dir", str(tmp_path / "out")])
-    err = capsys.readouterr().err
+    argv = ["--trace", str(path), "--out-dir", str(tmp_path / "out")]
+    rc, err = main(argv), capsys.readouterr().err
     if message is None:
         (record,) = parse_trace(path)
         assert record == (Bsm(950, "v", GeoPoint(40.0, -75.0), 0.0), None)
@@ -119,8 +120,7 @@ def test_one_line_trace_diagnostic(tmp_path, capsys, line, message):
     with pytest.raises(TraceError) as exc:
         parse_trace(path)
     assert str(exc.value) == f"{path}:1: {message}"
-    assert rc == 2 and err == f"error: {path}:1: {message}\n"
-    assert not (tmp_path / "out").exists()
+    assert assert_rejected(argv, rc, err, path, 1) == message
 
 
 def assert_replay_reproduces_live(result, config, out_dir):
@@ -380,16 +380,14 @@ def test_damaged_trace_line_exits_0_or_2_at_its_line(tmp_path_factory, line, mut
         second = data.draw(st.sampled_from(GOLDEN_LINES)).encode()
         damaged += mutate_line(data, second, data.draw(st.sampled_from(MUTATIONS))) + b"\n"
         path.write_bytes(intact + damaged)
-    stderr = io.StringIO()
+    argv, stderr = ["--trace", str(path), "--out-dir", str(out)], io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
-        rc = main(["--trace", str(path), "--out-dir", str(out)])
+        rc = main(argv)
     err = stderr.getvalue()
     if rc == 0:
         assert err == "" and (out / "queue_decisions.csv").is_file()
         return
-    assert rc == 2, (rc, err)
-    assert err.startswith(f"error: {path}:{bad_line}: ") and err.count("\n") == 1 and err.endswith("\n"), err
-    assert not out.exists()
+    assert_rejected(argv, rc, err, path, bad_line)
 
 
 @pytest.mark.parametrize("t", ["1e400", "-5", "1.5", "true"])
