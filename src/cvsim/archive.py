@@ -66,6 +66,8 @@ class Record(NamedTuple):
 
 
 _record_t = attrgetter("t")
+# Builds a ``Record``, which validates nothing, from its fields, skipping its generated ``__new__``.
+_tuple_new = tuple.__new__
 
 
 def record_line(record: Record, payload_json: str) -> str:
@@ -97,7 +99,7 @@ class Archive:
     def append(self, topic: str, t: int, payload: dict, origin: str) -> int:
         """Append a record; returns its sequence number, the count appended before it."""
         seq = self.appended_total
-        record = Record(seq, topic, t, payload, origin)
+        record = _tuple_new(Record, (seq, topic, t, payload, origin))
         records = self._records
         if records and t < records[-1].t:
             # The event loop appends in time order; an earlier t still lands in (t, seq) order.

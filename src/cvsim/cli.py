@@ -59,17 +59,27 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
     return config
 
 
+def _out_dir(args: argparse.Namespace) -> Path:
+    """``--out-dir``, made before anything is written into it or beside it."""
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot make the output directory: {exc}", args.out_dir) from None
+    return out_dir
+
+
 def _run(args: argparse.Namespace) -> int:
     config = _load(args)
+    out_dir = _out_dir(args)
     # Opened before the run, so an aborted run leaves the trace up to the event that raised;
-    # its directory is made first, as ``write_artifacts`` makes ``--out-dir``.
+    # its directory is made first, as ``--out-dir`` is.
     trace = nullcontext()
     if args.event_trace is not None:
         Path(args.event_trace).parent.mkdir(parents=True, exist_ok=True)
         trace = open_text(args.event_trace)
     with trace as sink:
         result = Simulation(config, trace=sink).run()
-    out_dir = Path(args.out_dir)
     written = write_artifacts(result, out_dir)
     print(f"scenario {config.name}: {result.summary.events_processed} events, "
           f"clock {result.summary.end_time_ms} ms")
@@ -88,11 +98,10 @@ def _replay(args: argparse.Namespace) -> int:
         corridor, constants, t_end_ms = config.corridor, config.constants, config.t_end_ms
     else:
         t_end_ms = _t_end_ms(args)
-    records = parse_trace(args.trace, t_end_ms=t_end_ms)
+    t_end_name = "the scenario's t_end" if args.t_end is None else "the --t-end limit"
+    records = parse_trace(args.trace, t_end_ms, t_end_name)
     result = replay_trace(records, constants=constants, corridor=corridor)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "queue_decisions.csv"
+    path = _out_dir(args) / "queue_decisions.csv"
     write_replay_csv(result, path)
     print(f"replayed {len(records)} records into {len(result.decisions)} decisions")
     print(f"  wrote {path}")

@@ -26,9 +26,9 @@ either. Running the members in order is exactly one event per delivery.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable, TextIO
 
 EventFn = Callable[[], None]
@@ -99,13 +99,14 @@ class _Batch(list):
 class Engine:
     """Single-threaded event loop owning the clock and all RNG streams.
 
-    With a ``trace`` sink, each event writes one ``fire_at,kind,subject`` line
-    to it as it fires, before its handler runs.
+    ``now`` is the clock, a plain attribute that only ``run_until`` sets.
+    With a ``trace`` sink, each event writes one ``fire_at,kind,subject``
+    line to it as it fires, before its handler runs.
     """
 
     def __init__(self, seed: int = 0, trace: TextIO | None = None):
         self.seed = seed
-        self._now = 0
+        self.now = 0
         # The seq of the event now running, or of the last one run while the
         # clock is still at its ``fire_at``; -1 once the clock has moved past it.
         self._now_seq = -1
@@ -117,10 +118,6 @@ class Engine:
         # ``_batch_end``, the seq just after the latest batch opened.
         self._batches: dict[int, _Batch] = {}
         self._batch_end = -1
-
-    @property
-    def now(self) -> int:
-        return self._now
 
     def stream(self, stream_id: str) -> random.Random:
         """The named random stream, created on first use."""
@@ -145,19 +142,19 @@ class Engine:
         raises ``SchedulingInPastError``: a ``fire_at`` before now, or one at
         now under a ticket no newer than the running event's.
         """
-        if event.seq < 0:
-            event.seq = self._seq
+        fire_at, seq, now = event.fire_at, event.seq, self.now
+        if seq < 0:
+            seq = event.seq = self._seq
             self._seq += 1
-        if (event.fire_at, event.seq) <= (self._now, self._now_seq):
+        if fire_at < now or (fire_at == now and seq <= self._now_seq):
             raise SchedulingInPastError(
-                f"event at fire_at={event.fire_at}, seq={event.seq} does not sort after "
-                f"now={self._now}, seq={self._now_seq}"
+                f"event at fire_at={fire_at}, seq={seq} does not sort after now={now}, seq={self._now_seq}"
             )
-        heapq.heappush(self._queue, (event.fire_at, event.seq, event))
-        return event.seq
+        heappush(self._queue, (fire_at, seq, event))
+        return seq
 
     def at(self, fire_at: int, kind: str, subject: str, fn: EventFn, ticket: int = -1) -> int:
-        return self.schedule(Event(fire_at=fire_at, kind=kind, subject=subject, fn=fn, seq=ticket))
+        return self.schedule(Event(fire_at, kind, subject, fn, ticket))
 
     def deliver(self, fire_at: int, subject: str, fn: EventFn) -> None:
         """Schedule a radio delivery, joining the firing handler's open batch for ``fire_at``.
@@ -185,24 +182,25 @@ class Engine:
         The clock never moves backward; events beyond ``t_end`` stay queued.
         A handler exception aborts the run with the offending event attached.
         """
-        if t_end < self._now:
-            raise SchedulingInPastError(f"t_end={t_end} is before now={self._now}")
+        if t_end < self.now:
+            raise SchedulingInPastError(f"t_end={t_end} is before now={self.now}")
+        queue, trace = self._queue, self._trace
         processed = 0
-        while self._queue and self._queue[0][0] <= t_end:
-            _, _, event = heapq.heappop(self._queue)
+        while queue and queue[0][0] <= t_end:
+            fire_at, seq, event = heappop(queue)
             self._batch_end = -1
-            self._now = event.fire_at
-            self._now_seq = event.seq
-            if self._trace is not None:
-                self._trace.write(f"{event.fire_at},{event.kind},{event.subject}\n")
+            self.now = fire_at
+            self._now_seq = seq
+            if trace is not None:
+                trace.write(f"{fire_at},{event.kind},{event.subject}\n")
             try:
                 event.fn()
             except Exception as exc:
                 raise SimulationAborted(event, exc) from exc
             processed += 1
-        if t_end > self._now:
-            self._now, self._now_seq = t_end, -1
-        return SimSummary(events_processed=processed, end_time_ms=self._now)
+        if t_end > self.now:
+            self.now, self._now_seq = t_end, -1
+        return SimSummary(events_processed=processed, end_time_ms=self.now)
 
     def pending(self) -> int:
         return len(self._queue)

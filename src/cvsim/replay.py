@@ -59,8 +59,13 @@ class ReplayResult:
     accuracy: float | None
 
 
-def parse_trace(path: str | Path, t_end_ms: int | None = None) -> list[TraceRecord]:
-    """The trace's records; a ``t`` past ``MAX_TRACE_T_MS``, or past ``t_end_ms`` when given, is an error."""
+def parse_trace(
+    path: str | Path, t_end_ms: int | None = None, t_end_name: str = "the scenario's t_end"
+) -> list[TraceRecord]:
+    """The trace's records; a ``t`` past ``MAX_TRACE_T_MS``, or past ``t_end_ms`` when given, is an error.
+
+    ``t_end_name`` names where ``t_end_ms`` came from, for that error.
+    """
     t_max = MAX_TRACE_T_MS if t_end_ms is None else min(t_end_ms, MAX_TRACE_T_MS)
     records: list[TraceRecord] = []
     source = str(path)
@@ -95,7 +100,7 @@ def parse_trace(path: str | Path, t_end_ms: int | None = None) -> list[TraceReco
             except (TypeError, ValueError, OverflowError) as exc:
                 raise TraceError(f"bad message fields: {exc}", source, lineno)
             if bsm.t > t_max:
-                limit = "the replay ceiling" if t_max == MAX_TRACE_T_MS else "the scenario's t_end"
+                limit = "the replay ceiling" if t_max == MAX_TRACE_T_MS else t_end_name
                 raise TraceError(f"t={bsm.t} ms is past {limit} of {t_max} ms", source, lineno)
             truth = doc.get("truth")
             if truth is not None and not isinstance(truth, bool):

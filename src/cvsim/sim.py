@@ -35,8 +35,11 @@ Layer wiring:
   hands nothing off re-arms at the latest beacon's deadline under the engine
   ticket that beacon reserved, so it fires exactly where a check per beacon
   would have (RFC 6298 section 5's one restartable timer). Each vehicle's
-  beacon handler is bound once, when it spawns, and only the first beacon
-  of a millisecond does anything: the later ones find it already done.
+  beacon handler and check handler are bound once, when it spawns, and only
+  the first beacon of a millisecond does anything: the later ones find it
+  already done.
+* every delivery is a ``functools.partial`` of a method, bound per send or,
+  for the beacon and check handlers, at spawn: no closure per packet.
 
 Recurring activities are phase-offset inside each 100 ms period (kinematics at
 +0, beacons at +10, telemetry at +50, detector on the whole second), so at the
@@ -57,7 +60,9 @@ stopped vehicle keeps its one position object (``TrafficWorld.position_geo``),
 and with it its list, for the whole stop.
 
 ``PacketRecord`` is an immutable ``typing.NamedTuple``, compared as a tuple;
-the README's ``sim`` entry says why each per-message record is one.
+the README's ``sim`` entry says why each per-message record is one. It and
+``BrokerMessage`` validate nothing, so ``_send`` and ``_publish`` build them
+positionally with ``tuple.__new__``, skipping the generated ``__new__``.
 """
 
 from __future__ import annotations
@@ -93,6 +98,8 @@ from .radio import BACKHAUL, LinkKind, LinkModel, in_range, sample_delivery
 
 BEACON_PHASE_MS = 10
 BSM_PHASE_MS = 50
+# Builds a record that validates nothing from its fields, skipping its generated ``__new__``.
+_tuple_new = tuple.__new__
 # Added to every pruning bound of ``_RsuIndex``. Float error in a key or a
 # ``distance`` stays far under a metre for any two points on Earth (micrometres
 # at corridor scale), so no RSU an exact comparison would accept is pruned.
@@ -215,7 +222,8 @@ class _Node:
         self.broker.add_tap(self._store)
 
     def _store(self, msg: BrokerMessage) -> None:
-        self.archive.append(topic=msg.topic, t=msg.t_pub, payload=msg.payload, origin=msg.publisher)
+        topic, payload, publisher, t_pub = msg
+        self.archive.append(topic, t_pub, payload, publisher)
 
 
 class _RsuNode(_Node):
@@ -230,6 +238,8 @@ class _RsuNode(_Node):
         self.pos = pos
         self.beacon_channel = beacon.obstructed(spec.obstruction)
         self.bsm_channel = bsm.obstructed(spec.obstruction)
+        self.processed_topic = BSM_PROCESSED_TOPIC.format(spec.rsu_id)
+        self.status_topic = QUEUE_STATUS_TOPIC.format(spec.rsu_id)
         self.window: list[Bsm] = []
 
 
@@ -281,7 +291,8 @@ class _VehicleAgent:
     engine ticket of the first beacon delivered in the millisecond
     ``handoff.last_beacon_at``. A ``handoff-check`` is queued exactly while
     the short-range link is active. ``on_beacon`` is the delivery of every
-    beacon to this vehicle, bound once.
+    beacon to this vehicle and ``on_check`` the handler of its check, each
+    bound once; ``check_subject`` names the check's events.
     """
 
     vehicle_id: str
@@ -290,6 +301,8 @@ class _VehicleAgent:
     warned_by: set[str] = field(default_factory=set)
     check_ticket: int = -1
     on_beacon: Callable[[], None] = field(init=False, repr=False, compare=False)
+    on_check: Callable[[], None] = field(init=False, repr=False, compare=False)
+    check_subject: str = field(init=False, repr=False, compare=False)
 
 
 class Simulation:
@@ -343,6 +356,7 @@ class Simulation:
         self.avoidance_decisions: list[AvoidanceDecision] = []
         self.queue_evals: list[QueueEval] = []
         self._warning_topic = WARNING_TOPIC.format(config.region)
+        self._t_end_ms = config.t_end_ms
         self._pending: list[Directive] = self._build_directives()
         self._prune_interval_ms = max(1, config.fixed_edge_retention_ms // 4)
         self._ran = False
@@ -374,23 +388,25 @@ class Simulation:
             bsm_topic=BSM_RAW_TOPIC.format(spawn.vehicle_id),
         )
         agent.on_beacon = partial(self._on_beacon, agent)
+        agent.on_check = partial(self._handoff_check, agent)
+        agent.check_subject = f"handoff-check:{spawn.vehicle_id}"
         self.agents[spawn.vehicle_id] = agent
         self.backend.broker.subscribe(
             client=spawn.vehicle_id,
             pattern=self._warning_topic,
-            callback=lambda msg, a=agent: self._on_warning_via_broker(a, msg),
+            callback=partial(self._on_warning_via_broker, agent),
         )
 
     # -- publish and radio helpers -----------------------------------------
 
     def _publish(self, node: _Node, topic: str, payload: dict, publisher: str) -> None:
-        node.broker.publish(BrokerMessage(topic, payload, publisher, self.engine.now))
+        node.broker.publish(_tuple_new(BrokerMessage, (topic, payload, publisher, self.engine.now)))
 
     def _forward(self, node: _RsuNode, channel: _Channel, topic: str, payload: dict) -> None:
         """Publish at ``node``, then send over the backhaul for the backend to publish the same payload."""
         self._publish(node, topic, payload, node.node_id)
         self._send(
-            channel, node.node_id, SYSTEM_NODE_ID, lambda: self._publish(self.backend, topic, payload, node.node_id)
+            channel, node.node_id, SYSTEM_NODE_ID, partial(self._publish, self.backend, topic, payload, node.node_id)
         )
 
     def _send(self, channel: _Channel, tx: str, rx: str, deliver: Callable[[], None], distance_m: float = 0.0) -> None:
@@ -409,14 +425,14 @@ class Simulation:
         now = self.engine.now
         outcome = sample_delivery(distance_m, model, stream)
         if outcome is None:  # lost on the channel
-            self.packets.append(PacketRecord(now, None, tx, rx, model.kind, kind))
+            self.packets.append(_tuple_new(PacketRecord, (now, None, tx, rx, model.kind, kind)))
             tally.channel_loss += 1
             return
         latency = outcome.latency_ms
         t_recv = now + latency
-        self.packets.append(PacketRecord(now, t_recv, tx, rx, model.kind, kind))
+        self.packets.append(_tuple_new(PacketRecord, (now, t_recv, tx, rx, model.kind, kind)))
         self.engine.deliver(t_recv, kind, deliver)
-        if t_recv > self.config.t_end_ms:  # the run ends before it arrives
+        if t_recv > self._t_end_ms:  # the run ends before it arrives
             tally.in_flight += 1
             return
         tally.delivered += 1
@@ -508,9 +524,9 @@ class Simulation:
         self.engine.at(
             agent.handoff.last_beacon_at + self.config.handoff.timeout_ms,
             "app-timer",
-            f"handoff-check:{agent.vehicle_id}",
-            lambda: self._handoff_check(agent),
-            ticket=agent.check_ticket,
+            agent.check_subject,
+            agent.on_check,
+            agent.check_ticket,
         )
 
     def _handoff_check(self, agent: _VehicleAgent) -> None:
@@ -539,29 +555,25 @@ class Simulation:
             state = self.world.vehicles[vid]
             bsm = Bsm(now, vid, self.world.position_geo(vid), state.speed)
             if agent.handoff.active is LinkKind.LTE:
-                self._send(
-                    self._lte_bsm,
-                    vid,
-                    SYSTEM_NODE_ID,
-                    lambda b=bsm, a=agent: self._publish(self.backend, a.bsm_topic, b.to_doc(), a.vehicle_id),
-                )
+                self._send(self._lte_bsm, vid, SYSTEM_NODE_ID, partial(self._lte_ingest, bsm, agent))
             else:
                 reached = self._reach(vid)
                 if not reached:  # every RSU is beyond the link's range
                     self._short_range_bsm.tally.out_of_range += 1
                     continue
-                d, _, i = min((d, self.rsus[i].node_id, i) for i, d in reached)
+                if len(reached) == 1:
+                    ((i, d),) = reached
+                else:
+                    d, _, i = min((d, self.rsus[i].node_id, i) for i, d in reached)
                 node = self.rsus[i]
-                self._send(
-                    node.bsm_channel,
-                    vid,
-                    node.node_id,
-                    lambda b=bsm, n=node, a=agent: self._rsu_ingest_bsm(n, b, a.bsm_topic),
-                    d,
-                )
+                deliver = partial(self._rsu_ingest_bsm, node, bsm, agent.bsm_topic)
+                self._send(node.bsm_channel, vid, node.node_id, deliver, d)
         self.engine.at(now + self.tick_ms, "app-timer", "bsm-round", self._bsm_round)
 
     # -- data plane ---------------------------------------------------------
+
+    def _lte_ingest(self, bsm: Bsm, agent: _VehicleAgent) -> None:
+        self._publish(self.backend, agent.bsm_topic, bsm.to_doc(), agent.vehicle_id)
 
     def _rsu_ingest_bsm(self, node: _RsuNode, bsm: Bsm, topic: str) -> None:
         if self.config.detection.enabled:
@@ -581,13 +593,8 @@ class Simulation:
             if vid == vehicle_id:
                 continue
             d = distance(src_pos, self.world.position_geo(vid))
-            self._send(
-                self._dsrc_warning,
-                vehicle_id,
-                vid,
-                lambda a=agent, w=warning: self._handle_warning(a, w, LinkKind.DSRC),
-                d,
-            )
+            deliver = partial(self._handle_warning, agent, warning, LinkKind.DSRC)
+            self._send(self._dsrc_warning, vehicle_id, vid, deliver, d)
         # Region-wide relay rides cellular into the backend broker; fan-out to
         # subscribers models the whole relay path, so its latency is the
         # end-to-end warning delay.
@@ -595,7 +602,7 @@ class Simulation:
             self._lte_warning,
             vehicle_id,
             SYSTEM_NODE_ID,
-            lambda: self._publish(self.backend, self._warning_topic, warning.to_doc(), vehicle_id),
+            partial(self._publish, self.backend, self._warning_topic, warning.to_doc(), vehicle_id),
         )
 
     def _on_warning_via_broker(self, agent: _VehicleAgent, msg: BrokerMessage) -> None:
@@ -639,8 +646,8 @@ class Simulation:
             self.queue_evals.append(QueueEval(decision=decision, truth=truth))
             docs = {v.vehicle_id: v.to_doc() for v in sorted(vehicles, key=lambda v: v.vehicle_id)}
             processed = {"t": now, "rsu": node.node_id, "vehicles": docs}
-            self._publish(node, BSM_PROCESSED_TOPIC.format(node.node_id), processed, node.node_id)
-            self._forward(node, self._queue_status, QUEUE_STATUS_TOPIC.format(node.node_id), decision.to_doc())
+            self._publish(node, node.processed_topic, processed, node.node_id)
+            self._forward(node, self._queue_status, node.status_topic, decision.to_doc())
             # Every message held was sent at or before ``now``, so no later window holds it.
             node.window = []
         self.engine.at(now + WINDOW_MS, "detector-tick", "rsus", self._detector_tick)

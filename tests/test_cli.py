@@ -266,6 +266,19 @@ def test_aborted_run_leaves_the_event_trace_up_to_the_aborting_event(tmp_path, c
     assert f"event kind={kind!r} subject={subject!r} at t={t} raised" in err
 
 
+@pytest.mark.parametrize("out_dir", ["afile", "afile/out"], ids=["a-file", "under-a-file"])
+def test_unusable_out_dir_exit_2_before_the_run(tmp_path, capsys, out_dir):
+    """An ``--out-dir`` that cannot be made is rejected before the event trace is opened or the run starts."""
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out, dump = tmp_path / out_dir, tmp_path / "ev" / "events.log"
+    argv = ["--scenario", "rsu_coverage_pass", "--out-dir", str(out), "--event-trace", str(dump)]
+    rc, err = main(argv), capsys.readouterr().err
+    assert afile.read_text() == "kept\n" and not dump.parent.exists()
+    afile.unlink()  # left as it was; ``assert_rejected`` holds the out-dir path to not existing
+    assert_rejected(argv, rc, err, out, None, "cannot make the output directory: ")
+
+
 def test_missing_mode_arguments_error():
     with pytest.raises(SystemExit) as err:
         main([])
@@ -423,8 +436,7 @@ def test_replay_without_a_scenario_honours_the_t_end_flag(tmp_path, capsys):
     doc = {"t": 9000, "vehicle_id": "v", "lat": 40.0, "lon": -75.0, "speed": 0.0}
     trace.write_text(json.dumps({**doc, "t": 50}) + "\n" + json.dumps(doc) + "\n")
     argv = ["--trace", str(trace), "--t-end", "5", "--out-dir", str(tmp_path / "out")]
-    diagnostic = rejects(capsys, argv, trace, 2, "t=9000 ms is past")
-    assert diagnostic.endswith("of 5000 ms")
+    assert rejects(capsys, argv, trace, 2) == "t=9000 ms is past the --t-end limit of 5000 ms"
 
 
 @pytest.mark.parametrize("flag", ["--event-trace", "--seed"])

@@ -62,6 +62,19 @@ def test_sample_delivery_returns_none_or_delivered():
     assert all(type(o) is Delivered and 1 <= o.latency_ms <= 7 for o in delivered)
 
 
+@pytest.mark.parametrize("cls", [PacketRecord, BrokerMessage, Record, Delivered], ids=lambda cls: cls.__name__)
+def test_unvalidated_records_keep_the_generated_constructor(cls):
+    """The records that validate nothing keep the ``__new__`` that ``typing.NamedTuple`` made.
+
+    Hot sites build ``PacketRecord``, ``BrokerMessage`` and ``Record`` with ``tuple.__new__``, which
+    skips ``__new__``, so a validating one, which a subclass can add as ``GeoPoint`` and ``Bsm`` do,
+    would be skipped there without warning; ``Delivered`` is held to the same."""
+    assert cls.__bases__ == (tuple,)
+    assert cls.__new__.__globals__["__name__"] == f"namedtuple_{cls.__name__}"
+    fields = tuple(range(len(cls._fields)))
+    assert cls(*fields) == tuple.__new__(cls, fields)
+
+
 @pytest.mark.parametrize(
     "value, name",
     [(GeoPoint(40.0, -75.0), "lat"), (BSM, "speed"), (BSM, "pos")],
